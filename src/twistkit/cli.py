@@ -14,8 +14,10 @@ import json
 import os
 import sys
 from .deform import phi
+from .lincomb import _signed_sum, _term_body
 from .pbw import element_to_json, to_casimir_basis
 from .reps import evaluate, rep_unitarity_check, spin_rep
+from .report import VerificationReport
 from .rmatrix import classical_R, quantum_R_image, quasitriangular_residual
 from .tensor import tensor_to_json, tensor_to_str
 from .twist import (TwistCandidate, build_candidate, normalization_check,
@@ -70,17 +72,8 @@ def format_hi_polynomial(x) -> str:
         n = int(c * den)
         mono = "*".join(s for s in (f"I^{t.b}" if t.b > 1 else "I" if t.b else "",
                                     f"H^{t.a}" if t.a > 1 else "H" if t.a else "") if s)
-        if not mono:
-            body = str(abs(n))
-        elif abs(n) == 1:
-            body = mono
-        else:
-            body = f"{abs(n)}*{mono}"
-        parts.append((" - " if n < 0 else " + ") + body)
-    head = parts[0][3:]
-    if parts[0].startswith(" - "):
-        head = "-" + head
-    poly = head + "".join(parts[1:])
+        parts.append((n, _term_body(n, mono)))
+    poly = _signed_sum(parts)
     if den == 1:
         return poly
     if len(terms) == 1 and not poly.startswith("-"):
@@ -170,60 +163,63 @@ def cmd_solve_twist(args) -> int:
     return EXIT_OK if solved else EXIT_INFEASIBLE
 
 
-def _load_candidate(path: str) -> TwistCandidate:
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "candidate" in data:
-        data = data["candidate"]
-    return TwistCandidate.from_json(data)
+def _load_candidate(path: str):
+    """The candidate in a JSON file, or None after reporting on stderr why
+    the file cannot be used."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "candidate" in data:
+            data = data["candidate"]
+        return TwistCandidate.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load candidate: {exc}", file=sys.stderr)
+        return None
 
 
-ALL_CHECKS = ("twist", "rmatrix", "normalization", "unitarity", "cocycle")
+# check name -> (function of (candidate, order), line label); a function
+# returns either a VerificationReport or a series that must vanish
+CHECKS = {
+    "twist": (twist_residuals, "twist "),
+    "rmatrix": (quasitriangular_residual, "rmatrix[quasitriangular]"),
+    "normalization": (lambda cand, order: normalization_check(cand),
+                      "normalization "),
+    "unitarity": (lambda cand, order: unitarity_defect(cand),
+                  "unitarity(universal)"),
+    "cocycle": (lambda cand, order: cocycle_defect(cand), "cocycle"),
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
+def _check_lines(name: str, result, label: str, expect_paper: bool):
+    """(passed, report lines) for one check's result."""
+    if isinstance(result, VerificationReport):
+        return result.passed, [label + line for line in result.lines()]
+    bad = result.first_nonzero()
+    if bad is None:
+        status = "pass"
+    elif name not in EXPECTED_FAILURES:
+        status = f"fail (first failure at order {bad})"
+    elif expect_paper:
+        status = f"fails-as-paper-states (first nonzero at order {bad})"
+    else:
+        status = f"fail (first nonzero at order {bad})"
+    return bad is None, [f"{label}: {status}"]
 
 
 def cmd_verify(args) -> int:
-    try:
-        cand = _load_candidate(args.candidate)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load candidate: {exc}", file=sys.stderr)
+    cand = _load_candidate(args.candidate)
+    if cand is None:
         return EXIT_BAD_INPUT
     checks = ALL_CHECKS if "all" in args.checks else tuple(args.checks)
     order = args.order
     lines = []
     falsified = False
     for name in checks:
-        if name == "twist":
-            rep = twist_residuals(cand, order)
-            ok = rep.passed
-            lines.extend("twist " + l for l in rep.lines())
-        elif name == "rmatrix":
-            resid = quasitriangular_residual(cand, order)
-            bad = next((k for k, c in enumerate(resid.coeffs) if not c.is_zero()), None)
-            ok = bad is None
-            lines.append(f"rmatrix[quasitriangular]: {'pass' if ok else f'fail (first failure at order {bad})'}")
-        elif name == "normalization":
-            rep = normalization_check(cand)
-            ok = rep.passed
-            lines.extend("normalization " + l for l in rep.lines())
-        elif name == "unitarity":
-            defect = unitarity_defect(cand)
-            bad = next((k for k, c in enumerate(defect.coeffs) if not c.is_zero()), None)
-            ok = bad is None
-            label = "pass" if ok else (
-                f"fails-as-paper-states (first nonzero at order {bad})"
-                if args.expect_paper_behavior else f"fail (first nonzero at order {bad})")
-            lines.append(f"unitarity(universal): {label}")
-        elif name == "cocycle":
-            defect = cocycle_defect(cand)
-            bad = next((k for k, c in enumerate(defect.coeffs) if not c.is_zero()), None)
-            ok = bad is None
-            label = "pass" if ok else (
-                f"fails-as-paper-states (first nonzero at order {bad})"
-                if args.expect_paper_behavior else f"fail (first nonzero at order {bad})")
-            lines.append(f"cocycle: {label}")
-        else:
-            print(f"error: unknown check {name!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        fn, label = CHECKS[name]
+        ok, check_lines = _check_lines(name, fn(cand, order), label,
+                                       args.expect_paper_behavior)
+        lines.extend(check_lines)
         if not ok and not (args.expect_paper_behavior and name in EXPECTED_FAILURES):
             falsified = True
     if args.format == "json":
@@ -235,10 +231,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_rep(args) -> int:
-    try:
-        cand = _load_candidate(args.candidate)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load candidate: {exc}", file=sys.stderr)
+    cand = _load_candidate(args.candidate)
+    if cand is None:
         return EXIT_BAD_INPUT
     try:
         rep1 = spin_rep(args.two_j1)

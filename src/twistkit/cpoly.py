@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
+from .lincomb import LinearCombination, _iadd, _signed_sum, _term_body
+
 
 def _mono_mul(m1, m2):
     if not m1:
@@ -27,32 +29,12 @@ def _mono_degree(mono):
     return sum(e for _, e in mono)
 
 
-class Poly:
+class Poly(LinearCombination):
     """Polynomial in named commuting symbols over the rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = c
-
-    @classmethod
-    def _raw(cls, terms):
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls.constant(1)
+    UNIT = ()
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -62,88 +44,22 @@ class Poly:
     def symbol(cls, name: str) -> "Poly":
         return cls({((name, 1),): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_unit_scalar(self):
-        """The Fraction c if this polynomial is the constant c, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
-
     def total_degree(self) -> int:
         """Largest monomial degree; 0 for the zero polynomial."""
         if not self.terms:
             return 0
         return max(_mono_degree(m) for m in self.terms)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = terms.get(mono, _ZERO) + c
-            if v:
-                terms[mono] = v
-            else:
-                terms.pop(mono, None)
-        return Poly._raw(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __neg__(self):
-        return Poly._raw({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Rational):
-            other = Fraction(other)
-            if not other:
-                return Poly.zero()
-            return Poly._raw({m: c * other for m, c in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = _mono_mul(m1, m2)
-                v = acc.get(key, _ZERO) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+                _iadd(acc, _mono_mul(m1, m2), c1 * c2)
         return Poly._raw(acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def substitute(self, assignments: dict) -> "Poly":
         """Replace symbols by polynomials or scalars; others are kept."""
@@ -174,34 +90,13 @@ class Poly:
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         def mono_str(mono):
             return "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
-        parts = []
-        for mono, c in sorted(self.terms.items(),
-                              key=lambda kv: (-_mono_degree(kv[0]), kv[0])):
-            ms = mono_str(mono)
-            if not ms:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = ms
-            else:
-                body = f"{abs(c)}*{ms}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0].lstrip("+ ").replace("- ", "-", 1) if parts[0].startswith("-") else parts[0][2:]
-        return " ".join([head] + parts[1:])
+        return _signed_sum(
+            (c, _term_body(c, mono_str(mono)))
+            for mono, c in sorted(self.terms.items(),
+                                  key=lambda kv: (-_mono_degree(kv[0]), kv[0])))
 
     def __repr__(self):
         return f"Poly({self})"
 
-
-_ZERO = Fraction(0)
-
-
-def _coerce(x):
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, Rational):
-        return Poly.constant(x)
-    return NotImplemented

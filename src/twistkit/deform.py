@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
-from .cpoly import Poly
 from .hseries import HSeries, q_analog, series_exp_h
 from .pbw import E, F, H, Element, casimir
 from .report import VerificationReport
@@ -73,20 +73,17 @@ def _sym_to_elementary(poly2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-_PHI_CACHE: dict = {}
-
-
 def phi(sign: str, order: int) -> PhiSeries:
     """The deforming-map coefficient phi+ (sign '+') or phi- (sign '-')
     as a truncated series, exact at every order."""
     s = _SIGNS.get(sign)
     if s is None:
         raise ValueError("sign must be '+'/'plus' or '-'/'minus'")
-    key = (s, order)
-    got = _PHI_CACHE.get(key)
-    if got is not None:
-        return got
+    return _phi(s, order)
 
+
+@cache
+def _phi(s: int, order: int) -> PhiSeries:
     # s_m(w): the h^{2m} coefficient of the sinh-ratio series S(x) as a
     # polynomial in w = x^2, represented {w-degree: Fraction}
     den = HSeries(tuple(Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0)
@@ -130,9 +127,7 @@ def phi(sign: str, order: int) -> PhiSeries:
             elem = elem + _pow(e1_pow, e1, p) * _pow(e2_pow, e2, q) * c
         coeffs.append(elem)
 
-    result = PhiSeries("+" if s > 0 else "-", HSeries(tuple(coeffs), order).sqrt())
-    _PHI_CACHE[key] = result
-    return result
+    return PhiSeries("+" if s > 0 else "-", HSeries(tuple(coeffs), order).sqrt())
 
 
 def m_J0(order: int) -> HSeries:
@@ -165,16 +160,7 @@ def _m_image(gen: str, order: int) -> HSeries:
 
 def q_analog_2h(order: int) -> HSeries:
     """[2H] as a series of elements of U(sl2)."""
-    p = Poly.symbol("H") * 2
-    return q_analog(p, order).map(
-        lambda c: c.eval_in(Element.one(), {"H": H}))
-
-
-def _first_nonzero(series: HSeries):
-    for k, c in enumerate(series.coeffs):
-        if not c.is_zero():
-            return k
-    return None
+    return q_analog(H * 2, order)
 
 
 def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
@@ -196,7 +182,7 @@ def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
         ("[J+,J-] = [2J0]/2", comm(jp, jm) - q_analog_2h(order) * Fraction(1, 2)),
     )
     for name, residual in relations:
-        bad = _first_nonzero(residual)
+        bad = residual.first_nonzero()
         report.add(name, bad is None, bad)
     return report
 

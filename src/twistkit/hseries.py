@@ -7,9 +7,12 @@ orders raises OrderMismatchError instead of silently re-truncating,
 because silent drift in the working order is the classic bug in
 deformation computations.
 
-Coefficients may be rational scalars or any ring type that implements
+Coefficients may be rational scalars or any ring element that implements
 ``+``, ``-``, ``*`` (including scalar multiplication by a Fraction),
-``zero()``/``one()`` classmethods and ``as_unit_scalar()``.  The
+``is_zero()``, ``as_unit_scalar()``, and ``zero_like()``/``one_like()``,
+which return the zero and the unit of the element's own ring.  The ring
+is fixed by the element, not only by its type: a tensor element's zero
+and unit have as many legs as the element itself.  The
 q-calculus with q = e^h lives on top: ``series_exp_h``, the q-analogue
 via the sinh-ratio series (which keeps coefficients polynomial in the
 argument), and q-factorials.
@@ -33,13 +36,13 @@ def _coerce_coeff(c):
 def zero_like(c):
     if isinstance(c, Rational):
         return Fraction(0)
-    return type(c).zero()
+    return c.zero_like()
 
 
 def one_like(c):
     if isinstance(c, Rational):
         return Fraction(1)
-    return type(c).one()
+    return c.one_like()
 
 
 def _invert_unit(c):
@@ -53,7 +56,7 @@ def _invert_unit(c):
     if s is None or s == 0:
         raise ValueError(
             "constant term is not an invertible scalar multiple of the identity")
-    return type(c).one() * (Fraction(1) / s)
+    return c.one_like() * (Fraction(1) / s)
 
 
 class HSeries:
@@ -146,6 +149,11 @@ class HSeries:
 
     def is_zero(self) -> bool:
         return all(_is_zero_coeff(c) for c in self.coeffs)
+
+    def first_nonzero(self):
+        """The order of the first nonzero coefficient, or None if all vanish."""
+        return next((k for k, c in enumerate(self.coeffs)
+                     if not _is_zero_coeff(c)), None)
 
     def is_one(self) -> bool:
         return (self.coeffs[0] == one_like(self.coeffs[0])

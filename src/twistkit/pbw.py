@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from numbers import Rational
+
+from .lincomb import LinearCombination, _iadd, _signed_sum, _term_body
 
 UNIT_MONO = (0, 0, 0)
 E_MONO = (1, 0, 0)
@@ -28,73 +31,40 @@ H_MONO = (0, 0, 1)
 _ZERO = Fraction(0)
 
 
-def _iadd(acc: dict, key, val):
-    v = acc.get(key)
-    if v is None:
-        if val:
-            acc[key] = val
-    else:
-        v = v + val
-        if v:
-            acc[key] = v
-        else:
-            del acc[key]
-
-
 # ---------------------------------------------------------------------------
 # monomial products
 
-# _U_TABLE[m] = normal form of F^m E, as {mono: coeff}
-_U_TABLE = [{E_MONO: Fraction(1)}]
+
+def _fm_e(k: int) -> dict:
+    """Normal form of the word F^k E, as {mono: coeff}.
+
+    [E, F^k] = sum_j F^j H F^{k-1-j} = F^{k-1} (kH - k(k-1)/2), because
+    H F^m = F^m (H - m); so F^k E = E F^k - k F^{k-1} H + k(k-1)/2 F^{k-1}.
+    """
+    terms = {(1, k, 0): Fraction(1), (0, k - 1, 1): Fraction(-k),
+             (0, k - 1, 0): Fraction(k * (k - 1), 2)}
+    return {mono: c for mono, c in terms.items() if c}
 
 
-def _fm_e(m: int) -> dict:
-    while len(_U_TABLE) <= m:
-        k = len(_U_TABLE)
-        acc = {}
-        # F^k E = (F^{k-1} E) F - F^{k-1} H
-        for (a, b, c), coef in _U_TABLE[k - 1].items():
-            # (E^a F^b H^c) F = E^a F^{b+1} (H-1)^c
-            for i in range(c + 1):
-                _iadd(acc, (a, b + 1, i), coef * comb(c, i) * Fraction((-1) ** (c - i)))
-        _iadd(acc, (0, k - 1, 1), Fraction(-1))
-        _U_TABLE.append(acc)
-    return _U_TABLE[m]
-
-
-_FE_CACHE: dict = {}
-
-
+@cache
 def _fe_normal(m: int, n: int) -> dict:
-    """Normal form of the word F^m E^n."""
-    key = (m, n)
-    cached = _FE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = {(0, m, 0): Fraction(1)}
-    else:
-        prev = _fe_normal(m, n - 1)
-        result = {}
+    """Normal form of the word F^m E^n, built up one E at a time (a loop,
+    so the exponent n is not bounded by the interpreter's recursion limit)."""
+    result = {(0, m, 0): Fraction(1)}
+    for _ in range(n):
+        prev, result = result, {}
         for (a, b, c), coef in prev.items():
             # (E^a F^b H^c) E = E^a (F^b E) (H+1)^c
             for (p, q, r), c2 in _fm_e(b).items():
                 base = coef * c2
                 for i in range(c + 1):
                     _iadd(result, (a + p, q, r + i), base * comb(c, i))
-    _FE_CACHE[key] = result
     return result
 
 
-_MONO_CACHE: dict = {}
-
-
+@cache
 def mono_mul(m1, m2):
     """Product of two normal-ordered monomials as ((mono, coeff), ...)."""
-    key = (m1, m2)
-    cached = _MONO_CACHE.get(key)
-    if cached is not None:
-        return cached
     e1, f1, d1 = m1
     e2, f2, d2 = m2
     # H^{d1} commuted through E^{e2} F^{f2} leaves (H + e2 - f2)^{d1} H^{d2}
@@ -109,93 +79,32 @@ def mono_mul(m1, m2):
             cj = cw * comb(r, j) * Fraction((-f2) ** (r - j))
             for deg, cq in qpoly.items():
                 _iadd(acc, (e1 + p, q + f2, j + deg), cj * cq)
-    result = tuple(sorted(acc.items()))
-    _MONO_CACHE[key] = result
-    return result
+    return tuple(sorted(acc.items()))
 
 
 # ---------------------------------------------------------------------------
 # elements
 
 
-class Element:
+class Element(LinearCombination):
     """Finite rational linear combination of PBW monomials E^e F^f H^d."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = c
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "Element":
-        x = cls.__new__(cls)
-        x.terms = terms
-        return x
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "Element":
-        return cls._raw({UNIT_MONO: Fraction(1)})
+    UNIT = UNIT_MONO
 
     @classmethod
     def monomial(cls, e: int, f: int, d: int, coeff=1) -> "Element":
         return cls({(e, f, d): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_unit_scalar(self):
-        """The Fraction c if this element equals c*1, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and UNIT_MONO in self.terms:
-            return self.terms[UNIT_MONO]
-        return None
 
     def filtration_degree(self) -> int:
         if not self.terms:
             return 0
         return max(e + f + d for e, f, d in self.terms)
 
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = Element.one() * other
-        if not isinstance(other, Element):
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            _iadd(terms, mono, c)
-        return Element._raw(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            other = Element.one() * other
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Element._raw({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Rational):
-            q = Fraction(other)
-            if not q:
-                return Element.zero()
-            return Element._raw({m: c * q for m, c in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         acc = {}
@@ -205,30 +114,6 @@ class Element:
                 for mono, c in mono_mul(m1, m2):
                     _iadd(acc, mono, c12 * c)
         return Element._raw(acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power in U(sl2)")
-        out = Element.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = Element.one() * other
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __str__(self):
         return element_to_str(self)
@@ -382,23 +267,9 @@ def _mono_str(mono) -> str:
 
 
 def element_to_str(x: Element) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for mono in sorted(x.terms, reverse=True):
-        c = x.terms[mono]
-        ms = _mono_str(mono)
-        if ms == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = ms
-        else:
-            body = f"{abs(c)}*{ms}"
-        parts.append((" - " if c < 0 else " + ") + body)
-    head = parts[0][3:]
-    if parts[0].startswith(" - "):
-        head = "-" + head
-    return head + "".join(parts[1:])
+    return _signed_sum(
+        (c, _term_body(c, "" if mono == UNIT_MONO else _mono_str(mono)))
+        for mono, c in sorted(x.terms.items(), reverse=True))
 
 
 def element_to_json(x: Element) -> list:

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .hseries import HSeries
 from .pbw import Element
-from .tensor import TensorElement, TensorElement3
+from .tensor import TensorElement
 
 
 def _zeros(n):
@@ -221,42 +222,34 @@ class RepMatrix:
 def _as_tensor_series(x, order=None) -> HSeries:
     if isinstance(x, HSeries):
         return x
-    if isinstance(x, (TensorElement, TensorElement3)):
+    if isinstance(x, TensorElement):
         return HSeries.constant(x, order if order is not None else 0)
     raise ValueError("expected a tensor element or a series of them")
 
 
-def evaluate(x, rep1: SpinRep, rep2: SpinRep) -> RepMatrix:
-    """Legwise algebra-morphism evaluation of a tensor series into the
-    Kronecker-product representation."""
+def evaluate(x, *reps: SpinRep) -> RepMatrix:
+    """Legwise algebra-morphism evaluation of a tensor element or series
+    into the Kronecker product of one representation per leg."""
     s = _as_tensor_series(x)
-    dim = rep1.dim * rep2.dim
+    dim = prod(rep.dim for rep in reps)
     out = []
     for c in s.coeffs:
+        if c.legs != len(reps):
+            raise ValueError(f"{c.legs}-leg element needs {c.legs} "
+                             f"representations, got {len(reps)}")
         acc = _zeros(dim)
-        for (m1, m2), coef in sorted(c.terms.items()):
-            kr = _kron(_mono_matrix(rep1.two_j, m1), _mono_matrix(rep2.two_j, m2))
+        for key, coef in sorted(c.terms.items()):
+            kr = _mono_matrix(reps[0].two_j, key[0])
+            for rep, mono in zip(reps[1:], key[1:]):
+                kr = _kron(kr, _mono_matrix(rep.two_j, mono))
             acc = [[acc[i][j] + coef * kr[i][j] for j in range(dim)]
                    for i in range(dim)]
         out.append(_freeze(acc))
     return RepMatrix(dim, out)
 
 
-def evaluate3(x, rep1: SpinRep, rep2: SpinRep, rep3: SpinRep) -> RepMatrix:
-    """Three-leg analogue of evaluate, for the cocycle check."""
-    s = _as_tensor_series(x)
-    dim = rep1.dim * rep2.dim * rep3.dim
-    out = []
-    for c in s.coeffs:
-        acc = _zeros(dim)
-        for (m1, m2, m3), coef in sorted(c.terms.items()):
-            kr = _kron(_kron(_mono_matrix(rep1.two_j, m1),
-                             _mono_matrix(rep2.two_j, m2)),
-                       _mono_matrix(rep3.two_j, m3))
-            acc = [[acc[i][j] + coef * kr[i][j] for j in range(dim)]
-                   for i in range(dim)]
-        out.append(_freeze(acc))
-    return RepMatrix(dim, out)
+# the three-leg spelling, for the cocycle check
+evaluate3 = evaluate
 
 
 def semi_universal(cand, order: int | None = None):

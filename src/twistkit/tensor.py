@@ -1,115 +1,79 @@
-"""Arithmetic in U(sl2) (x) U(sl2), the triple tensor power, and coproducts.
+"""Arithmetic in the tensor powers of U(sl2), and coproducts.
 
-Tensor elements keep each leg in PBW normal form; products are legwise.
-The classical coproduct is primitive on generators and extended as an
-algebra morphism, so Delta of a monomial is computed as
+A tensor element with n legs keeps each leg in PBW normal form: its keys
+are n-tuples of monomials, and products are legwise.  The classical
+coproduct is primitive on generators and extended as an algebra
+morphism, so Delta of a monomial is computed as
 Delta(E)^e Delta(F)^f Delta(H)^d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 
 from .hseries import HSeries
-from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _iadd,
+from .lincomb import LinearCombination, _iadd, _signed_sum
+from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
                   mono_mul)
 
 UNIT2 = (UNIT_MONO, UNIT_MONO)
-UNIT3 = (UNIT_MONO, UNIT_MONO, UNIT_MONO)
 
 
-class TensorElement:
-    """Finite rational linear combination of pairs of PBW monomials."""
+class TensorElement(LinearCombination):
+    """Finite rational linear combination of n-tuples of PBW monomials,
+    one per leg.  Elements with different leg counts never combine."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("legs",)
+
+    UNIT = UNIT2
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = c
+        super().__init__(terms)
+        # the leg count comes from the keys given, zero coefficients included
+        lengths = {len(key) for key in terms} if terms else {2}
+        if len(lengths) != 1:
+            raise ValueError("tensor terms have different numbers of legs")
+        (self.legs,) = lengths
 
     @classmethod
-    def _raw(cls, terms: dict) -> "TensorElement":
+    def _raw(cls, terms: dict, legs: int = 2) -> "TensorElement":
         x = cls.__new__(cls)
         x.terms = terms
+        x.legs = legs
         return x
 
-    @classmethod
-    def zero(cls) -> "TensorElement":
-        return cls._raw({})
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement._raw(terms, self.legs)
 
-    @classmethod
-    def one(cls) -> "TensorElement":
-        return cls._raw({UNIT2: Fraction(1)})
+    def _unit(self):
+        return (UNIT_MONO,) * self.legs
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_unit_scalar(self):
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and UNIT2 in self.terms:
-            return self.terms[UNIT2]
-        return None
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            _iadd(terms, mono, c)
-        return TensorElement._raw(terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement._raw({m: -c for m, c in self.terms.items()})
+    def _operand(self, other):
+        other = super()._operand(other)
+        if other is not NotImplemented and other.legs != self.legs:
+            raise ValueError(f"cannot combine a {self.legs}-leg and a "
+                             f"{other.legs}-leg tensor element")
+        return other
 
     def __mul__(self, other):
         if isinstance(other, Rational):
-            q = Fraction(other)
-            if not q:
-                return TensorElement.zero()
-            return TensorElement._raw({m: c * q for m, c in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
+        self._operand(other)           # raises on a leg-count mismatch
         acc = {}
-        for (a1, a2), c1 in self.terms.items():
-            for (b1, b2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for m1, d1 in mono_mul(a1, b1):
-                    for m2, d2 in mono_mul(a2, b2):
-                        _iadd(acc, (m1, m2), c12 * d1 * d2)
-        return TensorElement._raw(acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative tensor power")
-        out = TensorElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        for keys1, c1 in self.terms.items():
+            for keys2, c2 in other.terms.items():
+                # multiply leg by leg, expanding each leg's product
+                partial = [((), c1 * c2)]
+                for x, y in zip(keys1, keys2):
+                    partial = [(key + (m,), c * d) for key, c in partial
+                               for m, d in mono_mul(x, y)]
+                for key, c in partial:
+                    _iadd(acc, key, c)
+        return TensorElement._raw(acc, self.legs)
 
     def __str__(self):
         return tensor_to_str(self)
@@ -118,89 +82,10 @@ class TensorElement:
         return f"TensorElement({tensor_to_str(self)})"
 
 
-class TensorElement3:
-    """Finite rational linear combination of triples of PBW monomials;
-    just enough arithmetic for the cocycle check."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = c
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "TensorElement3":
-        x = cls.__new__(cls)
-        x.terms = terms
-        return x
-
-    @classmethod
-    def zero(cls) -> "TensorElement3":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "TensorElement3":
-        return cls._raw({UNIT3: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_unit_scalar(self):
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and UNIT3 in self.terms:
-            return self.terms[UNIT3]
-        return None
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            _iadd(terms, mono, c)
-        return TensorElement3._raw(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement3._raw({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return TensorElement3._raw({m: c * q for m, c in self.terms.items()} if q else {})
-        acc = {}
-        for (a1, a2, a3), c1 in self.terms.items():
-            for (b1, b2, b3), c2 in other.terms.items():
-                c12 = c1 * c2
-                for m1, d1 in mono_mul(a1, b1):
-                    for m2, d2 in mono_mul(a2, b2):
-                        d12 = d1 * d2
-                        for m3, d3 in mono_mul(a3, b3):
-                            _iadd(acc, (m1, m2, m3), c12 * d12 * d3)
-        return TensorElement3._raw(acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement3):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement3(0)"
-        return "TensorElement3(<%d terms>)" % len(self.terms)
+# the triple tensor power is the 3-leg case of the same type; as for any
+# leg count, x.one_like() and x.zero_like() match x's legs, while the
+# classmethods one() and zero() give the 2-leg unit and zero
+TensorElement3 = TensorElement
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -252,26 +137,16 @@ _DELTA_GEN = {
     "H": TensorElement({(H_MONO, UNIT_MONO): 1, (UNIT_MONO, H_MONO): 1}),
 }
 
-_DELTA_POW: dict = {}
-_DELTA_MONO: dict = {}
 
-
+@cache
 def _delta_pow(gen: str, n: int) -> TensorElement:
-    key = (gen, n)
-    got = _DELTA_POW.get(key)
-    if got is None:
-        got = TensorElement.one() if n == 0 else _delta_pow(gen, n - 1) * _DELTA_GEN[gen]
-        _DELTA_POW[key] = got
-    return got
+    return TensorElement.one() if n == 0 else _delta_pow(gen, n - 1) * _DELTA_GEN[gen]
 
 
+@cache
 def _delta_mono(mono) -> TensorElement:
-    got = _DELTA_MONO.get(mono)
-    if got is None:
-        e, f, d = mono
-        got = _delta_pow("E", e) * _delta_pow("F", f) * _delta_pow("H", d)
-        _DELTA_MONO[mono] = got
-    return got
+    e, f, d = mono
+    return _delta_pow("E", e) * _delta_pow("F", f) * _delta_pow("H", d)
 
 
 def coproduct(x: Element) -> TensorElement:
@@ -283,7 +158,7 @@ def coproduct(x: Element) -> TensorElement:
     return TensorElement._raw(acc)
 
 
-def coproduct_leg(x: TensorElement, leg: int) -> TensorElement3:
+def coproduct_leg(x: TensorElement, leg: int) -> TensorElement:
     """Apply Delta to one leg: leg 1 gives (Delta (x) id)(x), leg 2 gives
     (id (x) Delta)(x)."""
     acc = {}
@@ -296,17 +171,19 @@ def coproduct_leg(x: TensorElement, leg: int) -> TensorElement3:
                 _iadd(acc, (m1, a, b), c * d)
         else:
             raise ValueError("leg must be 1 or 2")
-    return TensorElement3._raw(acc)
+    return TensorElement._raw(acc, legs=3)
 
 
-def extend_back(x: TensorElement) -> TensorElement3:
+def extend_back(x: TensorElement) -> TensorElement:
     """x (x) 1 in the triple tensor power."""
-    return TensorElement3._raw({(m1, m2, UNIT_MONO): c for (m1, m2), c in x.terms.items()})
+    return TensorElement._raw(
+        {(m1, m2, UNIT_MONO): c for (m1, m2), c in x.terms.items()}, legs=3)
 
 
-def extend_front(x: TensorElement) -> TensorElement3:
+def extend_front(x: TensorElement) -> TensorElement:
     """1 (x) x in the triple tensor power."""
-    return TensorElement3._raw({(UNIT_MONO, m1, m2): c for (m1, m2), c in x.terms.items()})
+    return TensorElement._raw(
+        {(UNIT_MONO, m1, m2): c for (m1, m2), c in x.terms.items()}, legs=3)
 
 
 def counit_leg(x: TensorElement, leg: int) -> Element:
@@ -364,49 +241,42 @@ def series_flip(s: HSeries) -> HSeries:
 # canonical renderings
 
 
-def _leg_str(mono) -> str:
-    e, f, d = mono
-    parts = []
-    for sym, exp in (("E", e), ("F", f), ("H", d)):
-        if exp == 1:
-            parts.append(sym)
-        elif exp > 1:
-            parts.append(f"{sym}^{exp}")
-    return "*".join(parts) if parts else "1"
-
-
 def tensor_to_str(x: TensorElement) -> str:
-    if not x.terms:
-        return "0"
     parts = []
-    for pair in sorted(x.terms):
-        c = x.terms[pair]
-        body = f"({_leg_str(pair[0])} ⊗ {_leg_str(pair[1])})"
-        if abs(c) != 1:
-            body = f"{abs(c)} * {body}"
-        parts.append((" - " if c < 0 else " + ") + body)
-    head = parts[0][3:]
-    if parts[0].startswith(" - "):
-        head = "-" + head
-    return head + "".join(parts[1:])
+    for key, c in sorted(x.terms.items()):
+        body = "(" + " ⊗ ".join(_mono_str(m) for m in key) + ")"
+        parts.append((c, body if abs(c) == 1 else f"{abs(c)} * {body}"))
+    return _signed_sum(parts)
 
 
 def tensor_to_json(x: TensorElement) -> list:
     out = []
-    for (m1, m2) in sorted(x.terms):
-        c = x.terms[(m1, m2)]
-        out.append({
-            "leg1": {"e": m1[0], "f": m1[1], "d": m1[2]},
-            "leg2": {"e": m2[0], "f": m2[1], "d": m2[2]},
-            "num": c.numerator, "den": c.denominator,
-        })
+    for key in sorted(x.terms):
+        c = x.terms[key]
+        term = {f"leg{i}": {"e": m[0], "f": m[1], "d": m[2]}
+                for i, m in enumerate(key, 1)}
+        term.update(num=c.numerator, den=c.denominator)
+        out.append(term)
     return out
 
 
+def _mono_from_json(leg) -> tuple:
+    mono = (leg["e"], leg["f"], leg["d"])
+    if not all(isinstance(x, int) and x >= 0 for x in mono):
+        raise ValueError(f"exponents must be non-negative integers, got {mono}")
+    return mono
+
+
 def tensor_from_json(data) -> TensorElement:
+    """Inverse of tensor_to_json; rejects malformed terms with ValueError."""
     terms = {}
     for t in data:
-        key = ((t["leg1"]["e"], t["leg1"]["f"], t["leg1"]["d"]),
-               (t["leg2"]["e"], t["leg2"]["f"], t["leg2"]["d"]))
-        terms[key] = Fraction(t["num"], t["den"])
+        legs = []
+        while (name := f"leg{len(legs) + 1}") in t:
+            legs.append(_mono_from_json(t[name]))
+        num, den = t["num"], t["den"]
+        if not (isinstance(num, int) and isinstance(den, int)) or den == 0:
+            raise ValueError(f"coefficient {num}/{den} is not a fraction of "
+                             "integers with a non-zero denominator")
+        terms[tuple(legs)] = Fraction(num, den)
     return TensorElement(terms)

@@ -23,13 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
-from .pbw import E, F, H, Element, casimir, mono_mul, _iadd
+from .lincomb import _iadd
+from .pbw import E, F, H, Element, casimir, mono_mul
 from .report import VerificationReport
-from .tensor import (TensorElement, TensorElement3, cartan_killing, classical_r,
+from .tensor import (TensorElement, cartan_killing, classical_r,
                      coproduct, coproduct_leg, counit_leg, extend_back,
                      extend_front, flip, outer, series_coproduct,
                      series_flip, tensor_from_json, tensor_to_json)
@@ -49,8 +51,8 @@ class TwistCandidate:
 
     def __post_init__(self):
         for c in self.series.coeffs:
-            if not isinstance(c, TensorElement):
-                raise ValueError("twist coefficients must be tensor elements")
+            if not isinstance(c, TensorElement) or c.legs != 2:
+                raise ValueError("twist coefficients must be 2-leg tensor elements")
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "TwistCandidate":
@@ -136,20 +138,14 @@ def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
     """Pass iff every residual coefficient vanishes up to the given order."""
     report = VerificationReport()
     for g, series in twist_residual_series(cand, order).items():
-        bad = next((k for k, c in enumerate(series.coeffs) if not c.is_zero()), None)
+        bad = series.first_nonzero()
         report.add(f"twist[{g}]", bad is None, bad)
     return report
 
 
-_DELTA_CLASSICAL = None
-
-
+@cache
 def _delta_classical() -> dict:
-    global _DELTA_CLASSICAL
-    if _DELTA_CLASSICAL is None:
-        _DELTA_CLASSICAL = {"J0": coproduct(H), "J+": coproduct(E),
-                            "J-": coproduct(F)}
-    return _DELTA_CLASSICAL
+    return {"J0": coproduct(H), "J+": coproduct(E), "J-": coproduct(F)}
 
 
 def kernel_check(f: TensorElement) -> bool:
@@ -264,43 +260,30 @@ class TwistAnsatz:
         return total
 
 
-_LEG_CACHE: dict = {}
-
-
+@cache
 def _leg_element(h_exp: int, i_exp: int, gen: str, l: int) -> Element:
     """H^h I^i G^l in PBW normal form, cached."""
-    key = (h_exp, i_exp, gen, l)
-    got = _LEG_CACHE.get(key)
-    if got is None:
-        got = (Element.monomial(0, 0, h_exp) * casimir() ** i_exp
-               * (E if gen == "E" else F) ** l)
-        _LEG_CACHE[key] = got
-    return got
+    return (Element.monomial(0, 0, h_exp) * casimir() ** i_exp
+            * (E if gen == "E" else F) ** l)
 
 
 # ---------------------------------------------------------------------------
 # the order-k solver
 
-_COMM_CACHE: dict = {}
 
-
+@cache
 def _mono_commutator(pair, gen: str) -> tuple:
     """[m, Delta(g)] for a single tensor monomial, cached."""
-    key = (pair, gen)
-    got = _COMM_CACHE.get(key)
-    if got is None:
-        acc: dict = {}
-        delta = _delta_classical()[{"H": "J0", "E": "J+", "F": "J-"}[gen]]
-        for (d1, d2), dc in delta.terms.items():
-            for m1, c1 in mono_mul(pair[0], d1):
-                for m2, c2 in mono_mul(pair[1], d2):
-                    _iadd(acc, (m1, m2), dc * c1 * c2)
-            for m1, c1 in mono_mul(d1, pair[0]):
-                for m2, c2 in mono_mul(d2, pair[1]):
-                    _iadd(acc, (m1, m2), -dc * c1 * c2)
-        got = tuple(acc.items())
-        _COMM_CACHE[key] = got
-    return got
+    acc: dict = {}
+    delta = _delta_classical()[{"H": "J0", "E": "J+", "F": "J-"}[gen]]
+    for (d1, d2), dc in delta.terms.items():
+        for m1, c1 in mono_mul(pair[0], d1):
+            for m2, c2 in mono_mul(pair[1], d2):
+                _iadd(acc, (m1, m2), dc * c1 * c2)
+        for m1, c1 in mono_mul(d1, pair[0]):
+            for m2, c2 in mono_mul(d2, pair[1]):
+                _iadd(acc, (m1, m2), -dc * c1 * c2)
+    return tuple(acc.items())
 
 
 @dataclass

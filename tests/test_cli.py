@@ -250,3 +250,22 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "2*I + 2*H^2 - 2*H - 1" in proc.stdout
+
+
+@pytest.mark.parametrize("defect", ["zero denominator", "negative exponent"])
+@pytest.mark.parametrize("command", [["verify"], ["eval-rep", "--two-j1", "1",
+                                                  "--two-j2", "1"]])
+def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
+    data = reference_candidate(2).to_json()
+    term = data["coeffs"][1][0]
+    if defect == "zero denominator":
+        term["den"] = 0
+    else:
+        term["leg1"]["f"] = -1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main([command[0], str(path), "--order", "2"] + command[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load candidate:")
+    assert err.count("\n") == 1

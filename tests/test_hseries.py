@@ -196,3 +196,10 @@ def test_text_rendering():
     assert str(scalar([1, -1, Fraction(1, 2)])) == "1 + (-1)*h + 1/2*h^2"
     assert str(HSeries([Element.one(), H * 2])) == "1 + (2*H)*h"
     assert str(scalar([0, 0])) == "0"
+
+
+def test_first_nonzero():
+    assert scalar([0, 0, 3]).first_nonzero() == 2
+    assert scalar([0, 0, 0]).first_nonzero() is None
+    r = classical_r()
+    assert HSeries([r - r, r]).first_nonzero() == 1

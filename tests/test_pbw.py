@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from twistkit import pbw
 from twistkit.pbw import (CasimirTerm, E, F, H, Element, casimir, commutator,
                           counit, element_from_json, element_to_json,
                           from_casimir_basis, is_hi_polynomial, multiply,
@@ -171,3 +174,37 @@ def test_json_shape():
         {"e": 0, "f": 0, "d": 2, "num": 1, "den": 1},
         {"e": 0, "f": 0, "d": 1, "num": -1, "den": 1},
     ]
+
+
+def _clear_pbw_caches():
+    for fn in (pbw._fe_normal, pbw.mono_mul):
+        fn.cache_clear()
+
+
+def test_cold_cache_products_agree_across_threads():
+    # the monomial-product caches are filled on demand; threads that fill
+    # them at the same time must neither corrupt them nor see a partial entry
+    k = 10
+    _clear_pbw_caches()
+    expected = F ** k * E ** k
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            _clear_pbw_caches()
+            results = [None] * 4
+            barrier = threading.Barrier(4)
+
+            def work(i):
+                barrier.wait()
+                results[i] = F ** k * E ** k
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(old)

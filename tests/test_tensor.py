@@ -169,3 +169,38 @@ def test_text_rendering():
     assert str(TensorElement.zero()) == "0"
     assert str(cartan_killing()) == ("2 * (H ⊗ H) + 2 * (F ⊗ E) "
                                      "+ 2 * (E ⊗ F)")
+
+
+def test_mixed_leg_counts_raise():
+    two = outer(E, F)
+    three = extend_back(two)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b,
+                    lambda a, b: a * b, lambda a, b: a == b):
+        with pytest.raises(ValueError):
+            combine(two, three)
+        with pytest.raises(ValueError):
+            combine(three, two)
+    with pytest.raises(ValueError):
+        TensorElement({(E_MONO, F_MONO): 1, (E_MONO, F_MONO, H_MONO): 1})
+
+
+def test_three_leg_unit_zero_and_json():
+    x = coproduct_leg(classical_r(), 1)
+    assert x.legs == 3
+    one = x.one_like()
+    assert one == TensorElement3({(UNIT_MONO, UNIT_MONO, UNIT_MONO): 1})
+    assert one * x == x and x * one == x
+    assert (x - x) == x.zero_like() and x.zero_like().legs == 3
+    assert (x * 2).as_unit_scalar() is None and (one * 3).as_unit_scalar() == 3
+    assert tensor_from_json(tensor_to_json(x)) == x
+    assert tensor_to_json(x)[0].keys() == {"leg1", "leg2", "leg3", "num", "den"}
+
+
+@pytest.mark.parametrize("leg, field, value", [
+    ("leg1", "e", -1), ("leg2", "d", 1.5), ("leg1", "f", "2"),
+    (None, "den", 0), (None, "num", 0.5)])
+def test_json_rejects_malformed_terms(leg, field, value):
+    data = tensor_to_json(classical_r())
+    (data[0][leg] if leg else data[0])[field] = value
+    with pytest.raises(ValueError):
+        tensor_from_json(data)
