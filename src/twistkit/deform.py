@@ -5,15 +5,21 @@ The generator images are J0 -> H, J+ -> phi+ * E, J- -> phi- * F with
     phi+- = sqrt([j +- H][1 + j -+ H] / ((j +- H)(1 + j -+ H))),
 
 where [x] is the q-analogue and j the spectral label with I = j(j+1).
-The label j never enters any computation: writing u = (j +- H)^2 and
-v = (1 + j -+ H)^2, the ratio under the square root is S(u)S(v) with S
-the sinh-ratio series, each h-coefficient of which is symmetric in (u, v)
-and therefore a polynomial in
+The label j never enters any computation.  With a = j +- H and
+b = 1 + j -+ H put X = a + b and Y = a - b, so that
 
-    u + v = 2I + 2H^2 -+ 2H + 1      and      u*v = (I +- H - H^2)^2,
+    X^2 = 4I + 1      and      Y^2 = (2H -+ 1)^2
 
-both honest elements of U(sl2).  The square root is taken at the series
-level, where all coefficients are commuting polynomials in H and I.
+are honest elements of U(sl2).  Then [a][b] = (cosh hX - cosh hY) /
+(2 sinh^2 h) and ab = (X^2 - Y^2)/4, so
+
+    phi+-^2 = 2 (cosh hX - cosh hY) / (sinh^2 h (X^2 - Y^2)),
+
+a series of commuting polynomials in H and I: the quotient
+2 (cosh hX - cosh hY) / (h^2 (X^2 - Y^2)) has h^{2m} coefficient
+2 T_m / (2m+2)! with T_0 = 1 and T_m = (X^2)^m + Y^2 T_{m-1}, and it is
+divided by the scalar series (sinh h / h)^2.  The square root is taken
+at the series level.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
-from .hseries import HSeries, q_analog, series_exp_h
+from .hseries import HSeries, q_analog, series_exp_h, sinhc
 from .pbw import E, F, H, Element, casimir
 from .report import VerificationReport
 from .tensor import coproduct, series_outer
@@ -47,32 +53,6 @@ class PhiSeries:
         return self.series.coeffs[k]
 
 
-def _sym_to_elementary(poly2: dict) -> dict:
-    """Rewrite a symmetric {(i, j): c} polynomial in (u, v) over the
-    elementary symmetric pair e1 = u+v, e2 = uv, as {(p, q): c} for
-    e1^p e2^q."""
-    out: dict = {}
-    work = dict(poly2)
-    while work:
-        i, j = max(work)
-        c = work.pop((i, j))
-        if not c:
-            continue
-        if i < j:
-            raise ValueError("polynomial is not symmetric in (u, v)")
-        p, q = i - j, j
-        out[(p, q)] = out.get((p, q), Fraction(0)) + c
-        # subtract c * (u+v)^p (uv)^q; its k = p term is (i, j), already popped
-        for k in range(p):
-            key = (k + q, p - k + q)
-            v = work.get(key, Fraction(0)) - c * comb(p, k)
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return {k: v for k, v in out.items() if v}
-
-
 def phi(sign: str, order: int) -> PhiSeries:
     """The deforming-map coefficient phi+ (sign '+') or phi- (sign '-')
     as a truncated series, exact at every order."""
@@ -84,50 +64,16 @@ def phi(sign: str, order: int) -> PhiSeries:
 
 @cache
 def _phi(s: int, order: int) -> PhiSeries:
-    # s_m(w): the h^{2m} coefficient of the sinh-ratio series S(x) as a
-    # polynomial in w = x^2, represented {w-degree: Fraction}
-    den = HSeries(tuple(Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0)
-                        for k in range(order + 1)), order)
-    dinv = den.inverse()
-    m_top = order // 2
-    spoly = []
-    for m in range(m_top + 1):
-        spoly.append({a: Fraction(1, factorial(2 * a + 1)) * dinv.coeffs[2 * (m - a)]
-                      for a in range(m + 1)})
-
-    # e1 = u + v and e2 = u*v as elements of U(sl2)
-    h_term = H * (-2 * s)
-    e1 = casimir() * 2 + H * H * 2 + h_term + Element.one()
-    p_lin = casimir() + H * s - H * H
-    e2 = p_lin * p_lin
-    e1_pow = [Element.one()]
-    e2_pow = [Element.one()]
-
-    def _pow(cache, base, n):
-        while len(cache) <= n:
-            cache.append(cache[-1] * base)
-        return cache[n]
-
-    coeffs = []
-    for k in range(order + 1):
-        if k % 2:
-            coeffs.append(Element.zero())
-            continue
-        m = k // 2
-        # sum over a+b=m of s_a(u) s_b(v), symmetric in (u, v)
-        prod: dict = {}
-        for a in range(m + 1):
-            b = m - a
-            for du, cu in spoly[a].items():
-                for dv, cv in spoly[b].items():
-                    key2 = (du, dv)
-                    prod[key2] = prod.get(key2, Fraction(0)) + cu * cv
-        elem = Element.zero()
-        for (p, q), c in sorted(_sym_to_elementary(prod).items()):
-            elem = elem + _pow(e1_pow, e1, p) * _pow(e2_pow, e2, q) * c
-        coeffs.append(elem)
-
-    return PhiSeries("+" if s > 0 else "-", HSeries(tuple(coeffs), order).sqrt())
+    # the numerator series 2 T_m / (2m+2)! of the module docstring
+    x2 = casimir() * 4 + 1
+    y2 = (H * 2 - s) ** 2
+    t = [Element.one()]
+    for m in range(1, order // 2 + 1):
+        t.append(x2 ** m + y2 * t[-1])
+    num = HSeries(tuple(t[k // 2] * Fraction(2, factorial(k + 2)) if k % 2 == 0
+                        else Element.zero() for k in range(order + 1)), order)
+    phi_sq = num * (sinhc(order) ** 2).inverse()
+    return PhiSeries("+" if s > 0 else "-", phi_sq.sqrt())
 
 
 def m_J0(order: int) -> HSeries:

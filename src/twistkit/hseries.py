@@ -272,24 +272,27 @@ def series_exp_h(x, order: int) -> HSeries:
     return HSeries(tuple(coeffs), order)
 
 
+def sinhc(order: int) -> HSeries:
+    """The scalar series sinh(h)/h = sum_m h^{2m}/(2m+1)!."""
+    return HSeries(tuple(Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0)
+                         for k in range(order + 1)), order)
+
+
 def sinh_ratio(x, order: int) -> HSeries:
     """The series S(x) = (sinh(h*x)/(h*x)) / (sinh(h)/h), even in h, with
     coefficients polynomial in x; the q-analogue of x is x*S(x)."""
     x = _coerce_coeff(x)
     one = one_like(x)
     num = []
-    den = []
     xpow = one
     for k in range(order + 1):
         if k % 2 == 0:
             if k:
                 xpow = xpow * x * x
             num.append(xpow * Fraction(1, factorial(k + 1)))
-            den.append(Fraction(1, factorial(k + 1)))
         else:
             num.append(one * 0)
-            den.append(Fraction(0))
-    return HSeries(tuple(num), order) * HSeries(tuple(den), order).inverse()
+    return HSeries(tuple(num), order) * sinhc(order).inverse()
 
 
 def q_analog(p, order: int) -> HSeries:

@@ -1,11 +1,14 @@
 """Sparse exact linear solving over the rationals.
 
-Rows are reduced incrementally, in the caller's order, against the pivot
-rows found so far; every stored row is scaled to a primitive integer
-vector (cross-multiplication followed by a gcd division), so the whole
-elimination is fraction-free and bit-for-bit reproducible.  Pivot columns
-are the leading (smallest-index) columns of the echelon rows; the
-particular solution sets every free column to zero.
+Each equation is scaled once to integers by the lcm of its denominators,
+and rows stay dicts of ints from then on.  Rows are reduced
+incrementally, in the caller's order, against the pivot rows found so
+far, combining two rows with multipliers divided by their gcd.  Every
+stored pivot row is primitive (content 1, leading entry positive), which
+fixes it by the line it spans alone, so the elimination is fraction-free
+and bit-for-bit reproducible.  Fractions reappear only when the solution
+is read off.  Pivot columns are the leading (smallest-index) columns of
+the echelon rows; the particular solution sets every free column to zero.
 """
 
 from __future__ import annotations
@@ -17,39 +20,43 @@ from math import gcd, lcm
 RHS = -1  # augmented-column key inside a row dict
 
 
+def _integer_row(row: dict, b) -> dict:
+    """The equation row . x = b as an integer row: every nonzero entry
+    times the lcm of the denominators."""
+    work = {k: v for k, v in row.items() if v}
+    if b:
+        work[RHS] = b
+    mult = lcm(*(v.denominator for v in work.values()))
+    return {k: v.numerator * (mult // v.denominator) for k, v in work.items()}
+
+
 def _primitive(row: dict) -> dict:
-    """Scale a sparse Fraction row to coprime integers with a positive
-    leading (smallest-column) entry."""
-    if not row:
-        return row
-    mult = lcm(*(c.denominator for c in row.values()))
-    ints = {k: int(c * mult) for k, c in row.items()}
-    g = gcd(*(abs(v) for v in ints.values()))
-    if g > 1:
-        ints = {k: v // g for k, v in ints.items()}
-    lead = min(k for k in ints if k != RHS) if any(k != RHS for k in ints) else RHS
-    if ints[lead] < 0:
-        ints = {k: -v for k, v in ints.items()}
-    return {k: Fraction(v) for k, v in ints.items()}
+    """Divide an integer pivot row by its content, making its leading
+    (smallest-column) entry positive."""
+    g = gcd(*row.values())
+    if row[min(k for k in row if k != RHS)] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()}
 
 
 def _eliminate(row: dict, pivot_row: dict, col) -> dict:
-    """row * pivot[col] - pivot_row * row[col], dropping zeros."""
+    """row * a - pivot_row * b with a = pivot[col] and b = row[col] both
+    divided by their gcd; col and zeros are dropped."""
     a = pivot_row[col]
     b = row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
     out = {k: v * a for k, v in row.items() if k != col}
     for k, v in pivot_row.items():
         if k == col:
             continue
-        w = out.get(k, _F0) - v * b
+        w = out.get(k, 0) - v * b
         if w:
             out[k] = w
         else:
             out.pop(k, None)
     return out
-
-
-_F0 = Fraction(0)
 
 
 @dataclass
@@ -71,9 +78,7 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
     pivot_order: list = []
     inconsistent = False
     for idx, (row, b) in enumerate(zip(rows, rhs)):
-        work = {k: Fraction(v) for k, v in row.items() if v}
-        if b:
-            work[RHS] = Fraction(b)
+        work = _integer_row(row, b)
         while True:
             cols = [k for k in work if k != RHS]
             if not cols:
@@ -109,19 +114,18 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
                 row = _eliminate(row, pivots[later], later)
         pivots[c] = _primitive(row)
 
-    particular = [_F0] * ncols
+    # after back-reduction only the pivot column, free columns and RHS remain
+    sol.particular = [Fraction(0)] * ncols
     for c in pivot_cols:
         row = pivots[c]
-        # after back-reduction only the pivot column, free columns and RHS remain
-        particular[c] = row.get(RHS, _F0) / row[c]
-    sol.particular = particular
+        sol.particular[c] = Fraction(row.get(RHS, 0), row[c])
 
     for f in free_cols:
-        vec = [_F0] * ncols
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for c in pivot_cols:
             row = pivots[c]
             if f in row:
-                vec[c] = -row[f] / row[c]
+                vec[c] = Fraction(-row[f], row[c])
         sol.nullspace.append(vec)
     return sol

@@ -86,7 +86,10 @@ class TwistCandidate:
         coeffs = [tensor_from_json(c) for c in data["coeffs"]]
         if len(coeffs) != data["order"] + 1:
             raise ValueError("candidate order does not match coefficient count")
-        return cls.from_coefficients(coeffs)
+        cand = cls.from_coefficients(coeffs)
+        if not cand.leading_invertible():
+            raise ValueError("leading coefficient is not an invertible scalar")
+        return cand
 
 
 def second_order_term() -> TensorElement:

@@ -208,6 +208,23 @@ def test_order_env_override(capsys, monkeypatch):
     assert out.strip() == "1"
 
 
+def test_order_env_not_an_integer_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("TWISTKIT_ORDER", "abc")
+    code = main(["expand-phi", "--sign", "plus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: TWISTKIT_ORDER")
+    assert captured.err.count("\n") == 1
+
+
+def test_explicit_order_ignores_order_env(capsys, monkeypatch):
+    monkeypatch.setenv("TWISTKIT_ORDER", "abc")
+    code, out = run_cli(capsys, "expand-phi", "--sign", "plus", "--order", "0")
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_solve_twist_order2_chains_into_verify(capsys, tmp_path):
     cand_file = tmp_path / "cand2.json"
     code, _ = run_cli(capsys, "solve-twist", "--order", "2",
@@ -252,7 +269,8 @@ def test_console_entry_point():
     assert "2*I + 2*H^2 - 2*H - 1" in proc.stdout
 
 
-@pytest.mark.parametrize("defect", ["zero denominator", "negative exponent"])
+@pytest.mark.parametrize("defect", ["zero denominator", "negative exponent",
+                                    "zero leading term"])
 @pytest.mark.parametrize("command", [["verify"], ["eval-rep", "--two-j1", "1",
                                                   "--two-j2", "1"]])
 def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
@@ -260,6 +278,8 @@ def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
     term = data["coeffs"][1][0]
     if defect == "zero denominator":
         term["den"] = 0
+    elif defect == "zero leading term":
+        data["coeffs"][0] = []
     else:
         term["leg1"]["f"] = -1
     path = tmp_path / "bad.json"

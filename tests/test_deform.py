@@ -8,6 +8,7 @@ from twistkit.deform import (delta_q_image, m_J0, m_Jminus, m_Jplus, phi,
 from twistkit.hseries import HSeries, q_analog
 from twistkit.pbw import (E, F, H, Element, casimir, commutator,
                           is_hi_polynomial, shift_h, to_casimir_basis)
+from twistkit.reps import element_matrix, spin_rep
 from twistkit.tensor import coproduct, outer
 
 
@@ -65,6 +66,29 @@ def test_phi_square_recovers_sinh_ratio_product():
     sq = p * p
     assert sq.coeffs[0] == Element.one()
     assert sq.coeffs[2] == phi2_element(+1) * 2
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_phi_squared_on_weight_vectors(sign):
+    # independent of how phi is built: on the weight vector e_m of spin j,
+    # (phi+-)^2 acts as the scalar [a][b]/(ab), a = j +- m, b = 1 + j -+ m
+    order = 8
+    p = phi("+" if sign > 0 else "-", order).series
+    sq = p * p
+    points = 0
+    for two_j in range(6):
+        rep = spin_rep(two_j)
+        mats = [element_matrix(c, rep) for c in sq.coeffs]
+        j = Fraction(two_j, 2)
+        for i in range(rep.dim):
+            m = j - i
+            a, b = j + sign * m, 1 + j - sign * m
+            if a == 0 or b == 0:
+                continue
+            want = q_analog(a, order) * q_analog(b, order) * (1 / (a * b))
+            assert HSeries(tuple(mat[i][i] for mat in mats), order) == want
+            points += 1
+    assert points == 15
 
 
 def test_m_J0_constant():

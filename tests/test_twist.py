@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +278,18 @@ def test_ansatz_validation():
     assert ans.cutoff_l == 2 and ans.cutoff_d == 2
     inst = ans.instantiate([Fraction(1)] * len(ans))
     assert is_weight_zero(inst)
+
+
+# Written by a build whose elimination still stored Fraction rows, so they
+# hold the integer-row elimination to the same bytes.  Captured with
+#   PYTHONPATH=src python3 -m twistkit.cli solve-twist --order 3 --out-dir tests/data
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+def test_order3_solutions_match_golden_files(order3_build):
+    _, sols = order3_build
+    assert [s.order for s in sols] == [1, 2, 3]
+    for s in sols:
+        text = json.dumps(s.to_json(), indent=2, sort_keys=True) + "\n"
+        golden = (GOLDEN_DIR / f"twist-order-{s.order}.json").read_bytes()
+        assert text.encode() == golden
