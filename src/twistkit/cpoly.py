@@ -44,12 +44,6 @@ class Poly(LinearCombination):
     def symbol(cls, name: str) -> "Poly":
         return cls({((name, 1),): Fraction(1)})
 
-    def total_degree(self) -> int:
-        """Largest monomial degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
     def __mul__(self, other):
         if isinstance(other, Rational):
             return self._scale(other)

@@ -143,10 +143,6 @@ class HSeries:
             return NotImplemented
         return self.order == other.order and list(self.coeffs) == list(other.coeffs)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def is_zero(self) -> bool:
         return all(_is_zero_coeff(c) for c in self.coeffs)
 

@@ -1,14 +1,15 @@
 """Sparse exact linear solving over the rationals.
 
-Each equation is scaled once to integers by the lcm of its denominators,
-and rows stay dicts of ints from then on.  Rows are reduced
-incrementally, in the caller's order, against the pivot rows found so
-far, combining two rows with multipliers divided by their gcd.  Every
-stored pivot row is primitive (content 1, leading entry positive), which
-fixes it by the line it spans alone, so the elimination is fraction-free
-and bit-for-bit reproducible.  Fractions reappear only when the solution
-is read off.  Pivot columns are the leading (smallest-index) columns of
-the echelon rows; the particular solution sets every free column to zero.
+Each equation, its entries and right-hand side ints or Fractions, is
+scaled once to integers by the lcm of its denominators, and rows stay
+dicts of ints from then on.  Rows are reduced incrementally, in the
+caller's order, against the pivot rows found so far, combining two rows
+with multipliers divided by their gcd.  Every stored pivot row is
+primitive (content 1, leading entry positive), which fixes it by the
+line it spans alone, so the elimination is fraction-free and bit-for-bit
+reproducible.  Fractions reappear only when the solution is read off.
+Pivot columns are the leading (smallest-index) columns of the echelon
+rows; the particular solution sets every free column to zero.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class LinearSolution:
 
 
 def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
-    """Solve A x = b for sparse rows (dicts col->Fraction) in the given
-    deterministic order; returns a particular solution with free columns
-    zeroed plus a nullspace basis (one vector per free column)."""
+    """Solve A x = b for sparse rows (dicts col->int or Fraction) in the
+    given deterministic order; returns a particular solution with free
+    columns zeroed plus a nullspace basis (one vector per free column)."""
     pivots: dict = {}
     pivot_order: list = []
     inconsistent = False

@@ -41,8 +41,7 @@ def _fm_e(k: int) -> dict:
     [E, F^k] = sum_j F^j H F^{k-1-j} = F^{k-1} (kH - k(k-1)/2), because
     H F^m = F^m (H - m); so F^k E = E F^k - k F^{k-1} H + k(k-1)/2 F^{k-1}.
     """
-    terms = {(1, k, 0): Fraction(1), (0, k - 1, 1): Fraction(-k),
-             (0, k - 1, 0): Fraction(k * (k - 1), 2)}
+    terms = {(1, k, 0): 1, (0, k - 1, 1): -k, (0, k - 1, 0): k * (k - 1) // 2}
     return {mono: c for mono, c in terms.items() if c}
 
 
@@ -50,7 +49,7 @@ def _fm_e(k: int) -> dict:
 def _fe_normal(m: int, n: int) -> dict:
     """Normal form of the word F^m E^n, built up one E at a time (a loop,
     so the exponent n is not bounded by the interpreter's recursion limit)."""
-    result = {(0, m, 0): Fraction(1)}
+    result = {(0, m, 0): 1}
     for _ in range(n):
         prev, result = result, {}
         for (a, b, c), coef in prev.items():
@@ -64,19 +63,21 @@ def _fe_normal(m: int, n: int) -> dict:
 
 @cache
 def mono_mul(m1, m2):
-    """Product of two normal-ordered monomials as ((mono, coeff), ...)."""
+    """Product of two normal-ordered monomials as ((mono, coeff), ...).
+    The coefficients are ints: the structure constants of U(sl2) in the
+    PBW basis are integers."""
     e1, f1, d1 = m1
     e2, f2, d2 = m2
     # H^{d1} commuted through E^{e2} F^{f2} leaves (H + e2 - f2)^{d1} H^{d2}
     shift = e2 - f2
     qpoly = {}
     for k in range(d1 + 1):
-        _iadd(qpoly, d2 + k, Fraction(comb(d1, k) * shift ** (d1 - k)))
+        _iadd(qpoly, d2 + k, comb(d1, k) * shift ** (d1 - k))
     acc = {}
     for (p, q, r), cw in _fe_normal(f1, e2).items():
         # trailing H^r moves right through F^{f2} as (H - f2)^r
         for j in range(r + 1):
-            cj = cw * comb(r, j) * Fraction((-f2) ** (r - j))
+            cj = cw * comb(r, j) * (-f2) ** (r - j)
             for deg, cq in qpoly.items():
                 _iadd(acc, (e1 + p, q + f2, j + deg), cj * cq)
     return tuple(sorted(acc.items()))
@@ -96,11 +97,6 @@ class Element(LinearCombination):
     @classmethod
     def monomial(cls, e: int, f: int, d: int, coeff=1) -> "Element":
         return cls({(e, f, d): coeff})
-
-    def filtration_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(e + f + d for e, f, d in self.terms)
 
     def __mul__(self, other):
         if isinstance(other, Rational):
@@ -174,7 +170,7 @@ def _hpoly_shift(poly: dict, s: int) -> dict:
     out = {}
     for a, c in poly.items():
         for k in range(a + 1):
-            _iadd(out, k, c * comb(a, k) * Fraction(s ** (a - k)))
+            _iadd(out, k, c * comb(a, k) * s ** (a - k))
     return out
 
 

@@ -111,15 +111,15 @@ def spin_rep(two_j: int) -> SpinRep:
 
 @lru_cache(maxsize=None)
 def _mono_matrix(two_j: int, mono) -> tuple:
+    """rho(E^e F^f H^d), built from the right one factor at a time (a loop,
+    so the exponents are not bounded by the interpreter's recursion limit)."""
     rep = spin_rep(two_j)
     e, f, d = mono
-    if e + f + d == 0:
-        return _identity(rep.dim)
-    if e:
-        return _mat_mul(rep.e, _mono_matrix(two_j, (e - 1, f, d)))
-    if f:
-        return _mat_mul(rep.f, _mono_matrix(two_j, (0, f - 1, d)))
-    return _mat_mul(rep.h, _mono_matrix(two_j, (0, 0, d - 1)))
+    out = _identity(rep.dim)
+    for gen, n in ((rep.h, d), (rep.f, f), (rep.e, e)):
+        for _ in range(n):
+            out = _mat_mul(gen, out)
+    return out
 
 
 def element_matrix(x: Element, rep: SpinRep):
@@ -187,10 +187,6 @@ class RepMatrix:
             return NotImplemented
         return (self.dim == other.dim and self.order == other.order
                 and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def is_zero(self) -> bool:
         return all(all(all(c == 0 for c in row) for row in m) for m in self.coeffs)

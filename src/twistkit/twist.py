@@ -14,13 +14,16 @@ weight-zero ansatz
 
     F_k = sum_l  a_l(H1,H2,I1,I2) E1^l F2^l + b_l(H1,H2,I1,I2) F1^l E2^l
 
-with polynomial coefficients of bounded degree, and solves the resulting
-exact rational linear system by fraction-free elimination.
+with polynomial coefficients of bounded degree.  F_k enters only through
+commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, so the system
+matrix is integral and only the right-hand side is rational; it is built
+straight into integer rows and solved by fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -29,7 +32,7 @@ from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
 from .lincomb import _iadd
-from .pbw import E, F, H, Element, casimir, mono_mul
+from .pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir, mono_mul
 from .report import VerificationReport
 from .tensor import (TensorElement, cartan_killing, classical_r,
                      coproduct, coproduct_leg, counit_leg, extend_back,
@@ -37,6 +40,7 @@ from .tensor import (TensorElement, cartan_killing, classical_r,
                      series_flip, tensor_from_json, tensor_to_json)
 
 _GENS = ("J0", "J+", "J-")
+_GEN_MONOS = (H_MONO, E_MONO, F_MONO)  # the classical images of _GENS
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +279,20 @@ def _leg_element(h_exp: int, i_exp: int, gen: str, l: int) -> Element:
 
 
 @cache
-def _mono_commutator(pair, gen: str) -> tuple:
-    """[m, Delta(g)] for a single tensor monomial, cached."""
+def _mono_commutator(pair, g) -> tuple:
+    """[m1 (x) m2, Delta(g)] for a tensor monomial and a generator monomial
+    g, with integer coefficients, cached.  Delta(g) = g (x) 1 + 1 (x) g is
+    primitive, so the bracket is [m1, g] (x) m2 + m1 (x) [m2, g]."""
+    m1, m2 = pair
     acc: dict = {}
-    delta = _delta_classical()[{"H": "J0", "E": "J+", "F": "J-"}[gen]]
-    for (d1, d2), dc in delta.terms.items():
-        for m1, c1 in mono_mul(pair[0], d1):
-            for m2, c2 in mono_mul(pair[1], d2):
-                _iadd(acc, (m1, m2), dc * c1 * c2)
-        for m1, c1 in mono_mul(d1, pair[0]):
-            for m2, c2 in mono_mul(d2, pair[1]):
-                _iadd(acc, (m1, m2), -dc * c1 * c2)
+    for mono, c in mono_mul(m1, g):
+        _iadd(acc, (mono, m2), c)
+    for mono, c in mono_mul(g, m1):
+        _iadd(acc, (mono, m2), -c)
+    for mono, c in mono_mul(m2, g):
+        _iadd(acc, (m1, mono), c)
+    for mono, c in mono_mul(g, m2):
+        _iadd(acc, (m1, mono), -c)
     return tuple(acc.items())
 
 
@@ -337,33 +344,23 @@ def solve_order(k: int, lower: TwistCandidate,
     const = {g: s.coeffs[k]
              for g, s in twist_residual_series(low, k).items()}
 
-    # linear part: columns of [payload_u, Delta(g)]
-    columns = []
-    for u in ansatz.unknowns:
-        payload = ansatz.payload(u)
-        col = {}
-        for gi, gen in enumerate(("H", "E", "F")):
-            for pair, pc in payload.terms.items():
-                for mono, c in _mono_commutator(pair, gen):
-                    _iadd(col, (gi, mono), pc * c)
-        columns.append(col)
+    # linear part: row (gi, mono) of [payload_u, Delta(g)] in column u.
+    # Payloads are products of H, I, E and F, so every entry is an integer
+    row_of: dict = defaultdict(dict)
+    for ci, u in enumerate(ansatz.unknowns):
+        for pair, pc in ansatz.payload(u).terms.items():
+            if pc.denominator != 1:
+                raise ValueError(f"payload coefficient {pc} is not an integer")
+            for gi, g in enumerate(_GEN_MONOS):
+                for mono, c in _mono_commutator(pair, g):
+                    _iadd(row_of[(gi, mono)], ci, pc.numerator * c)
+    b = {(gi, mono): -c for gi, g in enumerate(_GENS)
+         for mono, c in const[g].terms.items()}
 
-    row_keys = set()
-    for col in columns:
-        row_keys.update(col)
-    for gi, g in enumerate(_GENS):
-        row_keys.update((gi, mono) for mono in const[g].terms)
-    row_keys = sorted(row_keys)
-    row_index = {key: i for i, key in enumerate(row_keys)}
-
-    rows = [dict() for _ in row_keys]
-    for ci, col in enumerate(columns):
-        for key, c in col.items():
-            rows[row_index[key]][ci] = c
-    rhs = [Fraction(0)] * len(row_keys)
-    for gi, g in enumerate(_GENS):
-        for mono, c in const[g].terms.items():
-            rhs[row_index[(gi, mono)]] = -c
+    # a row whose entries all cancel is kept only for a non-zero rhs
+    keys = sorted({key for key, row in row_of.items() if row} | b.keys())
+    rows = [row_of.get(key, {}) for key in keys]
+    rhs = [b.get(key, Fraction(0)) for key in keys]
 
     lin = solve_sparse(rows, rhs, len(ansatz))
     sol = SolutionSet(order=k, cutoff_l=ansatz.cutoff_l, cutoff_d=ansatz.cutoff_d,

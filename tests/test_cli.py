@@ -167,6 +167,17 @@ def test_eval_rep_identity(capsys, tmp_path):
             assert data["matrix"][i][j][0] == {"num": want, "den": 1}
 
 
+def test_eval_rep_high_exponent(capsys, tmp_path):
+    # F1 = E^1200 (x) 1: one matrix product per unit of exponent, no recursion
+    cand = TwistCandidate.from_coefficients(
+        [TensorElement.one(), TensorElement({((1200, 0, 0), UNIT_MONO): 1})])
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(cand.to_json()))
+    code = main(["eval-rep", str(path), "--two-j1", "1", "--two-j2", "1",
+                 "--order", "1"])
+    assert code == 0
+
+
 def test_eval_rep_matches_library(capsys, reference_file):
     from twistkit.reps import evaluate, spin_rep
     code, out = run_cli(capsys, "eval-rep", reference_file,

@@ -24,6 +24,13 @@ def test_spin_half_matrices():
     assert rep.f == ((0, 0), (half, 0))
 
 
+def test_high_power_monomial_matrix():
+    # E^1200 vanishes in spin 1/2; the power is built in a loop, so its
+    # exponent is not bounded by the recursion limit
+    zero = ((0, 0), (0, 0))
+    assert element_matrix(Element.monomial(1200, 0, 0), spin_rep(1)) == zero
+
+
 def test_spin_one_casimir_scalar():
     rep = spin_rep(2)
     assert element_matrix(casimir(), rep) == tuple(

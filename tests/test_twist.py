@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import twistkit.twist as twist
 from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
-from twistkit.pbw import E, F, H, Element, casimir
+from twistkit.pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, coproduct_leg, extend_back,
                              extend_front, flip, is_weight_zero, leg_embed,
@@ -17,6 +18,8 @@ from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             solve_order, solve_with_escalation,
                             symmetrize_order, twist_residual_series,
                             twist_residuals, unitarity_defect)
+
+from conftest import random_monomial
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +281,48 @@ def test_ansatz_validation():
     assert ans.cutoff_l == 2 and ans.cutoff_d == 2
     inst = ans.instantiate([Fraction(1)] * len(ans))
     assert is_weight_zero(inst)
+
+
+# ---------------------------------------------------------------------------
+# the order-k system
+
+
+def test_mono_commutator_is_bracket_with_coproduct(rng):
+    for _ in range(30):
+        pair = (random_monomial(rng), random_monomial(rng))
+        m = TensorElement({pair: 1})
+        for g_mono, g in ((H_MONO, H), (E_MONO, E), (F_MONO, F)):
+            terms = twist._mono_commutator(pair, g_mono)
+            delta = coproduct(g)
+            assert TensorElement(dict(terms)) == m * delta - delta * m
+            assert all(type(c) is int for _, c in terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ansatz_payloads_are_integral(k):
+    ans = TwistAnsatz(k)
+    for u in ans.unknowns:
+        assert all(c.denominator == 1 for c in ans.payload(u).terms.values())
+
+
+@pytest.mark.parametrize("k, rows, cols, nnz, rank",
+                         [(1, 168, 45, 392, 38), (2, 1924, 350, 15472, 328)])
+def test_system_handed_to_solver(monkeypatch, k, rows, cols, nnz, rank):
+    seen = []
+
+    def spy(a, b, ncols):
+        result = solve_sparse(a, b, ncols)
+        seen.append((a, ncols, result))
+        return result
+
+    monkeypatch.setattr(twist, "solve_sparse", spy)
+    solve_order(k, reference_candidate(k - 1))
+    ((a, ncols, result),) = seen
+    assert (len(a), ncols) == (rows, cols)
+    assert sum(len(row) for row in a) == nnz
+    assert len(result.pivot_cols) == rank
+    assert all(a)
+    assert all(type(c) is int for row in a for c in row.values())
 
 
 # Written by a build whose elimination still stored Fraction rows, so they
