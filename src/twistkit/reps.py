@@ -122,12 +122,19 @@ def _mono_matrix(two_j: int, mono) -> tuple:
     return out
 
 
+def _add_scaled(acc, c, m):
+    """acc += c * m in place, touching only the non-zero entries of m (most
+    are zero: a monomial's matrix has a single non-zero diagonal)."""
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v:
+                acc[i][j] += c * v
+
+
 def element_matrix(x: Element, rep: SpinRep):
     out = _zeros(rep.dim)
     for mono, c in sorted(x.terms.items()):
-        m = _mono_matrix(rep.two_j, mono)
-        out = [[out[i][j] + c * m[i][j] for j in range(rep.dim)]
-               for i in range(rep.dim)]
+        _add_scaled(out, c, _mono_matrix(rep.two_j, mono))
     return _freeze(out)
 
 
@@ -147,11 +154,6 @@ class RepMatrix:
         zero = _freeze(_zeros(dim))
         return cls(dim, (_identity(dim),) + (zero,) * order)
 
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "RepMatrix":
-        z = _freeze(_zeros(dim))
-        return cls(dim, (z,) * (order + 1))
-
     def entry(self, i: int, j: int) -> HSeries:
         return HSeries(tuple(m[i][j] for m in self.coeffs), self.order)
 
@@ -164,9 +166,7 @@ class RepMatrix:
         for n in range(self.order + 1):
             acc = _zeros(self.dim)
             for k in range(n + 1):
-                m = _mat_mul(self.coeffs[k], other.coeffs[n - k])
-                acc = [[acc[i][j] + m[i][j] for j in range(self.dim)]
-                       for i in range(self.dim)]
+                _add_scaled(acc, 1, _mat_mul(self.coeffs[k], other.coeffs[n - k]))
             out.append(_freeze(acc))
         return RepMatrix(self.dim, out)
 
@@ -238,8 +238,7 @@ def evaluate(x, *reps: SpinRep) -> RepMatrix:
             kr = _mono_matrix(reps[0].two_j, key[0])
             for rep, mono in zip(reps[1:], key[1:]):
                 kr = _kron(kr, _mono_matrix(rep.two_j, mono))
-            acc = [[acc[i][j] + coef * kr[i][j] for j in range(dim)]
-                   for i in range(dim)]
+            _add_scaled(acc, coef, kr)
         out.append(_freeze(acc))
     return RepMatrix(dim, out)
 

@@ -4,17 +4,17 @@ The classical R-matrix is q^P = exp(hP) with P the Cartan-Killing
 element.  The quantum R-matrix is only ever represented through its image
 under the deforming map:
 
-    R_q~ = q^{2 H (x) H} * sum_n  q^{-n(n-1)/2} 2^n (1-q^{-2})^n / [n]!
-                           * (q^{nH} m(J+)^n (x) q^{-nH} m(J-)^n),
+    R_q~ = q^{2 H (x) H} sum_n q^{n(n-1)/2} 2^n (1-q^{-2})^n / [n]! x^n (x) y^n
 
-with the prefactor on the left and the q-power dressing applied to the
-n-th powers of the raising/lowering images.  Collapsing the dressing into
-a single tensor and taking its n-th power instead would differ by
-q^{-n(n-1)} per summand: both readings reproduce the same expansion
-through order 2, but only the one above intertwines the twisted coproduct
-with its opposite at every order (checked in the tests), so it is the one
-implemented; equivalently, below the summand is q^{+n(n-1)/2} 2^n
-(1-q^{-2})^n / [n]! times the n-th power of q^H m(J+) (x) q^{-H} m(J-).
+with x = q^H m(J+), y = q^{-H} m(J-) and the prefactor on the left: each
+summand is a pure tensor, the n-th powers of its two legs.  Commuting
+q^H through m(J+-) turns it into q^{-n(n-1)/2} 2^n (1-q^{-2})^n / [n]!
+q^{nH} m(J+)^n (x) q^{-nH} m(J-)^n: the dressing applies to the n-th
+powers.  Collapsing the dressing into one tensor and taking its n-th
+power under that scalar would differ by q^{-n(n-1)} per summand: both
+readings give the same expansion through order 2, but only the one above
+intertwines the twisted coproduct with its opposite at every order
+(checked in the tests), so it is the one implemented.
 The n-sum truncates at n = N because 1 - q^{-2} is O(h).  A twist
 candidate F is tied to the two R-matrices by the residual
 R_q~ F - sigma(F) R."""
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .deform import m_Jminus, m_Jplus
 from .hseries import HSeries, q_factorial, series_exp_h
-from .pbw import H
+from .pbw import H, Element
 from .tensor import (TensorElement, cartan_killing, flip, series_flip,
                      series_outer)
 
@@ -43,22 +43,22 @@ def quantum_R_image(order: int, *, extra_terms: int = 0) -> HSeries:
     prefactor = series_exp_h(hh, order)
     x_leg = series_exp_h(H, order) * m_Jplus(order)
     y_leg = series_exp_h(H * -1, order) * m_Jminus(order)
-    xy = series_outer(x_leg, y_leg)
 
     one_scalar = HSeries.constant(Fraction(1), order)
     geom = one_scalar - series_exp_h(Fraction(-2), order)  # 1 - q^{-2}, O(h)
 
     total = HSeries.constant(TensorElement.zero(), order)
-    xy_pow = HSeries.constant(TensorElement.one(), order)
+    x_pow = y_pow = HSeries.constant(Element.one(), order)
     geom_pow = one_scalar
     for n in range(order + 1 + extra_terms):
         if n:
-            xy_pow = xy_pow * xy
+            x_pow = x_pow * x_leg
+            y_pow = y_pow * y_leg
             geom_pow = geom_pow * geom
         scalar = (series_exp_h(Fraction(n * (n - 1), 2), order)
                   * geom_pow * q_factorial(n, order).inverse()
                   * Fraction(2 ** n))
-        total = total + scalar * xy_pow
+        total = total + scalar * series_outer(x_pow, y_pow)
     return prefactor * total
 
 

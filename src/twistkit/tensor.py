@@ -3,14 +3,20 @@
 A tensor element with n legs keeps each leg in PBW normal form: its keys
 are n-tuples of monomials, and products are legwise.  The classical
 coproduct is primitive on generators and extended as an algebra
-morphism, so Delta of a monomial is computed as
-Delta(E)^e Delta(F)^f Delta(H)^d.
+morphism.  Since g (x) 1 and 1 (x) g commute, Delta of a monomial is the
+binomial sum
+
+    Delta(E^e F^f H^d) = sum C(e,a) C(f,b) C(d,c)
+                         E^a F^b H^c (x) E^(e-a) F^(f-b) H^(d-c),
+
+whose two legs are already in normal order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 from numbers import Rational
 
 from .hseries import HSeries
@@ -131,22 +137,14 @@ def is_weight_zero(x: TensorElement) -> bool:
 # ---------------------------------------------------------------------------
 # coproducts
 
-_DELTA_GEN = {
-    "E": TensorElement({(E_MONO, UNIT_MONO): 1, (UNIT_MONO, E_MONO): 1}),
-    "F": TensorElement({(F_MONO, UNIT_MONO): 1, (UNIT_MONO, F_MONO): 1}),
-    "H": TensorElement({(H_MONO, UNIT_MONO): 1, (UNIT_MONO, H_MONO): 1}),
-}
-
-
-@cache
-def _delta_pow(gen: str, n: int) -> TensorElement:
-    return TensorElement.one() if n == 0 else _delta_pow(gen, n - 1) * _DELTA_GEN[gen]
-
-
 @cache
 def _delta_mono(mono) -> TensorElement:
+    """Delta(E^e F^f H^d) as the binomial sum of the module docstring."""
     e, f, d = mono
-    return _delta_pow("E", e) * _delta_pow("F", f) * _delta_pow("H", d)
+    return TensorElement._raw({
+        ((a, b, c), (e - a, f - b, d - c)):
+            Fraction(comb(e, a) * comb(f, b) * comb(d, c))
+        for a in range(e + 1) for b in range(f + 1) for c in range(d + 1)})
 
 
 def coproduct(x: Element) -> TensorElement:

@@ -150,14 +150,9 @@ def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
     return report
 
 
-@cache
-def _delta_classical() -> dict:
-    return {"J0": coproduct(H), "J+": coproduct(E), "J-": coproduct(F)}
-
-
 def kernel_check(f: TensorElement) -> bool:
     """True iff f commutes with Delta(H), Delta(E) and Delta(F)."""
-    for d in _delta_classical().values():
+    for d in (coproduct(H), coproduct(E), coproduct(F)):
         if not (f * d - d * f).is_zero():
             return False
     return True

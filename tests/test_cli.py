@@ -178,6 +178,21 @@ def test_eval_rep_high_exponent(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_cocycle_high_exponent(tmp_path):
+    # Delta(E^1200) (x) 1 - 1 (x) E^1200 (x) 1 != 0: a failed check, not a crash
+    cand = TwistCandidate.from_coefficients(
+        [TensorElement.one(), TensorElement({((1200, 0, 0), UNIT_MONO): 1})])
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(cand.to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistkit.cli", "verify", str(path),
+         "--order", "1", "--checks", "cocycle"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "cocycle: fail (first nonzero at order 1)" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_rep_matches_library(capsys, reference_file):
     from twistkit.reps import evaluate, spin_rep
     code, out = run_cli(capsys, "eval-rep", reference_file,

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from twistkit.cli import main
 from twistkit.deform import delta_q_image
 from twistkit.pbw import E, F, H, Element, casimir
 from twistkit.rmatrix import (classical_R, quantum_R_image,
@@ -128,3 +130,11 @@ def test_classical_R_commutes_with_coproducts():
         d = coproduct(g)
         ds = R.map(lambda c, d=d: c * d - d * c)
         assert ds.is_zero()
+
+
+def test_show_rmatrix_order5_matches_golden_file(capsys):
+    # tests/data/rmatrix-order5.json was written by
+    #   twistkit show-rmatrix --order 5 --format json
+    assert main(["show-rmatrix", "--order", "5", "--format", "json"]) == 0
+    golden = (Path(__file__).parent / "data" / "rmatrix-order5.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden

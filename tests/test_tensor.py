@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -55,6 +57,24 @@ def test_coproduct_primitive():
 def test_coproduct_of_H_squared():
     expected = outer(H * H, Element.one()) + outer(H, H) * 2 + outer(Element.one(), H * H)
     assert coproduct(H * H) == expected
+
+
+def test_coproduct_of_monomials_matches_tensor_powers():
+    # reference: Delta as an algebra morphism, Delta(E)^e Delta(F)^f Delta(H)^d
+    # multiplied out as 2-leg products
+    powers = [[(leg_embed(g, 1) + leg_embed(g, 2)) ** n for n in range(6)]
+              for g in (E, F, H)]
+    for e, f, d in itertools.product(range(6), repeat=3):
+        got = coproduct(Element.monomial(e, f, d))
+        assert got == powers[0][e] * powers[1][f] * powers[2][d]
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_coproduct_of_high_power_is_binomial():
+    got = coproduct(Element.monomial(1200, 0, 0))
+    assert len(got.terms) == 1201
+    assert got.terms == {((a, 0, 0), (1200 - a, 0, 0)): Fraction(comb(1200, a))
+                         for a in range(1201)}
 
 
 def test_coproduct_of_casimir():
