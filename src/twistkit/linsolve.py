@@ -2,14 +2,20 @@
 
 Each equation, its entries and right-hand side ints or Fractions, is
 scaled once to integers by the lcm of its denominators, and rows stay
-dicts of ints from then on.  Rows are reduced incrementally, in the
-caller's order, against the pivot rows found so far, combining two rows
-with multipliers divided by their gcd.  Every stored pivot row is
-primitive (content 1, leading entry positive), which fixes it by the
-line it spans alone, so the elimination is fraction-free and bit-for-bit
-reproducible.  Fractions reappear only when the solution is read off.
-Pivot columns are the leading (smallest-index) columns of the echelon
-rows; the particular solution sets every free column to zero.
+dicts of ints from then on.  Rows are reduced incrementally against the
+pivot rows found so far, combining two rows with multipliers divided by
+their gcd.  They are visited fewest non-zero entries first, ties broken
+by the caller's row index: sparse rows make sparse pivots, so later rows
+fill in less while they are reduced (the row order of structured
+Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko 1990).  Every
+stored pivot row is primitive (content 1, leading entry positive), which
+fixes it by the line it spans alone, so the elimination is fraction-free
+and bit-for-bit reproducible.  Fractions reappear only when the solution
+is read off.  Pivot columns are the leading (smallest-index) columns of
+the echelon rows; the particular solution sets every free column to
+zero.  The back-reduced echelon form of the row space is unique under
+the fixed column order, so the visiting order moves the time but not
+the answer.
 """
 
 from __future__ import annotations
@@ -68,18 +74,22 @@ class LinearSolution:
     free_cols: list = field(default_factory=list)
     particular: list | None = None   # Fractions, len ncols
     nullspace: list = field(default_factory=list)
+    # (pivot column, caller's row index) in the order the pivots were found
     pivot_log: list = field(default_factory=list)
 
 
 def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
-    """Solve A x = b for sparse rows (dicts col->int or Fraction) in the
-    given deterministic order; returns a particular solution with free
-    columns zeroed plus a nullspace basis (one vector per free column)."""
+    """Solve A x = b for sparse rows (dicts col->int or Fraction), visited
+    fewest non-zero entries first, then by row index; returns a particular
+    solution with free columns zeroed plus a nullspace basis (one vector
+    per free column)."""
     pivots: dict = {}
     pivot_order: list = []
     inconsistent = False
-    for idx, (row, b) in enumerate(zip(rows, rhs)):
-        work = _integer_row(row, b)
+    visit = sorted(range(len(rows)),
+                   key=lambda i: (sum(map(bool, rows[i].values())), i))
+    for idx in visit:
+        work = _integer_row(rows[idx], rhs[idx])
         while True:
             cols = [k for k in work if k != RHS]
             if not cols:

@@ -18,6 +18,17 @@ with polynomial coefficients of bounded degree.  F_k enters only through
 commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, so the system
 matrix is integral and only the right-hand side is rational; it is built
 straight into integer rows and solved by fraction-free elimination.
+
+Only the J+ rows, [F_k, Delta(E)], are assembled and solved.  The J0 rows
+are empty, since the weight-zero ansatz commutes with Delta(H), and the
+J- rows have added no rank at any order or cutoff tried.  The J+
+solution set contains the full one, so it is certified exactly before it
+is returned: the order-k residuals of all three generators must vanish
+on the particular solution, and every homogeneous element must commute
+with Delta(H), Delta(E) and Delta(F).  Then the two sets are equal and
+the answer is the one the full system gives.  A failed certificate
+re-solves on all rows; an inconsistent J+ system is already proof that
+the full one is inconsistent.
 """
 
 from __future__ import annotations
@@ -40,7 +51,9 @@ from .tensor import (TensorElement, cartan_killing, classical_r,
                      series_flip, tensor_from_json, tensor_to_json)
 
 _GENS = ("J0", "J+", "J-")
-_GEN_MONOS = (H_MONO, E_MONO, F_MONO)  # the classical images of _GENS
+_GEN_MONOS = {"J0": H_MONO, "J+": E_MONO, "J-": F_MONO}  # classical images
+# the generators whose order-k equations are assembled, by SolutionSet.equations
+_EQUATIONS = {"J+": ("J+",), "all": _GENS}
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +319,7 @@ class SolutionSet:
     pivot_log: list = field(default_factory=list)
     unknown_count: int = 0
     rank: int = 0
+    equations: str = "J+"                    # rows solved: "J+" | "all"
 
     @property
     def solved(self) -> bool:
@@ -325,32 +339,21 @@ class SolutionSet:
         }
 
 
-def solve_order(k: int, lower: TwistCandidate,
-                ansatz: TwistAnsatz | None = None) -> SolutionSet:
-    """Solve the order-k residual equations for F_k given the lower-order
-    coefficients (which must already satisfy their own equations)."""
-    if ansatz is None:
-        ansatz = TwistAnsatz(k)
-    if lower.order < k - 1:
-        raise ValueError(f"lower candidate must reach order {k - 1}")
-    low = lower.at_order(k - 1).at_order(k)  # truncate then pad F_k = 0
-
-    # inhomogeneous part: order-k residual of the zero-extended candidate
-    const = {g: s.coeffs[k]
-             for g, s in twist_residual_series(low, k).items()}
-
-    # linear part: row (gi, mono) of [payload_u, Delta(g)] in column u.
-    # Payloads are products of H, I, E and F, so every entry is an integer
+def _solve(k: int, ansatz: TwistAnsatz, const: dict,
+           equations: str) -> SolutionSet:
+    """Assemble and solve the order-k equations that `equations` names."""
+    # row (g, mono) of [payload_u, Delta(g)] in column u.  Payloads are
+    # products of H, I, E and F, so every entry is an integer
+    gens = _EQUATIONS[equations]
     row_of: dict = defaultdict(dict)
     for ci, u in enumerate(ansatz.unknowns):
         for pair, pc in ansatz.payload(u).terms.items():
             if pc.denominator != 1:
                 raise ValueError(f"payload coefficient {pc} is not an integer")
-            for gi, g in enumerate(_GEN_MONOS):
-                for mono, c in _mono_commutator(pair, g):
-                    _iadd(row_of[(gi, mono)], ci, pc.numerator * c)
-    b = {(gi, mono): -c for gi, g in enumerate(_GENS)
-         for mono, c in const[g].terms.items()}
+            for g in gens:
+                for mono, c in _mono_commutator(pair, _GEN_MONOS[g]):
+                    _iadd(row_of[(g, mono)], ci, pc.numerator * c)
+    b = {(g, mono): -c for g in gens for mono, c in const[g].terms.items()}
 
     # a row whose entries all cancel is kept only for a non-zero rhs
     keys = sorted({key for key, row in row_of.items() if row} | b.keys())
@@ -361,12 +364,54 @@ def solve_order(k: int, lower: TwistCandidate,
     sol = SolutionSet(order=k, cutoff_l=ansatz.cutoff_l, cutoff_d=ansatz.cutoff_d,
                       status="solved" if lin.status == "solved" else "infeasible-at-cutoff",
                       unknown_count=len(ansatz), rank=len(lin.pivot_cols),
-                      pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols])
+                      pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols],
+                      equations=equations)
     if not sol.solved:
         return sol
     sol.particular = ansatz.instantiate(lin.particular)
     sol.homogeneous = [ansatz.instantiate(vec) for vec in lin.nullspace]
     sol.homogeneous = [t for t in sol.homogeneous if not t.is_zero()]
+    return sol
+
+
+def _certified(k: int, low: TwistCandidate, sol: SolutionSet) -> bool:
+    """True iff low + h^k particular has no order-k residual for any
+    generator and every homogeneous element is in the classical kernel:
+    then every solution sol describes solves all the order-k equations."""
+    coeffs = list(low.series.coeffs)
+    coeffs[k] = sol.particular
+    cand = TwistCandidate.from_coefficients(coeffs)
+    return (all(s.coeffs[k].is_zero()
+                for s in twist_residual_series(cand, k).values())
+            and all(kernel_check(t) for t in sol.homogeneous))
+
+
+def solve_order(k: int, lower: TwistCandidate,
+                ansatz: TwistAnsatz | None = None) -> SolutionSet:
+    """Solve the order-k residual equations for F_k given the lower-order
+    coefficients (which must already satisfy their own equations).
+
+    Only the J+ equations are solved.  A solution is returned only once it
+    is certified against all three generators (see the module docstring);
+    if the certificate fails, all equations are solved instead, and the
+    result's `equations` says which rows were used.  Raises RuntimeError
+    if the all-rows solution fails the certificate too."""
+    if ansatz is None:
+        ansatz = TwistAnsatz(k)
+    if lower.order < k - 1:
+        raise ValueError(f"lower candidate must reach order {k - 1}")
+    low = lower.at_order(k - 1).at_order(k)  # truncate then pad F_k = 0
+
+    # inhomogeneous part: order-k residual of the zero-extended candidate
+    const = {g: s.coeffs[k]
+             for g, s in twist_residual_series(low, k).items()}
+
+    # an inconsistent J+ system proves the full system inconsistent
+    sol = _solve(k, ansatz, const, "J+")
+    if sol.solved and not _certified(k, low, sol):
+        sol = _solve(k, ansatz, const, "all")
+        if sol.solved and not _certified(k, low, sol):
+            raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
 
 

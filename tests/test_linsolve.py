@@ -139,6 +139,15 @@ def test_scaled_row_gives_the_same_answer(rng):
                 == _answer(solve_sparse(rows, rhs, ncols)))
 
 
+def test_rows_are_visited_fewest_nonzeros_first():
+    rows = [{0: 1, 1: 2, 2: 3}, {2: 5}, {1: 1, 2: 1}, {0: 4}]
+    sol = solve_sparse(rows, [4, 0, 2, 0], 3)
+    # (pivot column, caller's row index): rows 1 and 3 tie on one entry
+    # and go by index, row 2 follows, row 0 reduces to nothing
+    assert sol.pivot_log == [(2, 1), (0, 3), (1, 2)]
+    assert sol.particular == [0, 2, 0]
+
+
 @pytest.mark.parametrize("rows, rhs, status", [
     ([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}],
      [Fraction(1), Fraction(3)], "inconsistent"),

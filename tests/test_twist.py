@@ -305,8 +305,20 @@ def test_ansatz_payloads_are_integral(k):
         assert all(c.denominator == 1 for c in ans.payload(u).terms.values())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ansatz_commutes_with_coproduct_of_H(k):
+    # why solve_order assembles no J0 rows: every payload has weight zero
+    ans = TwistAnsatz(k)
+    for u in ans.unknowns:
+        acc = {}
+        for pair, pc in ans.payload(u).terms.items():
+            for mono, c in twist._mono_commutator(pair, H_MONO):
+                acc[mono] = acc.get(mono, 0) + pc * c
+        assert not any(acc.values())
+
+
 @pytest.mark.parametrize("k, rows, cols, nnz, rank",
-                         [(1, 168, 45, 392, 38), (2, 1924, 350, 15472, 328)])
+                         [(1, 84, 45, 176, 38), (2, 962, 350, 7248, 328)])
 def test_system_handed_to_solver(monkeypatch, k, rows, cols, nnz, rank):
     seen = []
 
@@ -338,3 +350,49 @@ def test_order3_solutions_match_golden_files(order3_build):
         text = json.dumps(s.to_json(), indent=2, sort_keys=True) + "\n"
         golden = (GOLDEN_DIR / f"twist-order-{s.order}.json").read_bytes()
         assert text.encode() == golden
+
+
+def spy_on_solver(monkeypatch):
+    statuses = []
+
+    def spy(a, b, ncols):
+        result = solve_sparse(a, b, ncols)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(twist, "solve_sparse", spy)
+    return statuses
+
+
+def test_failed_certificate_falls_back_to_all_rows(monkeypatch):
+    # F1 = r + H (x) 1 breaks the order-1 equations.  At order 2 the J+
+    # rows are still consistent, but their solution fails the J0 and J-
+    # residuals; the system of all rows shows that no F2 exists
+    statuses = spy_on_solver(monkeypatch)
+    lower = TwistCandidate.from_coefficients(
+        [TensorElement.one(), classical_r() + outer(H, Element.one())])
+    sol = solve_order(2, lower)
+    assert statuses == ["solved", "inconsistent"]
+    assert sol.status == "infeasible-at-cutoff"
+    assert sol.equations == "all"
+    assert "equations" not in sol.to_json()
+
+
+def test_certified_solutions_use_the_J_plus_rows(order3_build):
+    _, sols = order3_build
+    assert [s.equations for s in sols] == ["J+", "J+", "J+"]
+
+
+def test_inconsistent_J_plus_rows_need_no_fallback(monkeypatch, one_candidate):
+    statuses = spy_on_solver(monkeypatch)
+    sol = solve_order(1, one_candidate, TwistAnsatz(1, cutoff_l=1, cutoff_d=2))
+    assert statuses == ["inconsistent"]
+    assert sol.equations == "J+"
+
+
+def test_certificate_failing_on_all_rows_raises(monkeypatch, one_candidate):
+    statuses = spy_on_solver(monkeypatch)
+    monkeypatch.setattr(twist, "kernel_check", lambda f: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_order(1, one_candidate)
+    assert statuses == ["solved", "solved"]
