@@ -3,7 +3,8 @@
 Subcommands: expand-phi, solve-twist, verify, eval-rep, show-rmatrix.
 Output is deterministic (byte-identical for identical configurations).
 Exit codes: 0 success / all checks pass, 1 a check was falsified,
-2 bad input, 3 the twist system is infeasible at the given cutoffs.
+2 bad input (including an unwritable output path), 3 the twist system
+is infeasible at the given cutoffs.
 The TWISTKIT_ORDER environment variable overrides the default --order;
 a value that is not an integer is bad input.
 """
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 from .deform import phi
-from .lincomb import _signed_sum, _term_body
+from .lincomb import _integral, _signed_sum, _term_body
 from .pbw import element_to_json, to_casimir_basis
 from .reps import evaluate, rep_unitarity_check, spin_rep
 from .report import VerificationReport
@@ -59,11 +60,9 @@ def format_hi_polynomial(x) -> str:
     if any(t.side != "pure" for t, _ in decomp):
         raise ValueError("not a polynomial in H and I")
     terms = sorted(decomp, key=lambda kv: (kv[0].b, kv[0].a), reverse=True)
-    from math import lcm
-    den = lcm(*(c.denominator for _, c in terms))
+    nums, den = _integral(dict(terms))
     parts = []
-    for t, c in terms:
-        n = int(c * den)
+    for t, n in nums.items():
         mono = "*".join(s for s in (f"I^{t.b}" if t.b > 1 else "I" if t.b else "",
                                     f"H^{t.a}" if t.a > 1 else "H" if t.a else "") if s)
         parts.append((n, _term_body(n, mono)))
@@ -347,7 +346,11 @@ def main(argv=None) -> int:
     if args.order < 0:
         print("error: --order must be nonnegative", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ when their dicts are.  Rational scalars act as multiples of the unit.
 A subclass fixes what a key is: it sets UNIT, the key of the ring unit,
 and defines its own ``__mul__`` (scalar factors go through ``_scale``)
 and its rendering, built from ``_term_body`` and ``_signed_sum``.
+Products run in integers: each operand is scaled once by the lcm of its
+denominators (``_integral``), and each output term is divided once by
+the product of the two scales (``_rational``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 
@@ -26,6 +30,19 @@ def _iadd(acc: dict, key, val):
             acc[key] = v
         else:
             del acc[key]
+
+
+def _integral(terms: dict):
+    """(ints, den) with ints[k] = terms[k] * den an int for every key, den
+    the lcm of the denominators of the values (ints or Fractions)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
+
+
+def _rational(ints: dict, den: int) -> dict:
+    """Inverse of _integral: the non-zero ints over den, as Fractions."""
+    return {k: Fraction(v, den) for k, v in ints.items() if v}
 
 
 def _term_body(c, mono: str) -> str:

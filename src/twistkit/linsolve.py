@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .lincomb import _integral
 
 RHS = -1  # augmented-column key inside a row dict
 
@@ -30,11 +32,7 @@ RHS = -1  # augmented-column key inside a row dict
 def _integer_row(row: dict, b) -> dict:
     """The equation row . x = b as an integer row: every nonzero entry
     times the lcm of the denominators."""
-    work = {k: v for k, v in row.items() if v}
-    if b:
-        work[RHS] = b
-    mult = lcm(*(v.denominator for v in work.values()))
-    return {k: v.numerator * (mult // v.denominator) for k, v in work.items()}
+    return _integral({k: v for k, v in (*row.items(), (RHS, b)) if v})[0]
 
 
 def _primitive(row: dict) -> dict:

@@ -21,7 +21,8 @@ from functools import cache
 from math import comb
 from numbers import Rational
 
-from .lincomb import LinearCombination, _iadd, _signed_sum, _term_body
+from .lincomb import (LinearCombination, _iadd, _integral, _rational,
+                      _signed_sum, _term_body)
 
 UNIT_MONO = (0, 0, 0)
 E_MONO = (1, 0, 0)
@@ -103,13 +104,15 @@ class Element(LinearCombination):
             return self._scale(other)
         if not isinstance(other, Element):
             return NotImplemented
+        xs, dx = _integral(self.terms)
+        ys, dy = _integral(other.terms)
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in xs.items():
+            for m2, c2 in ys.items():
                 c12 = c1 * c2
                 for mono, c in mono_mul(m1, m2):
-                    _iadd(acc, mono, c12 * c)
-        return Element._raw(acc)
+                    acc[mono] = acc.get(mono, 0) + c12 * c
+        return Element._raw(_rational(acc, dx * dy))
 
     def __str__(self):
         return element_to_str(self)

@@ -20,7 +20,8 @@ from math import comb
 from numbers import Rational
 
 from .hseries import HSeries
-from .lincomb import LinearCombination, _iadd, _signed_sum
+from .lincomb import (LinearCombination, _iadd, _integral, _rational,
+                      _signed_sum)
 from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
                   mono_mul)
 
@@ -69,17 +70,19 @@ class TensorElement(LinearCombination):
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._operand(other)           # raises on a leg-count mismatch
+        xs, dx = _integral(self.terms)
+        ys, dy = _integral(other.terms)
         acc = {}
-        for keys1, c1 in self.terms.items():
-            for keys2, c2 in other.terms.items():
+        for keys1, c1 in xs.items():
+            for keys2, c2 in ys.items():
                 # multiply leg by leg, expanding each leg's product
                 partial = [((), c1 * c2)]
                 for x, y in zip(keys1, keys2):
                     partial = [(key + (m,), c * d) for key, c in partial
                                for m, d in mono_mul(x, y)]
                 for key, c in partial:
-                    _iadd(acc, key, c)
-        return TensorElement._raw(acc, self.legs)
+                    acc[key] = acc.get(key, 0) + c
+        return TensorElement._raw(_rational(acc, dx * dy), self.legs)
 
     def __str__(self):
         return tensor_to_str(self)

@@ -7,9 +7,10 @@ from twistkit.pbw import Element
 from twistkit.tensor import TensorElement
 
 
-def random_fraction(rng, lo=-9, hi=9, max_den=6) -> Fraction:
+def random_fraction(rng, lo=-9, hi=9, max_den=6, dens=None) -> Fraction:
+    """num/den with den in 1..max_den, or drawn from dens when given."""
     num = rng.randint(lo, hi)
-    return Fraction(num, rng.randint(1, max_den))
+    return Fraction(num, rng.choice(dens) if dens else rng.randint(1, max_den))
 
 
 def random_monomial(rng, max_deg=3):
@@ -21,18 +22,18 @@ def random_monomial(rng, max_deg=3):
             return (e, f, d)
 
 
-def random_element(rng, max_deg=3, nterms=3) -> Element:
+def random_element(rng, max_deg=3, nterms=3, dens=None) -> Element:
     terms = {}
     for _ in range(rng.randint(1, nterms)):
-        terms[random_monomial(rng, max_deg)] = random_fraction(rng)
+        terms[random_monomial(rng, max_deg)] = random_fraction(rng, dens=dens)
     return Element(terms)
 
 
-def random_tensor(rng, max_deg=2, nterms=3) -> TensorElement:
+def random_tensor(rng, max_deg=2, nterms=3, dens=None, legs=2) -> TensorElement:
     terms = {}
     for _ in range(rng.randint(1, nterms)):
-        key = (random_monomial(rng, max_deg), random_monomial(rng, max_deg))
-        terms[key] = random_fraction(rng)
+        key = tuple(random_monomial(rng, max_deg) for _ in range(legs))
+        terms[key] = random_fraction(rng, dens=dens)
     return TensorElement(terms)
 
 

@@ -295,6 +295,31 @@ def test_console_entry_point():
     assert "2*I + 2*H^2 - 2*H - 1" in proc.stdout
 
 
+@pytest.mark.parametrize("command, option, target", [
+    (["expand-phi", "--sign", "plus"], "--output", "missing-dir/out"),
+    (["expand-phi", "--sign", "plus"], "--output", "a-file/out"),
+    (["verify", "CANDIDATE", "--order", "2"], "--output", "missing-dir/out"),
+    (["verify", "CANDIDATE", "--order", "2"], "--output", ""),
+    (["solve-twist", "--order", "1"], "--out-dir", "a-file"),
+    (["solve-twist", "--order", "1"], "--out-dir", "a-file/out"),
+    (["solve-twist", "--order", "1"], "--candidate-out", "missing-dir/out"),
+    (["solve-twist", "--order", "1"], "--candidate-out", ""),
+])
+def test_unwritable_output_is_bad_input(tmp_path, reference_file, command,
+                                        option, target):
+    # a missing directory, a regular file where a directory should be, or
+    # a directory ("" names tmp_path itself) where a file should be
+    (tmp_path / "a-file").write_text("")
+    command = [reference_file if a == "CANDIDATE" else a for a in command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistkit.cli", *command,
+         option, str(tmp_path / target)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("defect", ["zero denominator", "negative exponent",
                                     "zero leading term"])
 @pytest.mark.parametrize("command", [["verify"], ["eval-rep", "--two-j1", "1",

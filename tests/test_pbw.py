@@ -8,8 +8,8 @@ import pytest
 from twistkit import pbw
 from twistkit.pbw import (CasimirTerm, E, F, H, Element, casimir, commutator,
                           counit, element_from_json, element_to_json,
-                          from_casimir_basis, is_hi_polynomial, multiply,
-                          shift_h, to_casimir_basis)
+                          from_casimir_basis, is_hi_polynomial, mono_mul,
+                          multiply, shift_h, to_casimir_basis)
 
 from conftest import random_element
 
@@ -208,3 +208,59 @@ def test_cold_cache_products_agree_across_threads():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(old)
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel against a plain Fraction reference
+
+
+def fraction_product(x, y) -> dict:
+    """x * y as the plain Fraction double loop over mono_mul."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            for mono, c in mono_mul(m1, m2):
+                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2 * c
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def assert_stored_fractions(x):
+    assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
+def test_product_matches_fraction_reference(rng):
+    # denominators of x and y are coprime, so dx * dy is the true lcm
+    for _ in range(60):
+        x = random_element(rng, max_deg=4, nterms=5, dens=(1, 2, 4, 8))
+        y = random_element(rng, max_deg=4, nterms=5, dens=(3, 5, 9, 15))
+        for a, b in ((x, y), (y, x), (x, x)):
+            prod = a * b
+            assert prod.terms == fraction_product(a, b)
+            assert_stored_fractions(prod)
+
+
+def test_product_drops_cancelled_terms():
+    # the E terms of (E/2 + 1/3)(E/2 - 1/3) cancel exactly
+    x = E * Fraction(1, 2) + Fraction(1, 3)
+    y = E * Fraction(1, 2) - Fraction(1, 3)
+    prod = x * y
+    assert prod.terms == {(2, 0, 0): Fraction(1, 4), (0, 0, 0): Fraction(-1, 9)}
+    assert_stored_fractions(prod)
+    # I is central: both products have the same terms, so nothing survives
+    c = casimir() * Fraction(2, 7)
+    y = E * Fraction(3, 5) - H * F * Fraction(1, 6)
+    assert (c * y - y * c).terms == {}
+
+
+def test_product_with_zero_and_integer_elements(rng):
+    x = random_element(rng, nterms=4, dens=(2, 3))
+    zero = Element.zero()
+    assert (zero * x).terms == {} and (x * zero).terms == {}
+    assert (zero * zero).terms == {}
+    ints = Element({(1, 0, 0): 2, (0, 1, 1): -3, (0, 0, 0): 5})
+    prod = ints * ints
+    assert prod.terms == fraction_product(ints, ints)
+    assert all(c.denominator == 1 for c in prod.terms.values())
+    assert_stored_fractions(prod)
+    assert (ints * x).terms == fraction_product(ints, x)
+    assert_stored_fractions(ints * x)

@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
-from twistkit.pbw import E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, casimir, commutator
+from twistkit.pbw import (E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element,
+                          casimir, commutator, mono_mul)
 from twistkit.tensor import (TensorElement, TensorElement3, cartan_killing,
                              classical_r, coproduct, coproduct_leg, counit_leg,
                              extend_back, extend_front, flip, is_weight_zero,
                              leg_embed, outer, tensor_from_json, tensor_mul,
-                             tensor_to_json, weight)
+                             tensor_to_json, weight, UNIT2)
 
 from conftest import random_element, random_tensor
 
@@ -224,3 +225,70 @@ def test_json_rejects_malformed_terms(leg, field, value):
     (data[0][leg] if leg else data[0])[field] = value
     with pytest.raises(ValueError):
         tensor_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel against a plain Fraction reference
+
+
+def fraction_product(x, y) -> dict:
+    """x * y as the plain Fraction double loop over the legwise mono_mul
+    products, for any number of legs."""
+    acc = {}
+    for keys1, c1 in x.terms.items():
+        for keys2, c2 in y.terms.items():
+            legs = [mono_mul(a, b) for a, b in zip(keys1, keys2)]
+            for choice in itertools.product(*legs):
+                key = tuple(mono for mono, _ in choice)
+                c = c1 * c2
+                for _, d in choice:
+                    c *= d
+                acc[key] = acc.get(key, Fraction(0)) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def assert_stored_fractions(x):
+    assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
+@pytest.mark.parametrize("legs", [2, 3])
+def test_product_matches_fraction_reference(rng, legs):
+    # denominators of x and y are coprime, so dx * dy is the true lcm
+    for _ in range(30):
+        x = random_tensor(rng, nterms=4, dens=(1, 2, 4, 8), legs=legs)
+        y = random_tensor(rng, nterms=4, dens=(3, 5, 9, 15), legs=legs)
+        for a, b in ((x, y), (y, x), (x, x)):
+            prod = a * b
+            assert prod.legs == legs
+            assert prod.terms == fraction_product(a, b)
+            assert_stored_fractions(prod)
+
+
+def test_product_drops_cancelled_terms():
+    # the cross terms of (x + 1/3)(x - 1/3), x = E (x) F / 2, cancel exactly
+    x = outer(E, F) * Fraction(1, 2)
+    prod = (x + Fraction(1, 3)) * (x - Fraction(1, 3))
+    assert prod.terms == {((2, 0, 0), (0, 2, 0)): Fraction(1, 4),
+                          UNIT2: Fraction(-1, 9)}
+    assert_stored_fractions(prod)
+    # Delta(I) commutes with Delta(E): both products have the same terms
+    dI = coproduct(casimir()) * Fraction(5, 6)
+    dE = coproduct(E) * Fraction(2, 3)
+    assert (dI * dE - dE * dI).terms == {}
+    dI3, dE3 = coproduct_leg(dI, 1), coproduct_leg(dE, 1)
+    assert (dI3 * dE3 - dE3 * dI3).terms == {}
+
+
+@pytest.mark.parametrize("legs", [2, 3])
+def test_product_with_zero_and_integer_elements(rng, legs):
+    x = random_tensor(rng, nterms=4, dens=(2, 3), legs=legs)
+    zero = x.zero_like()
+    assert (zero * x).terms == {} and (x * zero).terms == {}
+    assert (zero * zero).legs == legs
+    ints = random_tensor(rng, nterms=4, dens=(1,), legs=legs)
+    prod = ints * ints
+    assert prod.terms == fraction_product(ints, ints)
+    assert all(c.denominator == 1 for c in prod.terms.values())
+    assert_stored_fractions(prod)
+    assert (ints * x).terms == fraction_product(ints, x)
+    assert_stored_fractions(x * ints)
