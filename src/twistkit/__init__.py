@@ -13,22 +13,20 @@ from .deform import (PhiSeries, delta_q_image, generator_images, m_J0,
                      m_Jminus, m_Jplus, phi, q_analog_2h,
                      quantum_commutator_check)
 from .hseries import (HSeries, OrderMismatchError, divide, q_analog,
-                      q_factorial, series_exp_h, series_inverse, series_mul,
-                      series_sqrt, sinh_ratio)
-from .pbw import (CasimirTerm, E, F, H, ONE, Element, casimir, commutator,
-                  counit, element_from_json, element_to_json, element_to_str,
-                  from_casimir_basis, is_hi_polynomial, multiply, shift_h,
+                      q_factorial, series_exp_h, sinh_ratio)
+from .pbw import (CasimirTerm, E, F, H, Element, casimir, commutator, counit,
+                  element_from_json, element_to_json, element_to_str,
+                  from_casimir_basis, is_hi_polynomial, shift_h,
                   to_casimir_basis)
 from .report import CheckResult, VerificationReport
-from .reps import (RepMatrix, SpinRep, element_matrix, evaluate, evaluate3,
+from .reps import (RepMatrix, SpinRep, element_matrix, evaluate,
                    rep_unitarity_check, semi_universal, spin_rep)
-from .rmatrix import (classical_R, quantum_R_image, quasitriangular_residual,
-                      symmetry_rhs)
+from .rmatrix import classical_R, quantum_R_image, quasitriangular_residual
 from .tensor import (TensorElement, TensorElement3, cartan_killing,
                      classical_r, coproduct, coproduct_leg, counit_leg, flip,
                      is_weight_zero, leg_embed, outer, series_coproduct,
                      series_flip, series_outer, tensor_from_json,
-                     tensor_mul, tensor_to_json, tensor_to_str, weight)
+                     tensor_to_json, tensor_to_str, weight)
 from .twist import (AnsatzUnknown, SolutionSet, TwistAnsatz, TwistCandidate,
                     build_candidate, cocycle_defect, kernel_check,
                     normalization_check, reference_candidate,

@@ -114,11 +114,29 @@ def cmd_expand_phi(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str, made: str) -> None:
+    """Raise OSError, creating nothing, unless the file `path` can be
+    written once the directory `made` exists: it is not a directory, and
+    its own directory exists or is one that making `made` creates."""
+    node = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(node) and os.path.commonpath([node, made]) == node:
+        node = os.path.dirname(node)
+    if os.path.isdir(path) or not os.path.isdir(node):
+        raise OSError(f"{path}: not a file in an existing directory")
+
+
 def cmd_solve_twist(args) -> int:
+    # the output paths are checked before the solve, not after it; --out-dir
+    # through the first file it receives.  "." and its parents exist, so
+    # without --out-dir no directory counts as made
+    made = os.path.abspath(args.out_dir or ".")
+    for path in (args.out_dir and os.path.join(args.out_dir, "twist-order-1.json"),
+                 args.candidate_out, args.output):
+        if path:
+            _check_writable(path, made)
     try:
         cand, sols = build_candidate(args.order, cutoff_l=args.cutoff_l,
                                      cutoff_d=args.cutoff_d,
-                                     symmetrize=not args.raw,
                                      max_escalations=args.max_escalations)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -165,7 +183,7 @@ def _load_candidate(path: str):
         if isinstance(data, dict) and "candidate" in data:
             data = data["candidate"]
         return TwistCandidate.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot load candidate: {exc}", file=sys.stderr)
         return None
 
@@ -299,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ansatz polynomial degree cutoff D (default 2k)")
     p.add_argument("--max-escalations", type=int, default=2,
                    help="cutoff escalations (L+1, D+2) tried on infeasibility")
-    p.add_argument("--raw", action="store_true",
-                   help="skip the kernel correction that enforces the "
-                        "quasitriangular relation")
     p.add_argument("--out-dir", help="write one solution JSON file per order here")
     p.add_argument("--candidate-out", help="write the assembled candidate JSON here")
     p.set_defaults(func=cmd_solve_twist)

@@ -49,9 +49,6 @@ class PhiSeries:
     def order(self) -> int:
         return self.series.order
 
-    def coefficient(self, k: int) -> Element:
-        return self.series.coeffs[k]
-
 
 def phi(sign: str, order: int) -> PhiSeries:
     """The deforming-map coefficient phi+ (sign '+') or phi- (sign '-')
@@ -91,17 +88,8 @@ def m_Jminus(order: int) -> HSeries:
     return phi("-", order).series.map(lambda c: c * F)
 
 
-_GENS = ("J0", "J+", "J-")
-
-
-def _m_image(gen: str, order: int) -> HSeries:
-    if gen == "J0":
-        return m_J0(order)
-    if gen == "J+":
-        return m_Jplus(order)
-    if gen == "J-":
-        return m_Jminus(order)
-    raise ValueError(f"unknown generator {gen!r}; expected one of {_GENS}")
+# generator name -> the function of the order giving its image
+IMAGES = {"J0": m_J0, "J+": m_Jplus, "J-": m_Jminus}
 
 
 def q_analog_2h(order: int) -> HSeries:
@@ -136,16 +124,17 @@ def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
 def delta_q_image(gen: str, order: int) -> HSeries:
     """The twisted coproduct on a generator image: for J0 the primitive
     Delta(H); for J+- the image of J+- (x) q^{J0} + q^{-J0} (x) J+-."""
+    if gen not in IMAGES:
+        raise ValueError(f"unknown generator {gen!r}; "
+                         f"expected one of {tuple(IMAGES)}")
     if gen == "J0":
         return HSeries.constant(coproduct(H), order)
-    if gen in ("J+", "J-"):
-        img = _m_image(gen, order)
-        qh = series_exp_h(H, order)
-        qh_inv = series_exp_h(H * -1, order)
-        return series_outer(img, qh) + series_outer(qh_inv, img)
-    raise ValueError(f"unknown generator {gen!r}; expected one of {_GENS}")
+    img = IMAGES[gen](order)
+    qh = series_exp_h(H, order)
+    qh_inv = series_exp_h(H * -1, order)
+    return series_outer(img, qh) + series_outer(qh_inv, img)
 
 
 def generator_images(order: int) -> dict:
     """All three generator images, keyed by generator name."""
-    return {g: _m_image(g, order) for g in _GENS}
+    return {g: image(order) for g, image in IMAGES.items()}

@@ -87,9 +87,6 @@ class HSeries:
         """The unit series in the coefficient ring of `proto`."""
         return cls.constant(one_like(_coerce_coeff(proto)), order)
 
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
     def _check(self, other):
         if self.order != other.order:
             raise OrderMismatchError(
@@ -232,19 +229,6 @@ def _is_atomic(s: str) -> bool:
     # positive rationals read unambiguously next to "*h^k"; anything else
     # (signs, symbols, sums) gets parentheses
     return s.replace("/", "").isdigit()
-
-
-def series_mul(a: HSeries, b: HSeries) -> HSeries:
-    """Cauchy product truncated at the common order."""
-    return a * b
-
-
-def series_inverse(a: HSeries) -> HSeries:
-    return a.inverse()
-
-
-def series_sqrt(a: HSeries) -> HSeries:
-    return a.sqrt()
 
 
 def divide(a: HSeries, b: HSeries, side: str = "right") -> HSeries:

@@ -124,11 +124,6 @@ class Element(LinearCombination):
 E = Element._raw({E_MONO: Fraction(1)})
 F = Element._raw({F_MONO: Fraction(1)})
 H = Element._raw({H_MONO: Fraction(1)})
-ONE = Element.one()
-
-
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
 
 
 def commutator(x: Element, y: Element) -> Element:

@@ -22,7 +22,8 @@ from math import prod
 
 from .hseries import HSeries
 from .pbw import Element
-from .tensor import TensorElement
+from .report import VerificationReport
+from .tensor import TensorElement, series_flip
 
 
 def _zeros(n):
@@ -243,10 +244,6 @@ def evaluate(x, *reps: SpinRep) -> RepMatrix:
     return RepMatrix(dim, out)
 
 
-# the three-leg spelling, for the cocycle check
-evaluate3 = evaluate
-
-
 def semi_universal(cand, order: int | None = None):
     """Apply spin-1/2 to the first leg only: a 2x2 array of Element
     series (the second leg stays universal)."""
@@ -270,9 +267,6 @@ def semi_universal(cand, order: int | None = None):
 
 def rep_unitarity_check(cand, order: int):
     """sigma(F) F = 1 evaluated in spin-1/2 (x) spin-1/2."""
-    from .report import VerificationReport
-    from .tensor import series_flip
-
     s = cand.at_order(order).series
     half = spin_rep(1)
     prod = evaluate(series_flip(s) * s, half, half)

@@ -26,8 +26,7 @@ from fractions import Fraction
 from .deform import m_Jminus, m_Jplus
 from .hseries import HSeries, q_factorial, series_exp_h
 from .pbw import H, Element
-from .tensor import (TensorElement, cartan_killing, flip, series_flip,
-                     series_outer)
+from .tensor import TensorElement, cartan_killing, series_flip, series_outer
 
 
 def classical_R(order: int) -> HSeries:
@@ -66,19 +65,3 @@ def quasitriangular_residual(cand, order: int) -> HSeries:
     """R_q~ F - sigma(F) R, order by order."""
     Fs = cand.at_order(order).series
     return quantum_R_image(order) * Fs - series_flip(Fs) * classical_R(order)
-
-
-def symmetry_rhs(order: int, ftilde) -> TensorElement:
-    """The source term that must vanish for the order-1 / order-2 kernel
-    freedoms to be symmetric: assembled from the two R-matrix expansions
-    and the candidate's first and second coefficients."""
-    if order not in (1, 2):
-        raise ValueError("symmetry_rhs is defined for orders 1 and 2")
-    R = classical_R(2)
-    Rq = quantum_R_image(2)
-    f1 = ftilde.coefficient(1)
-    if order == 1:
-        return Rq.coeffs[1] - R.coeffs[1] - (flip(f1) - f1)
-    f2 = ftilde.coefficient(2)
-    return (f2 - flip(f2) - flip(f1) * R.coeffs[1]
-            + Rq.coeffs[1] * f1 + Rq.coeffs[2] - R.coeffs[2])

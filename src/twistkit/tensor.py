@@ -97,10 +97,6 @@ class TensorElement(LinearCombination):
 TensorElement3 = TensorElement
 
 
-def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
-
-
 def flip(x: TensorElement) -> TensorElement:
     """Exchange the two legs (legs stay normal-ordered)."""
     out = {}

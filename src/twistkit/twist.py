@@ -39,21 +39,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .deform import delta_q_image, generator_images
+from .deform import IMAGES, delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
 from .lincomb import _iadd
 from .pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir, mono_mul
 from .report import VerificationReport
+from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, cartan_killing, classical_r,
                      coproduct, coproduct_leg, counit_leg, extend_back,
                      extend_front, flip, outer, series_coproduct,
                      series_flip, tensor_from_json, tensor_to_json)
 
-_GENS = ("J0", "J+", "J-")
 _GEN_MONOS = {"J0": H_MONO, "J+": E_MONO, "J-": F_MONO}  # classical images
 # the generators whose order-k equations are assembled, by SolutionSet.equations
-_EQUATIONS = {"J+": ("J+",), "all": _GENS}
+_EQUATIONS = {"J+": ("J+",), "all": tuple(IMAGES)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,8 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     Fs = cand.at_order(order).series
     images = generator_images(order)
     out = {}
-    for g in _GENS:
-        lhs = Fs * series_coproduct(images[g])
+    for g, image in images.items():
+        lhs = Fs * series_coproduct(image)
         rhs = delta_q_image(g, order) * Fs
         out[g] = lhs - rhs
     return out
@@ -438,8 +438,6 @@ def symmetrize_order(cand: TwistCandidate, k: int) -> tuple:
     order-k quasitriangular residual) commutes with the classical
     coproducts whenever the lower orders already satisfy the relation.
     Returns (candidate, correction)."""
-    from .rmatrix import quasitriangular_residual
-
     rho = quasitriangular_residual(cand, k).coeffs[k]
     if rho.is_zero():
         return cand, TensorElement.zero()
@@ -456,13 +454,12 @@ def symmetrize_order(cand: TwistCandidate, k: int) -> tuple:
 
 
 def build_candidate(order: int, cutoff_l: int | None = None,
-                    cutoff_d: int | None = None, symmetrize: bool = True,
-                    max_escalations: int = 2):
+                    cutoff_d: int | None = None, max_escalations: int = 2):
     """Chain solve orders 1..order into a full candidate.
 
-    With symmetrize=True each new coefficient is shifted by the kernel
-    correction that also enforces the quasitriangular relation at that
-    order.  Returns (candidate, [SolutionSet per order])."""
+    Each new coefficient is shifted by the kernel correction of
+    `symmetrize_order` that also enforces the quasitriangular relation at
+    that order.  Returns (candidate, [SolutionSet per order])."""
     cand = TwistCandidate.from_coefficients([TensorElement.one()])
     sols = []
     for k in range(1, order + 1):
@@ -472,6 +469,5 @@ def build_candidate(order: int, cutoff_l: int | None = None,
             return cand, sols
         cand = TwistCandidate.from_coefficients(
             list(cand.series.coeffs) + [sol.particular])
-        if symmetrize:
-            cand, _ = symmetrize_order(cand, k)
+        cand, _ = symmetrize_order(cand, k)
     return cand, sols

@@ -45,4 +45,4 @@ def rng():
 @pytest.fixture(scope="session")
 def order3_build():
     from twistkit.twist import build_candidate
-    return build_candidate(3, symmetrize=True)
+    return build_candidate(3)

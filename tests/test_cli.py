@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from twistkit import cli
 from twistkit.cli import main
 from twistkit.pbw import UNIT_MONO
 from twistkit.tensor import TensorElement, classical_r, tensor_to_json, tensor_from_json
@@ -295,7 +296,9 @@ def test_console_entry_point():
     assert "2*I + 2*H^2 - 2*H - 1" in proc.stdout
 
 
-@pytest.mark.parametrize("command, option, target", [
+# a missing directory, a regular file where a directory should be, or a
+# directory ("" names tmp_path itself) where a file should be
+UNWRITABLE_OUTPUTS = [
     (["expand-phi", "--sign", "plus"], "--output", "missing-dir/out"),
     (["expand-phi", "--sign", "plus"], "--output", "a-file/out"),
     (["verify", "CANDIDATE", "--order", "2"], "--output", "missing-dir/out"),
@@ -304,11 +307,12 @@ def test_console_entry_point():
     (["solve-twist", "--order", "1"], "--out-dir", "a-file/out"),
     (["solve-twist", "--order", "1"], "--candidate-out", "missing-dir/out"),
     (["solve-twist", "--order", "1"], "--candidate-out", ""),
-])
+]
+
+
+@pytest.mark.parametrize("command, option, target", UNWRITABLE_OUTPUTS)
 def test_unwritable_output_is_bad_input(tmp_path, reference_file, command,
                                         option, target):
-    # a missing directory, a regular file where a directory should be, or
-    # a directory ("" names tmp_path itself) where a file should be
     (tmp_path / "a-file").write_text("")
     command = [reference_file if a == "CANDIDATE" else a for a in command]
     proc = subprocess.run(
@@ -320,8 +324,50 @@ def test_unwritable_output_is_bad_input(tmp_path, reference_file, command,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, option, target", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_reported_before_solving(
+        capsys, monkeypatch, tmp_path, reference_file, command, option, target):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output paths")
+
+    monkeypatch.setattr(cli, "build_candidate", no_solve)
+    (tmp_path / "a-file").write_text("")
+    command = [reference_file if a == "CANDIDATE" else a for a in command]
+    code = main([*command, option, str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output:")
+    assert err.count("\n") == 1
+
+
+def test_output_directories_made_for_the_candidate(capsys, tmp_path):
+    # a --candidate-out or --output inside a missing --out-dir is fine:
+    # the directory is made before either is written
+    out_dir = tmp_path / "a" / "b"
+    code = main(["solve-twist", "--order", "1", "--out-dir", str(out_dir),
+                 "--candidate-out", str(out_dir / "cand.json"),
+                 "--output", str(tmp_path / "a" / "out.txt")])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "a", "b", "cand.json", "out.txt", "twist-order-1.json"]
+
+
+def test_bad_cutoff_makes_no_output_directory(capsys, tmp_path):
+    code = main(["solve-twist", "--order", "1", "--cutoff-l", "0",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_raw_flag_is_rejected(capsys):
+    # the kernel correction is always applied; --raw is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-twist", "--order", "1", "--raw"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("defect", ["zero denominator", "negative exponent",
-                                    "zero leading term"])
+                                    "zero leading term", "deep nesting"])
 @pytest.mark.parametrize("command", [["verify"], ["eval-rep", "--two-j1", "1",
                                                   "--two-j2", "1"]])
 def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
@@ -334,9 +380,13 @@ def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
     else:
         term["leg1"]["f"] = -1
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    if defect == "deep nesting":  # deeper than the recursion limit
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    else:
+        path.write_text(json.dumps(data))
     code = main([command[0], str(path), "--order", "2"] + command[1:])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot load candidate:")
     assert err.count("\n") == 1
+    assert "Traceback" not in err

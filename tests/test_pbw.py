@@ -9,7 +9,7 @@ from twistkit import pbw
 from twistkit.pbw import (CasimirTerm, E, F, H, Element, casimir, commutator,
                           counit, element_from_json, element_to_json,
                           from_casimir_basis, is_hi_polynomial, mono_mul,
-                          multiply, shift_h, to_casimir_basis)
+                          shift_h, to_casimir_basis)
 
 from conftest import random_element
 
@@ -133,12 +133,6 @@ def test_normal_form_confluence(rng):
             right = w * right
         mid = (word[0] * word[1] * word[2]) * (word[3] * word[4] * word[5])
         assert left == right == mid
-
-
-def test_multiply_alias(rng):
-    x = random_element(rng)
-    y = random_element(rng)
-    assert multiply(x, y) == x * y
 
 
 def test_is_hi_polynomial():

@@ -4,7 +4,7 @@ import pytest
 
 from twistkit.hseries import HSeries
 from twistkit.pbw import E, F, H, Element, casimir
-from twistkit.reps import (RepMatrix, element_matrix, evaluate, evaluate3,
+from twistkit.reps import (RepMatrix, element_matrix, evaluate,
                            rep_unitarity_check, semi_universal, spin_rep,
                            _identity, _kron, _mat_add, _mat_mul)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
@@ -171,7 +171,7 @@ def test_cocycle_defect_nonzero_in_half_cubed():
     cand = reference_candidate(2)
     defect = cocycle_defect(cand)
     half = spin_rep(1)
-    assert not evaluate3(defect, half, half, half).is_zero()
+    assert not evaluate(defect, half, half, half).is_zero()
 
 
 def _braid_ok_per_order(series):

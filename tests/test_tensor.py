@@ -9,14 +9,14 @@ from twistkit.pbw import (E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element,
 from twistkit.tensor import (TensorElement, TensorElement3, cartan_killing,
                              classical_r, coproduct, coproduct_leg, counit_leg,
                              extend_back, extend_front, flip, is_weight_zero,
-                             leg_embed, outer, tensor_from_json, tensor_mul,
+                             leg_embed, outer, tensor_from_json,
                              tensor_to_json, weight, UNIT2)
 
 from conftest import random_element, random_tensor
 
 
 def test_tensor_mul_legwise():
-    lhs = tensor_mul(outer(E, F), outer(F, E))
+    lhs = outer(E, F) * outer(F, E)
     assert lhs == outer(E * F, E * F - H)
 
 

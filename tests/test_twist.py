@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import twistkit.twist as twist
+from twistkit.cli import _json_dumps
 from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir
@@ -234,24 +235,70 @@ def test_lower_order_requirement(one_candidate):
 
 
 def test_build_candidate_order2_matches_chain():
-    cand, sols = build_candidate(2, symmetrize=False)
+    cand, sols = build_candidate(2)
     assert [s.order for s in sols] == [1, 2]
     assert cand.coefficient(1) == classical_r()
     assert twist_residuals(cand, 2).passed
 
 
 def test_symmetrize_keeps_twist_residuals():
-    cand, _ = build_candidate(2, symmetrize=True)
+    cand, _ = build_candidate(2)
     assert twist_residuals(cand, 2).passed
     from twistkit.rmatrix import quasitriangular_residual
     assert quasitriangular_residual(cand, 2).is_zero()
 
 
+def kappa() -> TensorElement:
+    # antisymmetric and central in each leg, so it commutes with every
+    # Delta(g): a kernel element that flips sign under sigma
+    return outer(casimir(), Element.one()) - outer(Element.one(), casimir())
+
+
+def test_symmetrize_order_removes_kappa_at_order_1():
+    cand = TwistCandidate.from_coefficients(
+        [TensorElement.one(), classical_r() + kappa() * Fraction(5, 2)])
+    fixed, delta = symmetrize_order(cand, 1)
+    assert delta == kappa() * Fraction(-5, 2)
+    assert fixed.coefficient(1) == classical_r()
+    assert twist_residuals(fixed, 1).passed
+
+
 def test_symmetrize_order_correction_is_kernel():
-    raw, _ = build_candidate(2, symmetrize=False)
-    fixed, delta = symmetrize_order(raw, 2)
-    assert kernel_check(delta) or delta.is_zero()
+    # kappa added to the built F2 breaks R_q~ F = sigma(F) R at order 2
+    # only; the correction is -kappa, a kernel element, and restores it
+    built, _ = build_candidate(2)
+    coeffs = list(built.series.coeffs)
+    coeffs[2] = coeffs[2] + kappa()
+    fixed, delta = symmetrize_order(TwistCandidate.from_coefficients(coeffs), 2)
+    assert delta == -kappa()
+    assert kernel_check(delta)
+    assert fixed.series == built.series
     assert twist_residuals(fixed, 2).passed
+
+
+def uncorrected_chain(sols) -> TwistCandidate:
+    return TwistCandidate.from_coefficients(
+        [TensorElement.one()] + [s.particular for s in sols])
+
+
+def test_correction_is_zero_on_order3_build(order3_build):
+    # each particular solution already satisfies the quasitriangular
+    # relation, so the built candidate is the uncorrected chain
+    cand, sols = order3_build
+    raw = uncorrected_chain(sols)
+    assert raw.series == cand.series
+    for k in (1, 2, 3):
+        assert symmetrize_order(raw.at_order(k), k)[1].is_zero()
+
+
+@pytest.mark.parametrize("cutoff_l, cutoff_d", [(2, 2), (3, 4), (2, 6)])
+def test_correction_is_zero_at_order2_cutoffs(cutoff_l, cutoff_d):
+    cand, sols = build_candidate(2, cutoff_l=cutoff_l, cutoff_d=cutoff_d)
+    assert all(s.solved for s in sols)
+    raw = uncorrected_chain(sols)
+    assert raw.series == cand.series
+    for k in (1, 2):
+        assert symmetrize_order(raw.at_order(k), k)[1].is_zero()
 
 
 def test_candidate_json_round_trip():
@@ -350,6 +397,16 @@ def test_order3_solutions_match_golden_files(order3_build):
         text = json.dumps(s.to_json(), indent=2, sort_keys=True) + "\n"
         golden = (GOLDEN_DIR / f"twist-order-{s.order}.json").read_bytes()
         assert text.encode() == golden
+
+
+def test_order3_candidate_matches_golden_file(order3_build):
+    # written by `solve-twist --order 3 --candidate-out` while the kernel
+    # correction could still be switched off (it was on by default); the
+    # same file as perfbench/fixture/candidate-order3.json
+    cand, _ = order3_build
+    text = _json_dumps(cand.to_json()) + "\n"
+    golden = (GOLDEN_DIR / "candidate-order3.json").read_bytes()
+    assert text.encode() == golden
 
 
 def spy_on_solver(monkeypatch):
