@@ -30,6 +30,20 @@ EXIT_FALSIFIED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 
+# the largest --order of each command and the wall time of that order on
+# one 2.1 GHz Xeon core with Python 3.11.7 (verify and eval-rep on the
+# order-3 candidate perfbench/fixture/candidate-order3.json); near each
+# bound the time grows about 3x per two orders (10x per order for
+# solve-twist).  Larger values are bad input, rejected before any series
+# or matrix is built.
+MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3 min"),
+             "verify": (14, "27 s with --checks all"),
+             "eval-rep": (20, "30 s at two_j 32 x 32"),
+             "show-rmatrix": (18, "31 s")}
+# the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
+# order 3: spin A/2 (x) B/2 builds dense matrices of ((A+1)(B+1))^2 entries
+MAX_TWO_J, MAX_TWO_J_TIME = 32, "17 s"
+
 # negative results documented for the reference twist: these checks are
 # reported but do not flip the exit code under --expect-paper-behavior
 EXPECTED_FAILURES = ("unitarity", "cocycle")
@@ -245,12 +259,8 @@ def cmd_eval_rep(args) -> int:
     cand = _load_candidate(args.candidate)
     if cand is None:
         return EXIT_BAD_INPUT
-    try:
-        rep1 = spin_rep(args.two_j1)
-        rep2 = spin_rep(args.two_j2)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rep1 = spin_rep(args.two_j1)
+    rep2 = spin_rep(args.two_j2)
     mat = evaluate(cand.at_order(args.order).series, rep1, rep2)
     unitarity = None
     if args.two_j1 == 1 and args.two_j2 == 1:
@@ -298,19 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for the quantum-sl2 coproduct twist.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, command):
+        largest, took = MAX_ORDER[command]
         p.add_argument("--order", type=int, default=None,
-                       help="truncation order N (default: TWISTKIT_ORDER or 2)")
+                       help=f"truncation order N, 0..{largest}; order {largest} "
+                            f"takes about {took} on a 2.1 GHz Xeon core "
+                            "(default: TWISTKIT_ORDER or 2)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write output to this file instead of stdout")
 
     p = sub.add_parser("expand-phi", help="expand the deforming-map coefficient phi")
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
-    common(p)
+    common(p, "expand-phi")
     p.set_defaults(func=cmd_expand_phi)
 
     p = sub.add_parser("solve-twist", help="solve the twist equations order by order")
-    common(p)
+    common(p, "solve-twist")
     p.add_argument("--cutoff-l", type=int, default=None,
                    help="ansatz power cutoff L (default k+1 at order k)")
     p.add_argument("--cutoff-d", type=int, default=None,
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a candidate twist from a JSON file")
     p.add_argument("candidate", help="candidate JSON file")
-    common(p)
+    common(p, "verify")
     p.add_argument("--checks", nargs="+", default=["all"],
                    choices=("all",) + ALL_CHECKS)
     p.add_argument("--expect-paper-behavior", action="store_true",
@@ -334,15 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-rep", help="evaluate a candidate in a spin representation")
     p.add_argument("candidate", help="candidate JSON file")
-    p.add_argument("--two-j1", type=int, required=True)
-    p.add_argument("--two-j2", type=int, required=True)
-    common(p)
+    for leg in (1, 2):
+        p.add_argument(f"--two-j{leg}", type=int, required=True,
+                       help=f"twice the spin of leg {leg}, 0..{MAX_TWO_J}; "
+                            f"{MAX_TWO_J} x {MAX_TWO_J} at order 3 takes about "
+                            f"{MAX_TWO_J_TIME} on a 2.1 GHz Xeon core")
+    common(p, "eval-rep")
     p.set_defaults(func=cmd_eval_rep)
 
     p = sub.add_parser("show-rmatrix", help="print the R-matrix expansions")
     p.add_argument("--which", choices=("classical", "quantum", "both"),
                    default="both")
-    common(p)
+    common(p, "show-rmatrix")
     p.set_defaults(func=cmd_show_rmatrix)
 
     return parser
@@ -358,9 +374,17 @@ def main(argv=None) -> int:
             print(f"error: TWISTKIT_ORDER must be an integer, got {env!r}",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-    if args.order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
+    largest = MAX_ORDER[args.command][0]
+    if not 0 <= args.order <= largest:
+        print(f"error: --order of {args.command} must be in 0..{largest}, "
+              f"got {args.order}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    for flag in ("two_j1", "two_j2"):
+        two_j = getattr(args, flag, 0)
+        if not 0 <= two_j <= MAX_TWO_J:
+            print(f"error: --{flag.replace('_', '-')} must be in 0..{MAX_TWO_J}, "
+                  f"got {two_j}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except OSError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-from .lincomb import LinearCombination, _iadd, _signed_sum, _term_body
+from .lincomb import LinearCombination, _signed_sum, _term_body
 
 
 def _mono_mul(m1, m2):
@@ -44,16 +44,13 @@ class Poly(LinearCombination):
     def symbol(cls, name: str) -> "Poly":
         return cls({((name, 1),): Fraction(1)})
 
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return self._scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _iadd(acc, _mono_mul(m1, m2), c1 * c2)
-        return Poly._raw(acc)
+    @staticmethod
+    def _mul_into(acc, xs, ys, scale):
+        for m1, c1 in xs.items():
+            c1 *= scale
+            for m2, c2 in ys.items():
+                key = _mono_mul(m1, m2)
+                acc[key] = acc.get(key, 0) + c1 * c2
 
     def substitute(self, assignments: dict) -> "Poly":
         """Replace symbols by polynomials or scalars; others are kept."""

@@ -12,17 +12,30 @@ Coefficients may be rational scalars or any ring element that implements
 ``is_zero()``, ``as_unit_scalar()``, and ``zero_like()``/``one_like()``,
 which return the zero and the unit of the element's own ring.  The ring
 is fixed by the element, not only by its type: a tensor element's zero
-and unit have as many legs as the element itself.  The
-q-calculus with q = e^h lives on top: ``series_exp_h``, the q-analogue
-via the sinh-ratio series (which keeps coefficients polynomial in the
-argument), and q-factorials.
+and unit have as many legs as the element itself.
+
+A product of two series runs in integers when their ring coefficients
+are LinearCombinations of one ring (Element, TensorElement of any leg
+count, Poly), each of which defines an integer kernel ``_mul_into``;
+scalar coefficients may stand beside them.  Every coefficient is scaled
+to integers once per product, and each h^n coefficient is summed into
+one integer dict over the lcm of its pairs' denominators (``_cauchy``)
+before it is divided back into Fractions.  Products of two scalar series
+and of other coefficient rings keep the plain loop of ring products and
+sums.
+
+The q-calculus with q = e^h lives on top: ``series_exp_h``, the
+q-analogue via the sinh-ratio series (which keeps coefficients
+polynomial in the argument), and q-factorials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from numbers import Rational
+
+from .lincomb import LinearCombination, _add_scaled, _integral, _rational
 
 
 class OrderMismatchError(ValueError):
@@ -30,6 +43,8 @@ class OrderMismatchError(ValueError):
 
 
 def _coerce_coeff(c):
+    if isinstance(c, Fraction):
+        return c
     return Fraction(c) if isinstance(c, Rational) else c
 
 
@@ -114,6 +129,10 @@ class HSeries:
         if not isinstance(other, HSeries):
             return NotImplemented
         self._check(other)
+        ring = _ring_of(self.coeffs + other.coeffs)
+        if ring is not None:
+            return HSeries(_cauchy(_ints(self.coeffs), _ints(other.coeffs),
+                                   _ring_into(ring), ring._like), self.order)
         out = []
         for n in range(self.order + 1):
             acc = self.coeffs[0] * other.coeffs[n]
@@ -220,9 +239,68 @@ class HSeries:
 
 
 def _is_zero_coeff(c):
-    if isinstance(c, Rational):
-        return c == 0
+    if isinstance(c, Fraction):
+        return not c
     return c.is_zero()
+
+
+def _ring_of(coeffs):
+    """A ring coefficient among coeffs when all the others are scalars or
+    in its ring, which has an integer product kernel; else None.  A
+    tensor leg-count mismatch raises ValueError."""
+    ring = None
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            continue
+        if ring is None:
+            if not isinstance(c, LinearCombination):
+                return None
+            ring = c
+        elif ring._operand(c) is NotImplemented:
+            return None
+    return ring
+
+
+def _ints(coeffs) -> list:
+    """Each coefficient as (value, den) with an integer value: an int for
+    a scalar, a dict of ints for a ring element; None for a zero."""
+    return [((c.numerator, c.denominator) if c else None)
+            if isinstance(c, Fraction)
+            else (_integral(c.terms) if c.terms else None) for c in coeffs]
+
+
+def _ring_into(ring):
+    """ring's product kernel, extended to scalar (int) operands."""
+    unit, mul_into = ring._unit(), ring._mul_into
+
+    def into(acc, x, y, scale):
+        if isinstance(x, int):
+            if isinstance(y, int):
+                acc[unit] = acc.get(unit, 0) + scale * x * y
+            else:
+                _add_scaled(acc, y, scale * x)
+        elif isinstance(y, int):
+            _add_scaled(acc, x, scale * y)
+        else:
+            mul_into(acc, x, y, scale)
+    return into
+
+
+def _cauchy(xs, ys, into, like) -> tuple:
+    """The Cauchy product coefficients sum_k x_k y_(n-k), n < len(xs), of
+    operands in the form of _ints.  Each one is summed into one integer
+    dict over L, the lcm of its pairs' denominators: into(acc, x, y, w)
+    adds w*x*y with w = L // (dx*dy), and like(terms) builds the
+    coefficient from its non-zero Fractions."""
+    out = []
+    for n in range(len(xs)):
+        pairs = [(x, y) for x, y in zip(xs[:n + 1], ys[n::-1]) if x and y]
+        den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+        acc = {}
+        for (x, dx), (y, dy) in pairs:
+            into(acc, x, y, den // (dx * dy))
+        out.append(like(_rational(acc, den)))
+    return tuple(out)
 
 
 def _is_atomic(s: str) -> bool:

@@ -5,11 +5,14 @@ A combination is a dict from keys (monomials) to nonzero Fractions; zero
 coefficients are never stored, so two combinations are equal exactly
 when their dicts are.  Rational scalars act as multiples of the unit.
 A subclass fixes what a key is: it sets UNIT, the key of the ring unit,
-and defines its own ``__mul__`` (scalar factors go through ``_scale``)
-and its rendering, built from ``_term_body`` and ``_signed_sum``.
+and defines its rendering, built from ``_term_body`` and ``_signed_sum``,
+and its product kernel ``_mul_into(acc, xs, ys, scale)``, which adds
+scale * xs * ys to acc for term dicts with int values.
 Products run in integers: each operand is scaled once by the lcm of its
-denominators (``_integral``), and each output term is divided once by
-the product of the two scales (``_rational``).
+denominators (``_integral``), the kernel adds up the term-pair products
+in ints, and each output term is divided once by the product of the two
+scales (``_rational``).  Series products (``hseries``) call the same
+kernel, summing a whole Cauchy sum into one integer dict.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ def _integral(terms: dict):
 def _rational(ints: dict, den: int) -> dict:
     """Inverse of _integral: the non-zero ints over den, as Fractions."""
     return {k: Fraction(v, den) for k, v in ints.items() if v}
+
+
+def _add_scaled(acc: dict, ints: dict, scale: int):
+    """acc += scale * ints, key by key, in integers (zeros stay in acc)."""
+    for key, v in ints.items():
+        acc[key] = acc.get(key, 0) + scale * v
 
 
 def _term_body(c, mono: str) -> str:
@@ -153,6 +162,18 @@ class LinearCombination:
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Rational):
+            return self._scale(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        xs, dx = _integral(self.terms)
+        ys, dy = _integral(other.terms)
+        acc = {}
+        self._mul_into(acc, xs, ys, 1)
+        return self._like(_rational(acc, dx * dy))
 
     def __rmul__(self, other):
         if isinstance(other, Rational):

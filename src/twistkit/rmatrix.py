@@ -15,7 +15,10 @@ power under that scalar would differ by q^{-n(n-1)} per summand: both
 readings give the same expansion through order 2, but only the one above
 intertwines the twisted coproduct with its opposite at every order
 (checked in the tests), so it is the one implemented.
-The n-sum truncates at n = N because 1 - q^{-2} is O(h).  A twist
+The n-sum truncates at n = N because 1 - q^{-2} is O(h).  For the same
+reason summand n, whose scalar is O(h^n), needs x^n, y^n and their
+outer product only to order N - n: they are built at that order and
+padded back to N, and [n]! is built up one factor per n.  A twist
 candidate F is tied to the two R-matrices by the residual
 R_q~ F - sigma(F) R."""
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .deform import m_Jminus, m_Jplus
-from .hseries import HSeries, q_factorial, series_exp_h
+from .hseries import HSeries, q_analog, series_exp_h
 from .pbw import H, Element
 from .tensor import TensorElement, cartan_killing, series_flip, series_outer
 
@@ -48,16 +51,17 @@ def quantum_R_image(order: int, *, extra_terms: int = 0) -> HSeries:
 
     total = HSeries.constant(TensorElement.zero(), order)
     x_pow = y_pow = HSeries.constant(Element.one(), order)
-    geom_pow = one_scalar
+    geom_pow = q_fact = one_scalar
     for n in range(order + 1 + extra_terms):
+        cut = max(order - n, 0)   # past n = N the scalar vanishes outright
         if n:
-            x_pow = x_pow * x_leg
-            y_pow = y_pow * y_leg
+            x_pow = x_pow.truncate(cut) * x_leg.truncate(cut)
+            y_pow = y_pow.truncate(cut) * y_leg.truncate(cut)
             geom_pow = geom_pow * geom
+            q_fact = q_fact * q_analog(Fraction(n), order)
         scalar = (series_exp_h(Fraction(n * (n - 1), 2), order)
-                  * geom_pow * q_factorial(n, order).inverse()
-                  * Fraction(2 ** n))
-        total = total + scalar * series_outer(x_pow, y_pow)
+                  * geom_pow * q_fact.inverse() * Fraction(2 ** n))
+        total = total + scalar * series_outer(x_pow, y_pow).pad_to(order)
     return prefactor * total
 
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from numbers import Rational
 
-from .hseries import HSeries
-from .lincomb import (LinearCombination, _iadd, _integral, _rational,
-                      _signed_sum)
+from .hseries import HSeries, _cauchy, _ints
+from .lincomb import LinearCombination, _iadd, _signed_sum
 from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
                   mono_mul)
 
@@ -64,16 +62,10 @@ class TensorElement(LinearCombination):
                              f"{other.legs}-leg tensor element")
         return other
 
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return self._scale(other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._operand(other)           # raises on a leg-count mismatch
-        xs, dx = _integral(self.terms)
-        ys, dy = _integral(other.terms)
-        acc = {}
+    @staticmethod
+    def _mul_into(acc, xs, ys, scale):
         for keys1, c1 in xs.items():
+            c1 *= scale
             for keys2, c2 in ys.items():
                 # multiply leg by leg, expanding each leg's product
                 partial = [((), c1 * c2)]
@@ -82,7 +74,11 @@ class TensorElement(LinearCombination):
                                for m, d in mono_mul(x, y)]
                 for key, c in partial:
                     acc[key] = acc.get(key, 0) + c
-        return TensorElement._raw(_rational(acc, dx * dy), self.legs)
+
+    def __mul__(self, other):
+        # its own function, traced by name like Element.__mul__; a
+        # leg-count mismatch raises in _operand
+        return LinearCombination.__mul__(self, other)
 
     def __str__(self):
         return tensor_to_str(self)
@@ -213,17 +209,21 @@ def cartan_killing() -> TensorElement:
 # series helpers
 
 
+def _outer_into(acc, xs, ys, scale):
+    for m1, c1 in xs.items():
+        c1 *= scale
+        for m2, c2 in ys.items():
+            key = (m1, m2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
 def series_outer(a: HSeries, b: HSeries) -> HSeries:
-    """Cauchy combination of two element series into a tensor series."""
+    """Cauchy combination of two element series into a tensor series:
+    sum_k a_k (x) b_(n-k), each h^n coefficient summed in integers."""
     if a.order != b.order:
         raise ValueError("series_outer needs equal truncation orders")
-    out = []
-    for n in range(a.order + 1):
-        acc = TensorElement.zero()
-        for k in range(n + 1):
-            acc = acc + outer(a.coeffs[k], b.coeffs[n - k])
-        out.append(acc)
-    return HSeries(tuple(out), a.order)
+    return HSeries(_cauchy(_ints(a.coeffs), _ints(b.coeffs), _outer_into,
+                           TensorElement._raw), a.order)
 
 
 def series_coproduct(s: HSeries) -> HSeries:

@@ -390,3 +390,57 @@ def test_malformed_candidate_is_bad_input(capsys, tmp_path, command, defect):
     assert err.startswith("error: cannot load candidate:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _forbid_work(monkeypatch):
+    """Make every entry into the commands' work fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started above a bound")
+    for name in ("phi", "build_candidate", "_load_candidate", "spin_rep",
+                 "evaluate", "classical_R", "quantum_R_image"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+@pytest.mark.parametrize("command", sorted(cli.MAX_ORDER))
+def test_order_above_bound_rejected_before_work(capsys, monkeypatch, command,
+                                                reference_file):
+    _forbid_work(monkeypatch)
+    largest = cli.MAX_ORDER[command][0]
+    argv = {"expand-phi": ["--sign", "plus"],
+            "verify": [reference_file],
+            "eval-rep": [reference_file, "--two-j1", "1", "--two-j2", "1"]}
+    args = [command] + argv.get(command, [])
+    for extra, env in ((["--order", str(largest + 1)], None),
+                       ([], str(largest + 1))):
+        if env is not None:
+            monkeypatch.setenv("TWISTKIT_ORDER", env)
+        assert main(args + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --order of {command} must be in "
+                                f"0..{largest}, got {largest + 1}\n")
+
+
+@pytest.mark.parametrize("flag", ["--two-j1", "--two-j2"])
+def test_two_j_above_bound_rejected_before_work(capsys, monkeypatch, flag,
+                                                reference_file):
+    _forbid_work(monkeypatch)
+    spins = {"--two-j1": "1", "--two-j2": "1", flag: str(cli.MAX_TWO_J + 1)}
+    argv = ["eval-rep", reference_file, "--order", "1"]
+    for name, value in spins.items():
+        argv += [name, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} must be in 0..{cli.MAX_TWO_J}, "
+                            f"got {cli.MAX_TWO_J + 1}\n")
+
+
+def test_help_states_each_bound(capsys):
+    for command, (largest, took) in cli.MAX_ORDER.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"0..{largest}; order {largest} takes about {took}" in text
+        if command == "eval-rep":
+            assert f"0..{cli.MAX_TWO_J};" in text

@@ -9,7 +9,7 @@ from twistkit.hseries import (HSeries, OrderMismatchError, divide, q_analog,
 from twistkit.pbw import H, Element
 from twistkit.tensor import TensorElement, classical_r
 
-from conftest import random_fraction
+from conftest import random_element, random_fraction, random_tensor
 
 
 def scalar(coeffs):
@@ -203,3 +203,91 @@ def test_first_nonzero():
     assert scalar([0, 0, 0]).first_nonzero() is None
     r = classical_r()
     assert HSeries([r - r, r]).first_nonzero() == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer series product against a plain Cauchy reference
+
+COPRIME = (1, 2, 3, 5, 7, 11)
+
+
+def cauchy_reference(a, b):
+    """sum_k a_k b_(n-k), one ring product and one ring sum at a time."""
+    out = []
+    for n in range(a.order + 1):
+        acc = a.coeffs[0] * b.coeffs[n]
+        for k in range(1, n + 1):
+            acc = acc + a.coeffs[k] * b.coeffs[n - k]
+        out.append(acc)
+    return HSeries(out)
+
+
+def random_poly(rng, dens=COPRIME):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple((s, e) for s, e in (("x", rng.randint(0, 2)),
+                                         ("y", rng.randint(0, 2))) if e)
+        terms[mono] = random_fraction(rng, dens=dens)
+    return Poly(terms)
+
+
+def random_ring_series(rng, make, order):
+    """A series of make(rng) coefficients, some of them zero, and now and
+    then the zero series."""
+    coeffs = [make(rng) for _ in range(order + 1)]
+    if rng.random() < 0.1:
+        return HSeries([c.zero_like() for c in coeffs])
+    return HSeries([c.zero_like() if rng.random() < 0.2 else c for c in coeffs])
+
+
+def scalar_series(rng, order):
+    return HSeries([0 if rng.random() < 0.2 else random_fraction(rng, dens=COPRIME)
+                    for _ in range(order + 1)])
+
+
+RINGS = {
+    "element": lambda rng: random_element(rng, dens=COPRIME),
+    "tensor2": lambda rng: random_tensor(rng, dens=COPRIME),
+    "tensor3": lambda rng: random_tensor(rng, max_deg=1, dens=COPRIME, legs=3),
+    "poly": random_poly,
+}
+
+
+def assert_stored_fractions(series):
+    for c in series.coeffs:
+        assert all(type(v) is Fraction and v for v in c.terms.values())
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_fused_product_matches_reference(rng, ring):
+    make = RINGS[ring]
+    for _ in range(25):
+        order = rng.randint(0, 4)
+        a = random_ring_series(rng, make, order)
+        b = random_ring_series(rng, make, order)
+        s = scalar_series(rng, order)
+        for x, y in ((a, b), (s, b), (a, s)):
+            got = x * y
+            assert got == cauchy_reference(x, y)
+            assert_stored_fractions(got)
+            assert all(type(c) is type(a.coeffs[0]) for c in got.coeffs)
+        if ring.startswith("tensor"):
+            assert all(c.legs == a.coeffs[0].legs for c in (a * b).coeffs)
+
+
+def test_fused_product_keeps_factor_order():
+    from twistkit.pbw import E, F
+    x = HSeries([E, H])
+    y = HSeries([F, E])
+    assert x * y == cauchy_reference(x, y)
+    assert y * x == cauchy_reference(y, x)
+    assert x * y != y * x
+
+
+def test_fused_product_rejects_mismatches(rng):
+    two = HSeries([random_tensor(rng, legs=2), random_tensor(rng, legs=2)])
+    three = HSeries([random_tensor(rng, legs=3), random_tensor(rng, legs=3)])
+    with pytest.raises(ValueError):
+        two * three
+    with pytest.raises(OrderMismatchError):
+        two * two.pad_to(2)

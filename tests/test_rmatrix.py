@@ -1,13 +1,18 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from conftest import random_element
 from twistkit.cli import main
 from twistkit.deform import delta_q_image
+from twistkit.hseries import HSeries
 from twistkit.pbw import E, F, H, Element, casimir
 from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r, flip,
-                             leg_embed, outer, series_flip)
+                             leg_embed, outer, series_flip, series_outer)
 from twistkit.twist import TwistCandidate, reference_candidate
 
 
@@ -108,7 +113,7 @@ def test_symmetry_rhs_mutation_detected():
 
 
 def test_quantum_R_n_sum_truncation_lossless():
-    for order in (1, 2, 3):
+    for order in (1, 2, 3, 6, 7):
         assert quantum_R_image(order) == quantum_R_image(order, extra_terms=2)
 
 
@@ -136,3 +141,30 @@ def test_show_rmatrix_order5_matches_golden_file(capsys):
     assert main(["show-rmatrix", "--order", "5", "--format", "json"]) == 0
     golden = (Path(__file__).parent / "data" / "rmatrix-order5.json").read_bytes()
     assert capsys.readouterr().out.encode() == golden
+
+
+def test_series_outer_matches_outer_sum(rng):
+    dens = (1, 2, 3, 5, 7)
+    for _ in range(20):
+        order = rng.randint(0, 3)
+        a = HSeries([random_element(rng, dens=dens) for _ in range(order + 1)])
+        b = HSeries([random_element(rng, dens=dens) for _ in range(order + 1)])
+        if rng.random() < 0.3:
+            b = HSeries([Element.zero()] + list(b.coeffs[1:]))
+        expected = [sum((outer(a.coeffs[k], b.coeffs[n - k]) for k in range(n + 1)),
+                        TensorElement.zero()) for n in range(order + 1)]
+        assert list(series_outer(a, b).coeffs) == expected
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "42ce89070e63fe3f2f871a6f5404c4d96791f6ec83798d2fcd0141b986026434"),
+    ("json", "51cd4828b5e50633b27a37bb1d2d8c1255af37a3ff9e58796bbbfdaa3d7f097c"),
+])
+def test_show_rmatrix_order8_digest(capsys, fmt, digest):
+    # sha256 of the output of
+    #   twistkit show-rmatrix --order 8 --format text|json
+    # as written before summand n of the quantum R-matrix was cut at
+    # order N - n (161,943 and 1,181,386 bytes)
+    assert main(["show-rmatrix", "--order", "8", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
