@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from .deform import phi
 from .lincomb import _integral, _signed_sum, _term_body
 from .pbw import element_to_json, to_casimir_basis
@@ -38,11 +39,15 @@ EXIT_INFEASIBLE = 3
 # or matrix is built.
 MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3 min"),
              "verify": (14, "27 s with --checks all"),
-             "eval-rep": (20, "30 s at two_j 32 x 32"),
+             "eval-rep": (20, "6 s at two_j 32 x 32"),
              "show-rmatrix": (18, "31 s")}
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
-# order 3: spin A/2 (x) B/2 builds dense matrices of ((A+1)(B+1))^2 entries
-MAX_TWO_J, MAX_TWO_J_TIME = 32, "17 s"
+# order 3: spin A/2 (x) B/2 prints ((A+1)(B+1))^2 series per order
+MAX_TWO_J, MAX_TWO_J_TIME = 32, "2.4 s"
+# solve-twist: the unknowns (2L-1)*C(D+4, 4) of the ansatz at the top order
+# with the given cutoffs, at most those of the order-5 default (L = 6,
+# D = 10) timed above, and at most the default number of escalations
+MAX_UNKNOWNS, MAX_ESCALATIONS = 11011, 2
 
 # negative results documented for the reference twist: these checks are
 # reported but do not flip the exit code under --expect-paper-behavior
@@ -327,9 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-l", type=int, default=None,
                    help="ansatz power cutoff L (default k+1 at order k)")
     p.add_argument("--cutoff-d", type=int, default=None,
-                   help="ansatz polynomial degree cutoff D (default 2k)")
-    p.add_argument("--max-escalations", type=int, default=2,
-                   help="cutoff escalations (L+1, D+2) tried on infeasibility")
+                   help="ansatz polynomial degree cutoff D (default 2k); L and "
+                        "D at the top order may give at most "
+                        f"{MAX_UNKNOWNS} unknowns (2L-1)*C(D+4, 4), the order-5 "
+                        "default")
+    p.add_argument("--max-escalations", type=int, default=MAX_ESCALATIONS,
+                   help="cutoff escalations (L+1, D+2) tried on infeasibility, "
+                        f"0..{MAX_ESCALATIONS} (default {MAX_ESCALATIONS})")
     p.add_argument("--out-dir", help="write one solution JSON file per order here")
     p.add_argument("--candidate-out", help="write the assembled candidate JSON here")
     p.set_defaults(func=cmd_solve_twist)
@@ -364,6 +373,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solve_bounds(args):
+    """Why the solve-twist cutoffs are out of bounds, or None."""
+    if not 0 <= args.max_escalations <= MAX_ESCALATIONS:
+        return (f"--max-escalations must be in 0..{MAX_ESCALATIONS}, "
+                f"got {args.max_escalations}")
+    L = args.cutoff_l if args.cutoff_l is not None else args.order + 1
+    D = args.cutoff_d if args.cutoff_d is not None else 2 * args.order
+    if L >= 1 and D >= 0 and (n := (2 * L - 1) * comb(D + 4, 4)) > MAX_UNKNOWNS:
+        return (f"the order-{args.order} ansatz at L={L}, D={D} has {n} "
+                f"unknowns, more than {MAX_UNKNOWNS}")
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.order is None:
@@ -385,6 +407,9 @@ def main(argv=None) -> int:
             print(f"error: --{flag.replace('_', '-')} must be in 0..{MAX_TWO_J}, "
                   f"got {two_j}", file=sys.stderr)
             return EXIT_BAD_INPUT
+    if args.command == "solve-twist" and (problem := _solve_bounds(args)):
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except OSError as exc:

@@ -11,14 +11,23 @@ square root, at the cost of a non-unitary basis; every check in this
 package is an algebraic identity, so the basis choice is immaterial, but
 matrix output differs from square-root-normalized conventions by a
 diagonal similarity.
+
+Each generator maps a basis vector to a multiple of one basis vector, so
+a monomial does too, and rho(E^e F^f H^d) has a single non-zero diagonal:
+column i (weight m = j - i) goes to row i + f - e with the value
+
+    m^d * prod_{t<f} (2j-i-t)/2 * prod_{t<e} (i+f-t),
+
+which is zero unless i + f <= 2j and e <= i + f.  `_mono_entries` is this
+formula; every matrix here, rho(H), rho(E) and rho(F) included, sums it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from functools import cache, reduce
+from math import perm, prod
 
 from .hseries import HSeries
 from .pbw import Element
@@ -63,17 +72,23 @@ def _mat_add(a, b, scale=Fraction(1)):
                     for i in range(len(a))])
 
 
-def _kron(a, b):
-    na, nb = len(a), len(b)
-    out = [[Fraction(0)] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            c = a[i][j]
-            if c:
-                for k in range(nb):
-                    for l in range(nb):
-                        if b[k][l]:
-                            out[i * nb + k][j * nb + l] = c * b[k][l]
+@cache
+def _mono_entries(two_j: int, mono) -> tuple:
+    """The non-zero entries (row, col, value) of rho(E^e F^f H^d), one per
+    column i whose image stays inside the module, in the order of i."""
+    e, f, d = mono
+    return tuple((i + f - e, i, v)
+                 for i in range(max(0, e - f), two_j - f + 1)
+                 if (v := Fraction(two_j - 2 * i, 2) ** d
+                     * Fraction(perm(two_j - i, f) * perm(i + f, e), 2 ** f)))
+
+
+def _matrix(two_j: int, terms) -> tuple:
+    """The sum of c * rho(mono) over the (mono, c) pairs of terms."""
+    out = _zeros(two_j + 1)
+    for mono, c in terms:
+        for i, j, v in _mono_entries(two_j, mono):
+            out[i][j] += c * v
     return _freeze(out)
 
 
@@ -92,51 +107,17 @@ class SpinRep:
         return j * (j + 1)
 
 
-@lru_cache(maxsize=None)
+@cache
 def spin_rep(two_j: int) -> SpinRep:
     if two_j < 0:
         raise ValueError("two_j must be nonnegative")
-    dim = two_j + 1
-    j = Fraction(two_j, 2)
-    h = _zeros(dim)
-    e = _zeros(dim)
-    f = _zeros(dim)
-    for i in range(dim):        # column i holds e_m with m = j - i
-        h[i][i] = j - i
-        if i >= 1:              # rho(E) e_m = (j - m) e_{m+1}
-            e[i - 1][i] = Fraction(i)
-        if i + 1 < dim:         # rho(F) e_m = (j + m)/2 e_{m-1}
-            f[i + 1][i] = Fraction(two_j - i, 2)
-    return SpinRep(two_j, dim, _freeze(h), _freeze(e), _freeze(f))
-
-
-@lru_cache(maxsize=None)
-def _mono_matrix(two_j: int, mono) -> tuple:
-    """rho(E^e F^f H^d), built from the right one factor at a time (a loop,
-    so the exponents are not bounded by the interpreter's recursion limit)."""
-    rep = spin_rep(two_j)
-    e, f, d = mono
-    out = _identity(rep.dim)
-    for gen, n in ((rep.h, d), (rep.f, f), (rep.e, e)):
-        for _ in range(n):
-            out = _mat_mul(gen, out)
-    return out
-
-
-def _add_scaled(acc, c, m):
-    """acc += c * m in place, touching only the non-zero entries of m (most
-    are zero: a monomial's matrix has a single non-zero diagonal)."""
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v:
-                acc[i][j] += c * v
+    h, e, f = (_matrix(two_j, [(mono, 1)])
+               for mono in ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    return SpinRep(two_j, two_j + 1, h, e, f)
 
 
 def element_matrix(x: Element, rep: SpinRep):
-    out = _zeros(rep.dim)
-    for mono, c in sorted(x.terms.items()):
-        _add_scaled(out, c, _mono_matrix(rep.two_j, mono))
-    return _freeze(out)
+    return _matrix(rep.two_j, x.terms.items())
 
 
 class RepMatrix:
@@ -158,30 +139,31 @@ class RepMatrix:
     def entry(self, i: int, j: int) -> HSeries:
         return HSeries(tuple(m[i][j] for m in self.coeffs), self.order)
 
+    def _check(self, other):
+        if self.order != other.order or self.dim != other.dim:
+            raise ValueError("RepMatrix mismatch")
+
     def __mul__(self, other):
         if not isinstance(other, RepMatrix):
             return NotImplemented
-        if self.order != other.order or self.dim != other.dim:
-            raise ValueError("RepMatrix mismatch")
-        out = []
-        for n in range(self.order + 1):
-            acc = _zeros(self.dim)
-            for k in range(n + 1):
-                _add_scaled(acc, 1, _mat_mul(self.coeffs[k], other.coeffs[n - k]))
-            out.append(_freeze(acc))
-        return RepMatrix(self.dim, out)
+        self._check(other)
+        return RepMatrix(self.dim, tuple(
+            reduce(_mat_add, (_mat_mul(self.coeffs[k], other.coeffs[n - k])
+                              for k in range(n + 1)))
+            for n in range(self.order + 1)))
+
+    def _plus(self, other, scale):
+        if not isinstance(other, RepMatrix):
+            return NotImplemented
+        self._check(other)
+        return RepMatrix(self.dim, tuple(_mat_add(a, b, scale)
+                                         for a, b in zip(self.coeffs, other.coeffs)))
 
     def __add__(self, other):
-        if self.order != other.order or self.dim != other.dim:
-            raise ValueError("RepMatrix mismatch")
-        return RepMatrix(self.dim, tuple(_mat_add(a, b)
-                                         for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, Fraction(1))
 
     def __sub__(self, other):
-        if self.order != other.order or self.dim != other.dim:
-            raise ValueError("RepMatrix mismatch")
-        return RepMatrix(self.dim, tuple(_mat_add(a, b, Fraction(-1))
-                                         for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, Fraction(-1))
 
     def __eq__(self, other):
         if not isinstance(other, RepMatrix):
@@ -226,7 +208,9 @@ def _as_tensor_series(x, order=None) -> HSeries:
 
 def evaluate(x, *reps: SpinRep) -> RepMatrix:
     """Legwise algebra-morphism evaluation of a tensor element or series
-    into the Kronecker product of one representation per leg."""
+    into the Kronecker product of one representation per leg: the entry of
+    a term at row r1*dim2 + r2 (mixed radix for more legs) is the product
+    of its legs' entries, added straight into the result."""
     s = _as_tensor_series(x)
     dim = prod(rep.dim for rep in reps)
     out = []
@@ -235,11 +219,14 @@ def evaluate(x, *reps: SpinRep) -> RepMatrix:
             raise ValueError(f"{c.legs}-leg element needs {c.legs} "
                              f"representations, got {len(reps)}")
         acc = _zeros(dim)
-        for key, coef in sorted(c.terms.items()):
-            kr = _mono_matrix(reps[0].two_j, key[0])
-            for rep, mono in zip(reps[1:], key[1:]):
-                kr = _kron(kr, _mono_matrix(rep.two_j, mono))
-            _add_scaled(acc, coef, kr)
+        for key, coef in c.terms.items():
+            entries = [(0, 0, coef)]
+            for rep, mono in zip(reps, key):
+                n = rep.dim
+                entries = [(r * n + r2, k * n + k2, v * w) for r, k, v in entries
+                           for r2, k2, w in _mono_entries(rep.two_j, mono)]
+            for r, k, v in entries:
+                acc[r][k] += v
         out.append(_freeze(acc))
     return RepMatrix(dim, out)
 
@@ -250,17 +237,13 @@ def semi_universal(cand, order: int | None = None):
     series = cand.series if hasattr(cand, "series") else cand
     if order is not None:
         series = series.pad_to(order) if order > series.order else series.truncate(order)
-    half = spin_rep(1)
     out = [[[Element.zero() for _ in range(series.order + 1)] for _ in range(2)]
            for _ in range(2)]
     for k, c in enumerate(series.coeffs):
         for (m1, m2), coef in sorted(c.terms.items()):
-            mat = _mono_matrix(half.two_j, m1)
             rest = Element({m2: 1})
-            for i in range(2):
-                for j in range(2):
-                    if mat[i][j]:
-                        out[i][j][k] = out[i][j][k] + rest * (coef * mat[i][j])
+            for i, j, v in _mono_entries(1, m1):
+                out[i][j][k] = out[i][j][k] + rest * (coef * v)
     return [[HSeries(tuple(out[i][j]), series.order) for j in range(2)]
             for i in range(2)]
 

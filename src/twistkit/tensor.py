@@ -259,7 +259,7 @@ def tensor_to_json(x: TensorElement) -> list:
 
 def _mono_from_json(leg) -> tuple:
     mono = (leg["e"], leg["f"], leg["d"])
-    if not all(isinstance(x, int) and x >= 0 for x in mono):
+    if not all(type(x) is int and x >= 0 for x in mono):
         raise ValueError(f"exponents must be non-negative integers, got {mono}")
     return mono
 
@@ -272,7 +272,7 @@ def tensor_from_json(data) -> TensorElement:
         while (name := f"leg{len(legs) + 1}") in t:
             legs.append(_mono_from_json(t[name]))
         num, den = t["num"], t["den"]
-        if not (isinstance(num, int) and isinstance(den, int)) or den == 0:
+        if not (type(num) is int and type(den) is int) or den == 0:
             raise ValueError(f"coefficient {num}/{den} is not a fraction of "
                              "integers with a non-zero denominator")
         terms[tuple(legs)] = Fraction(num, den)

@@ -101,7 +101,7 @@ class TwistCandidate:
     @classmethod
     def from_json(cls, data: dict) -> "TwistCandidate":
         coeffs = [tensor_from_json(c) for c in data["coeffs"]]
-        if len(coeffs) != data["order"] + 1:
+        if type(data["order"]) is not int or len(coeffs) != data["order"] + 1:
             raise ValueError("candidate order does not match coefficient count")
         cand = cls.from_coefficients(coeffs)
         if not cand.leading_invertible():

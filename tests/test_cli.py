@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +446,92 @@ def test_help_states_each_bound(capsys):
         assert f"0..{largest}; order {largest} takes about {took}" in text
         if command == "eval-rep":
             assert f"0..{cli.MAX_TWO_J};" in text
+
+
+def test_help_states_solve_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve-twist", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {cli.MAX_UNKNOWNS} unknowns (2L-1)*C(D+4, 4)" in text
+    assert f"0..{cli.MAX_ESCALATIONS} (default {cli.MAX_ESCALATIONS})" in text
+
+
+# the first cutoffs above the bound at order 5 (L = 7 gives 13013 unknowns,
+# D = 11 gives 15015), an ansatz of 32M unknowns, and one escalation too
+# many or too few
+@pytest.mark.parametrize("extra, message", [
+    (["--order", "5", "--cutoff-l", "7"],
+     "the order-5 ansatz at L=7, D=10 has 13013 unknowns, more than 11011"),
+    (["--order", "5", "--cutoff-d", "11"],
+     "the order-5 ansatz at L=6, D=11 has 15015 unknowns, more than 11011"),
+    (["--order", "3", "--cutoff-d", "100"],
+     "the order-3 ansatz at L=4, D=100 has 32186882 unknowns, more than 11011"),
+    (["--order", "1", "--max-escalations", "3"],
+     "--max-escalations must be in 0..2, got 3"),
+    (["--order", "1", "--max-escalations", "-1"],
+     "--max-escalations must be in 0..2, got -1"),
+])
+def test_solve_bounds_rejected_before_work(capsys, monkeypatch, extra, message):
+    _forbid_work(monkeypatch)
+    assert main(["solve-twist"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_solve_bounds_accept_defaults_and_tested_cutoffs(capsys, monkeypatch):
+    calls = []
+
+    def fake_build(order, **cutoffs):
+        calls.append(order)
+        return TwistCandidate.from_coefficients([TensorElement.one()]), []
+    monkeypatch.setattr(cli, "build_candidate", fake_build)
+    argvs = [["--order", str(n)] for n in range(6)]
+    argvs += [["--order", "5", "--max-escalations", "0"],
+              ["--order", "2", "--cutoff-l", "3", "--cutoff-d", "4"],
+              ["--order", "2", "--cutoff-l", "2", "--cutoff-d", "6"],
+              ["--order", "1", "--cutoff-l", "1", "--cutoff-d", "0"]]
+    for argv in argvs:
+        main(["solve-twist"] + argv)
+    assert capsys.readouterr().err == ""
+    assert len(calls) == len(argvs)
+
+
+@pytest.mark.parametrize("field", ["e", "num", "den", "order"])
+@pytest.mark.parametrize("command", [["verify", "--checks", "normalization"],
+                                     ["eval-rep", "--two-j1", "1",
+                                      "--two-j2", "1"]])
+def test_boolean_in_candidate_is_bad_input(capsys, tmp_path, command, field):
+    # JSON true is a Python bool, which isinstance(x, int) would accept;
+    # as an order it would match two coefficients (true + 1 == 2)
+    data = reference_candidate(2).to_json()
+    term = data["coeffs"][1][0]
+    if field == "order":
+        data["coeffs"] = data["coeffs"][:2]
+    {"e": term["leg1"], "order": data}.get(field, term)[field] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code = main([command[0], str(path), "--order", "2"] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load candidate:")
+    assert captured.err.count("\n") == 1
+
+
+# digests of the output of
+#   twistkit eval-rep perfbench/fixture/candidate-order3.json \
+#       --two-j1 8 --two-j2 8 --order 3 [--format json]
+# as printed by the dense-matrix evaluation this output must keep
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "88bf409963a35bb6b0c82bd648899c13208b4b4c95602e544ac312937f8bf861"),
+    ("json", "d3f311d167e7668996c8f9a9ccca6523f74fc1d0ba6980aed33ff06854484fbe"),
+])
+def test_eval_rep_output_pinned(capsys, fmt, digest):
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+    code = main(["eval-rep", str(fixture / "candidate-order3.json"),
+                 "--two-j1", "8", "--two-j2", "8", "--order", "3",
+                 "--format", fmt])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

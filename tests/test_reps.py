@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -6,7 +9,7 @@ from twistkit.hseries import HSeries
 from twistkit.pbw import E, F, H, Element, casimir
 from twistkit.reps import (RepMatrix, element_matrix, evaluate,
                            rep_unitarity_check, semi_universal, spin_rep,
-                           _identity, _kron, _mat_add, _mat_mul)
+                           _identity, _mat_add, _mat_mul, _mono_entries)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, leg_embed, outer, series_flip)
 from twistkit.twist import (TwistCandidate, cocycle_defect,
@@ -14,6 +17,45 @@ from twistkit.twist import (TwistCandidate, cocycle_defect,
                             unitarity_defect)
 
 from conftest import random_tensor
+
+
+def _kron(a, b):
+    """Dense Kronecker product: the reference for evaluate on tensors."""
+    na, nb = len(a), len(b)
+    out = [[Fraction(0)] * (na * nb) for _ in range(na * nb)]
+    for i in range(na):
+        for j in range(na):
+            c = a[i][j]
+            if c:
+                for k in range(nb):
+                    for l in range(nb):
+                        if b[k][l]:
+                            out[i * nb + k][j * nb + l] = c * b[k][l]
+    return tuple(tuple(r) for r in out)
+
+
+def _dense_mono(rep, mono):
+    """rho(E^e F^f H^d) as a product of dense generator matrices."""
+    e, f, d = mono
+    out = _identity(rep.dim)
+    for gen, n in ((rep.h, d), (rep.f, f), (rep.e, e)):
+        for _ in range(n):
+            out = _mat_mul(gen, out)
+    return out
+
+
+def _dense_evaluate(x, *reps):
+    """evaluate through one dense Kronecker product per term."""
+    dim = prod(rep.dim for rep in reps)
+    out = []
+    for c in x.coeffs:
+        acc = tuple((Fraction(0),) * dim for _ in range(dim))
+        for key, coef in c.terms.items():
+            kr = reduce(_kron, (_dense_mono(rep, mono)
+                                for rep, mono in zip(reps, key)))
+            acc = _mat_add(acc, kr, coef)
+        out.append(acc)
+    return RepMatrix(dim, out)
 
 
 def test_spin_half_matrices():
@@ -209,3 +251,74 @@ def test_repmatrix_entry_and_json():
     data = m.to_json()
     assert data["dim"] == 4 and data["order"] == 1
     assert data["matrix"][2][1] == [{"num": 0, "den": 1}, {"num": 1, "den": 2}]
+
+
+@pytest.mark.parametrize("two_j", range(7))
+def test_generators_follow_the_stated_normalization(two_j):
+    # rho(H) e_m = m e_m, rho(E) e_m = (j-m) e_{m+1},
+    # rho(F) e_m = (j+m)/2 e_{m-1}, column i holding e_m with m = j - i
+    rep = spin_rep(two_j)
+    h, e, f = ([[Fraction(0)] * rep.dim for _ in range(rep.dim)]
+               for _ in range(3))
+    for i in range(rep.dim):
+        h[i][i] = Fraction(two_j - 2 * i, 2)
+        if i >= 1:
+            e[i - 1][i] = Fraction(i)
+        if i < two_j:
+            f[i + 1][i] = Fraction(two_j - i, 2)
+    assert (rep.h, rep.e, rep.f) == tuple(tuple(map(tuple, m)) for m in (h, e, f))
+
+
+@pytest.mark.parametrize("two_j", range(7))
+def test_mono_entries_match_dense_products(two_j):
+    # every exponent up to 4, and exponents one past the dimension, which
+    # leave no entries
+    rep = spin_rep(two_j)
+    big = two_j + 2
+    monos = list(product(range(5), repeat=3))
+    monos += [(big, 0, 0), (0, big, 0), (big, big, 1), (1, big, 0)]
+    for mono in monos:
+        dense = _dense_mono(rep, mono)
+        entries = [(i, j, v) for i, row in enumerate(dense)
+                   for j, v in enumerate(row) if v]
+        assert list(_mono_entries(two_j, mono)) == sorted(
+            entries, key=lambda t: t[1]), mono
+        assert element_matrix(Element.monomial(*mono), rep) == dense
+    for mono in monos[-4:-1]:
+        assert _mono_entries(two_j, mono) == ()
+
+
+def _random_series(rng, legs):
+    """A series of random tensors with coprime denominators, a zero
+    coefficient and terms whose coefficient is zero."""
+    coeffs = []
+    for k in range(3):
+        x = random_tensor(rng, dens=(1, 2, 3, 5, 7), legs=legs)
+        zero_key = tuple((k, 1, 0) for _ in range(legs))
+        x = x + TensorElement({zero_key: 0})
+        coeffs.append(x)
+    coeffs.insert(1, TensorElement({((0, 0, 0),) * legs: 0}))
+    return HSeries(coeffs)
+
+
+@pytest.mark.parametrize("two_js", [(1, 2), (2, 3), (1, 1, 2)])
+def test_evaluate_matches_dense_kron(rng, two_js):
+    reps = [spin_rep(tj) for tj in two_js]
+    for _ in range(10):
+        s = _random_series(rng, len(two_js))
+        assert evaluate(s, *reps) == _dense_evaluate(s, *reps)
+
+
+def test_evaluate_leg_count_mismatch():
+    half = spin_rep(1)
+    with pytest.raises(ValueError):
+        evaluate(TensorElement.one(), half, half, half)
+    with pytest.raises(ValueError):
+        evaluate(TensorElement({((0, 0, 0),) * 3: 1}), half, half)
+
+
+def test_repmatrix_with_non_matrix_is_type_error():
+    m = RepMatrix.identity(2, 1)
+    for op in (lambda: m + 1, lambda: m - 1, lambda: 1 + m, lambda: m * 1):
+        with pytest.raises(TypeError):
+            op()
