@@ -44,6 +44,10 @@ MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3 min"),
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
 # order 3: spin A/2 (x) B/2 prints ((A+1)(B+1))^2 series per order
 MAX_TWO_J, MAX_TWO_J_TIME = 32, "2.4 s"
+# eval-rep --format json builds one dict per matrix entry and then one
+# indented string, so its memory grows with the ((A+1)(B+1))^2 (N+1)
+# entries: at most those of 16 x 16 at order 3, which peaks at 301 MB
+MAX_JSON_ENTRIES, MAX_JSON_AT = 334084, "16 x 16 at order 3"
 # solve-twist: the unknowns (2L-1)*C(D+4, 4) of the ansatz at the top order
 # with the given cutoffs, at most those of the order-5 default (L = 6,
 # D = 10) timed above, and at most the default number of escalations
@@ -354,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "not flip the exit code")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("eval-rep", help="evaluate a candidate in a spin representation")
+    p = sub.add_parser("eval-rep", help="evaluate a candidate in a spin representation",
+                       description="With --format json, spins A/2 (x) B/2 at order "
+                                   "N give ((A+1)(B+1))^2*(N+1) entries, at most "
+                                   f"{MAX_JSON_ENTRIES} ({MAX_JSON_AT}).")
     p.add_argument("candidate", help="candidate JSON file")
     for leg in (1, 2):
         p.add_argument(f"--two-j{leg}", type=int, required=True,
@@ -407,6 +414,13 @@ def main(argv=None) -> int:
             print(f"error: --{flag.replace('_', '-')} must be in 0..{MAX_TWO_J}, "
                   f"got {two_j}", file=sys.stderr)
             return EXIT_BAD_INPUT
+    if (args.command == "eval-rep" and args.format == "json"
+            and (n := ((args.two_j1 + 1) * (args.two_j2 + 1)) ** 2
+                 * (args.order + 1)) > MAX_JSON_ENTRIES):
+        print(f"error: eval-rep --format json at two_j {args.two_j1} x "
+              f"{args.two_j2}, order {args.order} has {n} entries, more than "
+              f"{MAX_JSON_ENTRIES}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.command == "solve-twist" and (problem := _solve_bounds(args)):
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -19,16 +19,32 @@ commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, so the system
 matrix is integral and only the right-hand side is rational; it is built
 straight into integer rows and solved by fraction-free elimination.
 
-Only the J+ rows, [F_k, Delta(E)], are assembled and solved.  The J0 rows
-are empty, since the weight-zero ansatz commutes with Delta(H), and the
-J- rows have added no rank at any order or cutoff tried.  The J+
-solution set contains the full one, so it is certified exactly before it
-is returned: the order-k residuals of all three generators must vanish
-on the particular solution, and every homogeneous element must commute
-with Delta(H), Delta(E) and Delta(F).  Then the two sets are equal and
-the answer is the one the full system gives.  A failed certificate
-re-solves on all rows; an inconsistent J+ system is already proof that
-the full one is inconsistent.
+Only the J+ rows, [F_k, Delta(E)], are assembled and solved: once the
+lower orders are valid, their solutions are exactly those of the whole
+system.  Write rho(g) = F Delta(m(g)) - Delta_q~(g) F for the residual.
+Since m and Delta_q~ are algebra maps,
+
+    rho(ab) = rho(a) Delta(m(b)) + Delta_q~(a) rho(b).
+
+The J0 residual is [F, Delta(H)], which vanishes for the weight-zero
+ansatz, so the J0 rows are empty.  Say rho vanishes below order k and its
+h^k coefficient rho_k vanishes on J0 and J+.  Applying rho to
+[J+, J-] = [2 J0]_q gives [Delta(E), rho_k(J-)] = 0, and applying it to
+[J0, J-] = -J- shows that rho_k(J-) has negative weight.  The adjoint
+action of Delta(sl2) on U (x) U is locally finite, so rho_k(J-) is a
+highest-weight vector of negative weight in a finite-dimensional module,
+hence 0.  Likewise a weight-zero element that commutes with Delta(H) and
+Delta(E) spans a trivial module, so it also commutes with Delta(F): the
+J+ kernel is the full one, and an inconsistent J+ system proves the
+full system inconsistent.
+
+The proof needs valid lower orders.  The residual series whose h^k
+coefficient is the right-hand side also holds orders 0..k-1 of all three
+residuals, which depend only on F_0..F_{k-1}, so solve_order checks them
+first and raises ValueError if one is non-zero.  A solution is still
+certified exactly before it is returned: the order-k residuals of all
+three generators must vanish on the particular solution, and every
+homogeneous element must commute with Delta(H), Delta(E) and Delta(F).
 """
 
 from __future__ import annotations
@@ -39,21 +55,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .deform import IMAGES, delta_q_image, generator_images
+from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
 from .lincomb import _iadd
-from .pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir, mono_mul
+from .pbw import E, E_MONO, F, H, Element, casimir, mono_mul
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, cartan_killing, classical_r,
                      coproduct, coproduct_leg, counit_leg, extend_back,
                      extend_front, flip, outer, series_coproduct,
                      series_flip, tensor_from_json, tensor_to_json)
-
-_GEN_MONOS = {"J0": H_MONO, "J+": E_MONO, "J-": F_MONO}  # classical images
-# the generators whose order-k equations are assembled, by SolutionSet.equations
-_EQUATIONS = {"J+": ("J+",), "all": tuple(IMAGES)}
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +320,18 @@ def _mono_commutator(pair, g) -> tuple:
 class SolutionSet:
     """Outcome of one order-k solve: a particular solution (free unknowns
     zeroed under the deterministic pivot order) and a basis of the
-    homogeneous solution space inside the ansatz."""
+    homogeneous solution space inside the ansatz, both certified against
+    all three generators."""
 
     order: int
     cutoff_l: int
     cutoff_d: int
-    status: str                              # "solved" | "infeasible-at-cutoff"
+    status: str       # "solved" | "infeasible-at-cutoff" (J+ rows inconsistent)
     particular: TensorElement | None = None
     homogeneous: list = field(default_factory=list)
     pivot_log: list = field(default_factory=list)
     unknown_count: int = 0
     rank: int = 0
-    equations: str = "J+"                    # rows solved: "J+" | "all"
 
     @property
     def solved(self) -> bool:
@@ -339,21 +351,18 @@ class SolutionSet:
         }
 
 
-def _solve(k: int, ansatz: TwistAnsatz, const: dict,
-           equations: str) -> SolutionSet:
-    """Assemble and solve the order-k equations that `equations` names."""
-    # row (g, mono) of [payload_u, Delta(g)] in column u.  Payloads are
-    # products of H, I, E and F, so every entry is an integer
-    gens = _EQUATIONS[equations]
+def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
+    """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const."""
+    # row mono of [payload_u, Delta(E)] in column u.  Payloads are products
+    # of H, I, E and F, so every entry is an integer
     row_of: dict = defaultdict(dict)
     for ci, u in enumerate(ansatz.unknowns):
         for pair, pc in ansatz.payload(u).terms.items():
             if pc.denominator != 1:
                 raise ValueError(f"payload coefficient {pc} is not an integer")
-            for g in gens:
-                for mono, c in _mono_commutator(pair, _GEN_MONOS[g]):
-                    _iadd(row_of[(g, mono)], ci, pc.numerator * c)
-    b = {(g, mono): -c for g in gens for mono, c in const[g].terms.items()}
+            for mono, c in _mono_commutator(pair, E_MONO):
+                _iadd(row_of[mono], ci, pc.numerator * c)
+    b = {mono: -c for mono, c in const.terms.items()}
 
     # a row whose entries all cancel is kept only for a non-zero rhs
     keys = sorted({key for key, row in row_of.items() if row} | b.keys())
@@ -364,8 +373,7 @@ def _solve(k: int, ansatz: TwistAnsatz, const: dict,
     sol = SolutionSet(order=k, cutoff_l=ansatz.cutoff_l, cutoff_d=ansatz.cutoff_d,
                       status="solved" if lin.status == "solved" else "infeasible-at-cutoff",
                       unknown_count=len(ansatz), rank=len(lin.pivot_cols),
-                      pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols],
-                      equations=equations)
+                      pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols])
     if not sol.solved:
         return sol
     sol.particular = ansatz.instantiate(lin.particular)
@@ -389,29 +397,30 @@ def _certified(k: int, low: TwistCandidate, sol: SolutionSet) -> bool:
 def solve_order(k: int, lower: TwistCandidate,
                 ansatz: TwistAnsatz | None = None) -> SolutionSet:
     """Solve the order-k residual equations for F_k given the lower-order
-    coefficients (which must already satisfy their own equations).
+    coefficients.
 
-    Only the J+ equations are solved.  A solution is returned only once it
-    is certified against all three generators (see the module docstring);
-    if the certificate fails, all equations are solved instead, and the
-    result's `equations` says which rows were used.  Raises RuntimeError
-    if the all-rows solution fails the certificate too."""
+    The lower orders are checked first: ValueError if any residual of
+    theirs is non-zero.  Then only the J+ equations are solved, which
+    suffices by the proof in the module docstring.  A solution is returned
+    only once it is certified against all three generators; RuntimeError
+    if it is not; there is no fallback solve."""
     if ansatz is None:
         ansatz = TwistAnsatz(k)
     if lower.order < k - 1:
         raise ValueError(f"lower candidate must reach order {k - 1}")
     low = lower.at_order(k - 1).at_order(k)  # truncate then pad F_k = 0
 
-    # inhomogeneous part: order-k residual of the zero-extended candidate
-    const = {g: s.coeffs[k]
-             for g, s in twist_residual_series(low, k).items()}
+    # orders below k hold the lower orders' own residuals; order k of the
+    # zero-extended candidate is the inhomogeneous part
+    residuals = twist_residual_series(low, k)
+    for g, s in residuals.items():
+        bad = s.first_nonzero()
+        if bad is not None and bad < k:
+            raise ValueError(f"the lower candidate fails twist[{g}] at order {bad}")
 
-    # an inconsistent J+ system proves the full system inconsistent
-    sol = _solve(k, ansatz, const, "J+")
+    sol = _solve(k, ansatz, residuals["J+"].coeffs[k])
     if sol.solved and not _certified(k, low, sol):
-        sol = _solve(k, ansatz, const, "all")
-        if sol.solved and not _certified(k, low, sol):
-            raise RuntimeError(f"the order-{k} solution fails its exact certificate")
+        raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
 
 

@@ -438,6 +438,30 @@ def test_two_j_above_bound_rejected_before_work(capsys, monkeypatch, flag,
                             f"got {cli.MAX_TWO_J + 1}\n")
 
 
+def test_eval_rep_json_above_entry_bound_rejected_before_work(
+        capsys, monkeypatch, tmp_path, reference_file):
+    # 16 x 16 at order 3 is the bound (334,084 entries); order 4 is over it
+    _forbid_work(monkeypatch)
+    out = tmp_path / "matrix.json"
+    assert main(["eval-rep", reference_file, "--two-j1", "16", "--two-j2", "16",
+                 "--order", "4", "--format", "json", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eval-rep --format json at two_j 16 x 16, "
+                            "order 4 has 417605 entries, more than 334084\n")
+    assert not out.exists()
+
+
+def test_eval_rep_json_below_entry_bound_runs(capsys):
+    # the 2 x 3 JSON job of the benchmark's check workload
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+    code, out = run_cli(capsys, "eval-rep", str(fixture / "candidate-order3.json"),
+                        "--two-j1", "2", "--two-j2", "3", "--order", "3",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dim"] == 12
+
+
 def test_help_states_each_bound(capsys):
     for command, (largest, took) in cli.MAX_ORDER.items():
         with pytest.raises(SystemExit):
@@ -446,6 +470,7 @@ def test_help_states_each_bound(capsys):
         assert f"0..{largest}; order {largest} takes about {took}" in text
         if command == "eval-rep":
             assert f"0..{cli.MAX_TWO_J};" in text
+            assert f"at most {cli.MAX_JSON_ENTRIES} ({cli.MAX_JSON_AT})" in text
 
 
 def test_help_states_solve_bounds(capsys):

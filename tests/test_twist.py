@@ -421,35 +421,40 @@ def spy_on_solver(monkeypatch):
     return statuses
 
 
-def test_failed_certificate_falls_back_to_all_rows(monkeypatch):
-    # F1 = r + H (x) 1 breaks the order-1 equations.  At order 2 the J+
-    # rows are still consistent, but their solution fails the J0 and J-
-    # residuals; the system of all rows shows that no F2 exists
+@pytest.mark.parametrize("solve", [solve_order, solve_with_escalation],
+                         ids=["solve_order", "solve_with_escalation"])
+def test_invalid_lower_orders_raise_before_any_solve(monkeypatch, solve):
+    # F1 = r + H (x) 1 breaks the order-1 J+ equation, so the proof that
+    # the J+ rows suffice does not apply at order 2: the check raises
+    # before any system is assembled, and escalation does not retry
     statuses = spy_on_solver(monkeypatch)
+    calls = []
+    real_solve_order = twist.solve_order
+
+    def counting_solve_order(*args):
+        calls.append(args[0])
+        return real_solve_order(*args)
+    monkeypatch.setattr(twist, "solve_order", counting_solve_order)
     lower = TwistCandidate.from_coefficients(
         [TensorElement.one(), classical_r() + outer(H, Element.one())])
-    sol = solve_order(2, lower)
-    assert statuses == ["solved", "inconsistent"]
-    assert sol.status == "infeasible-at-cutoff"
-    assert sol.equations == "all"
-    assert "equations" not in sol.to_json()
-
-
-def test_certified_solutions_use_the_J_plus_rows(order3_build):
-    _, sols = order3_build
-    assert [s.equations for s in sols] == ["J+", "J+", "J+"]
+    with pytest.raises(ValueError, match=r"twist\[J\+\] at order 1"):
+        solve(2, lower)
+    assert statuses == []
+    if solve is solve_with_escalation:
+        assert calls == [2]  # one attempt, no escalation
 
 
 def test_inconsistent_J_plus_rows_need_no_fallback(monkeypatch, one_candidate):
     statuses = spy_on_solver(monkeypatch)
     sol = solve_order(1, one_candidate, TwistAnsatz(1, cutoff_l=1, cutoff_d=2))
     assert statuses == ["inconsistent"]
-    assert sol.equations == "J+"
+    assert sol.status == "infeasible-at-cutoff"
 
 
-def test_certificate_failing_on_all_rows_raises(monkeypatch, one_candidate):
+def test_failed_certificate_raises_without_a_second_solve(monkeypatch,
+                                                          one_candidate):
     statuses = spy_on_solver(monkeypatch)
     monkeypatch.setattr(twist, "kernel_check", lambda f: False)
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
-    assert statuses == ["solved", "solved"]
+    assert statuses == ["solved"]
