@@ -37,9 +37,9 @@ EXIT_INFEASIBLE = 3
 # bound the time grows about 3x per two orders (10x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3 min"),
+MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "170 s"),
              "verify": (14, "27 s with --checks all"),
-             "eval-rep": (20, "6 s at two_j 32 x 32"),
+             "eval-rep": (20, "10-19 s at two_j 32 x 32"),
              "show-rmatrix": (18, "31 s")}
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
 # order 3: spin A/2 (x) B/2 prints ((A+1)(B+1))^2 series per order

@@ -58,7 +58,7 @@ from functools import cache
 from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
-from .lincomb import _iadd
+from .lincomb import _integral, _rational
 from .pbw import E, E_MONO, F, H, Element, casimir, mono_mul
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
@@ -233,6 +233,13 @@ class AnsatzUnknown:
                       for n, e in zip(names, self.mono) if e)
         return f"{self.side}{self.l}[{ms or '1'}]"
 
+    def legs(self) -> tuple:
+        """The keys (h_exp, i_exp, gen, l) of the two legs of the payload
+        H1^a1 I1^b1 G1^l (x) H2^a2 I2^b2 G2^l."""
+        a1, a2, b1, b2 = self.mono
+        g1, g2 = ("E", "F") if self.side == "a" else ("F", "E")
+        return (a1, b1, g1, self.l), (a2, b2, g2, self.l)
+
 
 class TwistAnsatz:
     """The weight-zero template at one order: powers l < L, polynomial
@@ -268,23 +275,24 @@ class TwistAnsatz:
 
     def payload(self, u: AnsatzUnknown) -> TensorElement:
         """The tensor element multiplied by the unknown u."""
-        a1, a2, b1, b2 = u.mono
-        if u.side == "a":
-            leg1 = _leg_element(a1, b1, "E", u.l)
-            leg2 = _leg_element(a2, b2, "F", u.l)
-        else:
-            leg1 = _leg_element(a1, b1, "F", u.l)
-            leg2 = _leg_element(a2, b2, "E", u.l)
-        return outer(leg1, leg2)
+        leg1, leg2 = u.legs()
+        return outer(_leg_element(*leg1), _leg_element(*leg2))
 
     def instantiate(self, values) -> TensorElement:
-        """Assemble sum_u values[u_index] * payload(u)."""
-        total = TensorElement.zero()
-        for i, u in enumerate(self.unknowns):
-            v = values[i]
-            if v:
-                total = total + self.payload(u) * v
-        return total
+        """Assemble sum_u values[u_index] * payload(u), in integers: the
+        values are scaled once by the lcm of their denominators."""
+        ints, den = _integral({i: values[i] for i in range(len(self))
+                               if values[i]})
+        acc: dict = {}
+        for i, v in ints.items():
+            leg1, leg2 = self.unknowns[i].legs()
+            ys = _leg_ints(*leg2)
+            for m1, c1 in _leg_ints(*leg1):
+                c1 *= v
+                for m2, c2 in ys:
+                    key = (m1, m2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        return TensorElement._raw(_rational(acc, den))
 
 
 @cache
@@ -294,26 +302,50 @@ def _leg_element(h_exp: int, i_exp: int, gen: str, l: int) -> Element:
             * (E if gen == "E" else F) ** l)
 
 
+@cache
+def _leg_ints(h_exp: int, i_exp: int, gen: str, l: int) -> tuple:
+    """The leg H^h I^i G^l as ((mono, int), ...), cached.  Products of H,
+    I, E and F have integer coefficients in the PBW basis."""
+    terms = _leg_element(h_exp, i_exp, gen, l).terms
+    for c in terms.values():
+        if c.denominator != 1:
+            raise ValueError(f"leg coefficient {c} is not an integer")
+    return tuple((mono, c.numerator) for mono, c in terms.items())
+
+
+@cache
+def _leg_bracket(h_exp: int, i_exp: int, gen: str, l: int, g) -> tuple:
+    """[x, g] for the leg x = H^h I^i G^l and a generator monomial g, as
+    ((mono, int), ...) without zeros, cached."""
+    acc: dict = {}
+    for m, c in _leg_ints(h_exp, i_exp, gen, l):
+        for mono, d in mono_mul(m, g):
+            acc[mono] = acc.get(mono, 0) + c * d
+        for mono, d in mono_mul(g, m):
+            acc[mono] = acc.get(mono, 0) - c * d
+    return tuple((mono, c) for mono, c in acc.items() if c)
+
+
 # ---------------------------------------------------------------------------
 # the order-k solver
 
 
-@cache
-def _mono_commutator(pair, g) -> tuple:
-    """[m1 (x) m2, Delta(g)] for a tensor monomial and a generator monomial
-    g, with integer coefficients, cached.  Delta(g) = g (x) 1 + 1 (x) g is
-    primitive, so the bracket is [m1, g] (x) m2 + m1 (x) [m2, g]."""
-    m1, m2 = pair
-    acc: dict = {}
-    for mono, c in mono_mul(m1, g):
-        _iadd(acc, (mono, m2), c)
-    for mono, c in mono_mul(g, m1):
-        _iadd(acc, (mono, m2), -c)
-    for mono, c in mono_mul(m2, g):
-        _iadd(acc, (m1, mono), c)
-    for mono, c in mono_mul(g, m2):
-        _iadd(acc, (m1, mono), -c)
-    return tuple(acc.items())
+def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
+    """The J+ system matrix as {row mono: {column: int}}, column u holding
+    [payload(u), Delta(E)].  Delta(E) is primitive, so for payload(u) =
+    x (x) y that is [x, E] (x) y + x (x) [y, E].  Each leg is homogeneous
+    in weight, and the first legs of the two outer products differ in
+    weight by one, so no key is written twice and every entry is a
+    non-zero int."""
+    row_of: dict = defaultdict(dict)
+    for ci, u in enumerate(ansatz.unknowns):
+        leg1, leg2 = u.legs()
+        for xs, ys in ((_leg_bracket(*leg1, E_MONO), _leg_ints(*leg2)),
+                       (_leg_ints(*leg1), _leg_bracket(*leg2, E_MONO))):
+            for m1, c1 in xs:
+                for m2, c2 in ys:
+                    row_of[(m1, m2)][ci] = c1 * c2
+    return row_of
 
 
 @dataclass
@@ -353,19 +385,11 @@ class SolutionSet:
 
 def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const."""
-    # row mono of [payload_u, Delta(E)] in column u.  Payloads are products
-    # of H, I, E and F, so every entry is an integer
-    row_of: dict = defaultdict(dict)
-    for ci, u in enumerate(ansatz.unknowns):
-        for pair, pc in ansatz.payload(u).terms.items():
-            if pc.denominator != 1:
-                raise ValueError(f"payload coefficient {pc} is not an integer")
-            for mono, c in _mono_commutator(pair, E_MONO):
-                _iadd(row_of[mono], ci, pc.numerator * c)
+    row_of = _j_plus_rows(ansatz)
     b = {mono: -c for mono, c in const.terms.items()}
 
-    # a row whose entries all cancel is kept only for a non-zero rhs
-    keys = sorted({key for key, row in row_of.items() if row} | b.keys())
+    # a rhs term outside every column gives an empty, inconsistent row
+    keys = sorted(row_of.keys() | b.keys())
     rows = [row_of.get(key, {}) for key in keys]
     rhs = [b.get(key, Fraction(0)) for key in keys]
 

@@ -334,15 +334,23 @@ def test_ansatz_validation():
 # the order-k system
 
 
-def test_mono_commutator_is_bracket_with_coproduct(rng):
-    for _ in range(30):
-        pair = (random_monomial(rng), random_monomial(rng))
-        m = TensorElement({pair: 1})
-        for g_mono, g in ((H_MONO, H), (E_MONO, E), (F_MONO, F)):
-            terms = twist._mono_commutator(pair, g_mono)
-            delta = coproduct(g)
-            assert TensorElement(dict(terms)) == m * delta - delta * m
-            assert all(type(c) is int for _, c in terms)
+def test_leg_bracket_is_commutator_with_generator():
+    for k in (1, 2, 3):
+        legs = {leg for u in TwistAnsatz(k).unknowns for leg in u.legs()}
+        for leg in legs:
+            x = twist._leg_element(*leg)
+            assert Element(dict(twist._leg_ints(*leg))) == x
+            for g_mono, g in ((H_MONO, H), (E_MONO, E), (F_MONO, F)):
+                terms = twist._leg_bracket(*leg, g_mono)
+                assert Element(dict(terms)) == x * g - g * x
+                assert all(type(c) is int and c for _, c in terms)
+
+
+def test_non_integral_leg_raises(monkeypatch):
+    # __wrapped__ bypasses the cache, which keeps the real legs
+    monkeypatch.setattr(twist, "_leg_element", lambda *leg: H * Fraction(1, 2))
+    with pytest.raises(ValueError, match="leg coefficient 1/2 is not an integer"):
+        twist._leg_ints.__wrapped__(1, 0, "E", 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -354,14 +362,50 @@ def test_ansatz_payloads_are_integral(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ansatz_commutes_with_coproduct_of_H(k):
-    # why solve_order assembles no J0 rows: every payload has weight zero
+    # why solve_order assembles no J0 rows: every payload has weight zero,
+    # so [x, H] (x) y + x (x) [y, H] = 0 for each payload x (x) y
     ans = TwistAnsatz(k)
     for u in ans.unknowns:
+        leg1, leg2 = u.legs()
         acc = {}
-        for pair, pc in ans.payload(u).terms.items():
-            for mono, c in twist._mono_commutator(pair, H_MONO):
-                acc[mono] = acc.get(mono, 0) + pc * c
+        for xs, ys in ((twist._leg_bracket(*leg1, H_MONO), twist._leg_ints(*leg2)),
+                       (twist._leg_ints(*leg1), twist._leg_bracket(*leg2, H_MONO))):
+            for m1, c1 in xs:
+                for m2, c2 in ys:
+                    acc[(m1, m2)] = acc.get((m1, m2), 0) + c1 * c2
         assert not any(acc.values())
+
+
+@pytest.mark.parametrize("k, sample", [(1, None), (2, None), (3, 60)])
+def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
+    # the reference is the TensorElement product, not the per-leg brackets
+    ans = TwistAnsatz(k)
+    columns = {}
+    for mono, row in twist._j_plus_rows(ans).items():
+        assert row
+        for ci, c in row.items():
+            assert type(c) is int and c
+            columns.setdefault(ci, {})[mono] = c
+    indices = range(len(ans))
+    if sample is not None:
+        indices = rng.sample(indices, sample)
+    delta = coproduct(E)
+    for ci in indices:
+        p = ans.payload(ans.unknowns[ci])
+        assert TensorElement(columns.get(ci, {})) == p * delta - delta * p
+
+
+def test_instantiate_is_the_sum_of_payloads(rng):
+    ans = TwistAnsatz(2)
+    values = [rng.choice((0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 6)))
+              for _ in ans.unknowns]
+    want = TensorElement.zero()
+    for u, v in zip(ans.unknowns, values):
+        want = want + ans.payload(u) * v
+    got = ans.instantiate(values)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert ans.instantiate([0] * len(ans)).is_zero()
 
 
 @pytest.mark.parametrize("k, rows, cols, nnz, rank",
