@@ -34,10 +34,10 @@ EXIT_INFEASIBLE = 3
 # the largest --order of each command and the wall time of that order on
 # one 2.1 GHz Xeon core with Python 3.11.7 (verify and eval-rep on the
 # order-3 candidate perfbench/fixture/candidate-order3.json); near each
-# bound the time grows about 3x per two orders (10x per order for
+# bound the time grows about 3x per two orders (8x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "170 s"),
+MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "42-52 s"),
              "verify": (14, "27 s with --checks all"),
              "eval-rep": (20, "10-19 s at two_j 32 x 32"),
              "show-rmatrix": (18, "31 s")}

@@ -7,21 +7,26 @@ pivot rows found so far, combining two rows with multipliers divided by
 their gcd.  They are visited fewest non-zero entries first, ties broken
 by the caller's row index: sparse rows make sparse pivots, so later rows
 fill in less while they are reduced (the row order of structured
-Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko 1990).  Every
-stored pivot row is primitive (content 1, leading entry positive), which
-fixes it by the line it spans alone, so the elimination is fraction-free
-and bit-for-bit reproducible.  Fractions reappear only when the solution
-is read off.  Pivot columns are the leading (smallest-index) columns of
-the echelon rows; the particular solution sets every free column to
-zero.  The back-reduced echelon form of the row space is unique under
-the fixed column order, so the visiting order moves the time but not
-the answer.
+Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko 1990).  Each
+reduction step updates the working row in place and walks only the
+pivot row's entries; the working row is multiplied through only when
+its multiplier is not 1, which is rare.  The working row's leading
+column comes from a heap of its candidate columns, so no step scans the
+row.  Every stored pivot row is primitive (content 1, leading entry
+positive), which fixes it by the line it spans alone, so the elimination
+is fraction-free and bit-for-bit reproducible.  Fractions reappear only
+when the solution is read off.  Pivot columns are the leading
+(smallest-index) columns of the echelon rows; the particular solution
+sets every free column to zero.  The back-reduced echelon form of the
+row space is unique under the fixed column order, so the visiting order
+moves the time but not the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .lincomb import _integral
@@ -32,6 +37,13 @@ RHS = -1  # augmented-column key inside a row dict
 def _integer_row(row: dict, b) -> dict:
     """The equation row . x = b as an integer row: every nonzero entry
     times the lcm of the denominators."""
+    if all(type(v) is int for v in row.values()):
+        # the lcm is b's denominator alone
+        den = b.denominator
+        out = {k: v * den for k, v in row.items() if v}
+        if b:
+            out[RHS] = b.numerator
+        return out
     return _integral({k: v for k, v in (*row.items(), (RHS, b)) if v})[0]
 
 
@@ -44,24 +56,33 @@ def _primitive(row: dict) -> dict:
     return {k: v // g for k, v in row.items()}
 
 
-def _eliminate(row: dict, pivot_row: dict, col) -> dict:
-    """row * a - pivot_row * b with a = pivot[col] and b = row[col] both
-    divided by their gcd; col and zeros are dropped."""
+def _reduce(work: dict, pivot_row: dict, col) -> list:
+    """work = work * a - pivot_row * b in place, with a = pivot_row[col]
+    and b = work[col] both divided by their gcd; col and zeros are
+    dropped.  Returns the keys the step inserted into work."""
+    b = work.pop(col)
     a = pivot_row[col]
-    b = row[col]
     g = gcd(a, b)
     a //= g
     b //= g
-    out = {k: v * a for k, v in row.items() if k != col}
+    if a != 1:
+        for k in work:
+            work[k] *= a
+    new = []
     for k, v in pivot_row.items():
         if k == col:
             continue
-        w = out.get(k, 0) - v * b
-        if w:
-            out[k] = w
+        w = work.get(k)
+        if w is None:
+            work[k] = -v * b
+            new.append(k)
         else:
-            out.pop(k, None)
-    return out
+            w -= v * b
+            if w:
+                work[k] = w
+            else:
+                del work[k]
+    return new
 
 
 @dataclass
@@ -88,15 +109,22 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
                    key=lambda i: (sum(map(bool, rows[i].values())), i))
     for idx in visit:
         work = _integer_row(rows[idx], rhs[idx])
+        # every column of work is in the heap; popped keys no longer in
+        # work are stale, and a step only inserts keys above the lead
+        heap = [k for k in work if k != RHS]
+        heapify(heap)
         while True:
-            cols = [k for k in work if k != RHS]
-            if not cols:
+            while heap and heap[0] not in work:
+                heappop(heap)
+            if not heap:
                 if work.get(RHS):
                     inconsistent = True
                 break
-            lead = min(cols)
+            lead = heappop(heap)
             if lead in pivots:
-                work = _eliminate(work, pivots[lead], lead)
+                for k in _reduce(work, pivots[lead], lead):
+                    if k != RHS:
+                        heappush(heap, k)
             else:
                 work = _primitive(work)
                 pivots[lead] = work
@@ -115,26 +143,29 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
     sol.pivot_cols = pivot_cols
     sol.free_cols = free_cols
 
-    # back-reduce to simplify extraction: clear later pivot columns
+    # back-reduce to simplify extraction: clear later pivot columns.  The
+    # later rows are already back-reduced, so a step brings in no pivot
+    # column and the order of the steps moves only the scale
     for c in reversed(pivot_cols):
         row = pivots[c]
-        for later in pivot_cols:
-            if later > c and later in row:
-                row = _eliminate(row, pivots[later], later)
+        for later in sorted(k for k in row if k > c and k in pivots):
+            _reduce(row, pivots[later], later)
         pivots[c] = _primitive(row)
 
     # after back-reduction only the pivot column, free columns and RHS remain
     sol.particular = [Fraction(0)] * ncols
-    for c in pivot_cols:
-        row = pivots[c]
-        sol.particular[c] = Fraction(row.get(RHS, 0), row[c])
-
+    nullspace = {}
     for f in free_cols:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for c in pivot_cols:
-            row = pivots[c]
-            if f in row:
-                vec[c] = Fraction(-row[f], row[c])
-        sol.nullspace.append(vec)
+        nullspace[f] = vec
+    for c in pivot_cols:
+        row = pivots[c]
+        p = row[c]
+        for k, v in row.items():
+            if k == RHS:
+                sol.particular[c] = Fraction(v, p)
+            elif k != c:
+                nullspace[k][c] = Fraction(-v, p)
+    sol.nullspace = list(nullspace.values())
     return sol

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twistkit.twist as twist
-from twistkit.cli import _json_dumps
+from twistkit.cli import _json_dumps, main
 from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir
@@ -451,6 +453,51 @@ def test_order3_candidate_matches_golden_file(order3_build):
     text = _json_dumps(cand.to_json()) + "\n"
     golden = (GOLDEN_DIR / "candidate-order3.json").read_bytes()
     assert text.encode() == golden
+
+
+# Written by the solver that still copied the working row at every
+# reduction step, so they hold the in-place elimination to the same bytes:
+#   PYTHONPATH=src python3 -m twistkit.cli solve-twist --order 4 \
+#       --candidate-out tests/data/candidate-order4.json
+#   PYTHONPATH=src python3 -m twistkit.cli solve-twist --order 5 \
+#       --out-dir OUT --candidate-out tests/data/candidate-order5.json
+# The sha256 of each OUT/twist-order-k.json (3 MB at order 4, 12 MB at
+# order 5, so only the digests are committed):
+GOLDEN_SOLUTION_SHA256 = {
+    1: "0705c3446c04513f894a868b2c9d225c6ab482ad82dd6c8c5cbace4f365763f8",
+    2: "630fe4e89ad0a94d1c888a2a268544a75a0f9a4a19aec18e1b04cc8cf3818efb",
+    3: "287bf33dfa29081da75d77f25531332e6249b1185a71b3e57af18bc91707c1fb",
+    4: "cb02cb2ef8b00f908c303201791e95620efc57b003b764bba7e372d706963d7d",
+    5: "ee450d5fe4be9d1dbfa4312a530ef0aec29392886bebce5bf3278b0c52ec529d",
+}
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_golden_candidate_passes_verify(capsys, order):
+    path = GOLDEN_DIR / f"candidate-order{order}.json"
+    code = main(["verify", str(path), "--order", str(order), "--checks", "all",
+                 "--expect-paper-behavior"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "rmatrix[quasitriangular]: pass" in out
+
+
+@pytest.mark.skipif(os.environ.get("TWISTKIT_SLOW_TESTS") != "1",
+                    reason="re-solves orders 4 and 5 (about a minute); "
+                           "set TWISTKIT_SLOW_TESTS=1")
+def test_orders_4_and_5_resolve_to_golden_bytes(capsys, tmp_path):
+    cand4 = tmp_path / "candidate-order4.json"
+    assert main(["solve-twist", "--order", "4",
+                 "--candidate-out", str(cand4)]) == 0
+    assert cand4.read_bytes() == (GOLDEN_DIR / cand4.name).read_bytes()
+    cand5 = tmp_path / "candidate-order5.json"
+    assert main(["solve-twist", "--order", "5", "--out-dir", str(tmp_path),
+                 "--candidate-out", str(cand5)]) == 0
+    capsys.readouterr()
+    assert cand5.read_bytes() == (GOLDEN_DIR / cand5.name).read_bytes()
+    for k, digest in GOLDEN_SOLUTION_SHA256.items():
+        data = (tmp_path / f"twist-order-{k}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def spy_on_solver(monkeypatch):
