@@ -23,10 +23,9 @@ from .reps import (RepMatrix, SpinRep, element_matrix, evaluate,
                    rep_unitarity_check, semi_universal, spin_rep)
 from .rmatrix import classical_R, quantum_R_image, quasitriangular_residual
 from .tensor import (TensorElement, TensorElement3, cartan_killing,
-                     classical_r, coproduct, coproduct_leg, counit_leg, flip,
-                     is_weight_zero, leg_embed, outer, series_coproduct,
-                     series_flip, series_outer, tensor_from_json,
-                     tensor_to_json, tensor_to_str, weight)
+                     classical_r, coproduct, counit_leg, flip, is_weight_zero,
+                     outer, series_outer, tensor_from_json, tensor_to_json,
+                     tensor_to_str, weight)
 from .twist import (AnsatzUnknown, SolutionSet, TwistAnsatz, TwistCandidate,
                     build_candidate, cocycle_defect, kernel_check,
                     normalization_check, reference_candidate,

@@ -10,15 +10,12 @@ class CheckResult:
     name: str
     passed: bool
     first_failure_order: int | None = None
-    detail: str = ""
 
     def line(self) -> str:
         status = "pass" if self.passed else "fail"
         extra = ""
         if not self.passed and self.first_failure_order is not None:
             extra = f" (first failure at order {self.first_failure_order})"
-        if self.detail:
-            extra += f" [{self.detail}]"
         return f"{self.name}: {status}{extra}"
 
 
@@ -30,8 +27,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, first_failure_order=None, detail=""):
-        self.checks.append(CheckResult(name, passed, first_failure_order, detail))
+    def add(self, name: str, passed: bool, first_failure_order=None):
+        self.checks.append(CheckResult(name, passed, first_failure_order))
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]

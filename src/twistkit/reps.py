@@ -32,7 +32,8 @@ from math import perm, prod
 from .hseries import HSeries
 from .pbw import Element
 from .report import VerificationReport
-from .tensor import TensorElement, series_flip
+from .tensor import TensorElement
+from .twist import unitarity_defect
 
 
 def _zeros(n):
@@ -250,10 +251,8 @@ def semi_universal(cand, order: int | None = None):
 
 def rep_unitarity_check(cand, order: int):
     """sigma(F) F = 1 evaluated in spin-1/2 (x) spin-1/2."""
-    s = cand.at_order(order).series
     half = spin_rep(1)
-    prod = evaluate(series_flip(s) * s, half, half)
-    defect = prod - RepMatrix.identity(prod.dim, prod.order)
+    defect = evaluate(unitarity_defect(cand.at_order(order)), half, half)
     bad = next((k for k, m in enumerate(defect.coeffs)
                 if any(any(c != 0 for c in row) for row in m)), None)
     report = VerificationReport()

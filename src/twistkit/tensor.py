@@ -1,7 +1,9 @@
 """Arithmetic in the tensor powers of U(sl2), and coproducts.
 
 A tensor element with n legs keeps each leg in PBW normal form: its keys
-are n-tuples of monomials, and products are legwise.  The classical
+are n-tuples of monomials, and products are legwise.  The structure maps
+(outer, coproduct on one leg, counit on one leg) take any number of legs,
+an Element counting as one.  The classical
 coproduct is primitive on generators and extended as an algebra
 morphism.  Since g (x) 1 and 1 (x) g commute, Delta of a monomial is the
 binomial sum
@@ -19,7 +21,7 @@ from functools import cache
 from math import comb
 
 from .hseries import HSeries, _cauchy, _ints
-from .lincomb import LinearCombination, _iadd, _signed_sum
+from .lincomb import LinearCombination, _signed_sum
 from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
                   mono_mul)
 
@@ -93,101 +95,102 @@ class TensorElement(LinearCombination):
 TensorElement3 = TensorElement
 
 
-def flip(x: TensorElement) -> TensorElement:
-    """Exchange the two legs (legs stay normal-ordered)."""
-    out = {}
-    for (m1, m2), c in x.terms.items():
-        _iadd(out, (m2, m1), c)
-    return TensorElement._raw(out)
-
-
-def outer(x: Element, y: Element) -> TensorElement:
-    """x (x) y."""
-    acc = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            acc[(m1, m2)] = c1 * c2
-    return TensorElement._raw(acc)
-
-
-def leg_embed(x: Element, leg: int) -> TensorElement:
-    """x_1 = x (x) 1 or x_2 = 1 (x) x."""
-    if leg == 1:
-        return TensorElement._raw({(m, UNIT_MONO): c for m, c in x.terms.items()})
-    if leg == 2:
-        return TensorElement._raw({(UNIT_MONO, m): c for m, c in x.terms.items()})
-    raise ValueError("leg must be 1 or 2")
-
-
-def weight(mono_pair) -> int:
-    """(e1 - f1) + (e2 - f2), the total H-adjoint weight of a monomial pair."""
-    (e1, f1, _), (e2, f2, _) = mono_pair
-    return (e1 - f1) + (e2 - f2)
-
-
-def is_weight_zero(x: TensorElement) -> bool:
-    return all(weight(m) == 0 for m in x.terms)
-
-
 # ---------------------------------------------------------------------------
-# coproducts
+# structure maps, for any number of legs; an Element counts as one leg
+#
+# Each map sends distinct keys to distinct keys: outer concatenates them,
+# the two legs of Delta add up to the original monomial, the counit drops
+# a unit leg and flip permutes.  So each builds its dict in one pass, and
+# no two terms ever meet in a sum.
+
+
+def _keyed(x) -> tuple:
+    """(the terms of x keyed by tuples of monomials, one per leg, and the
+    number of legs)."""
+    if isinstance(x, Element):
+        return {(m,): c for m, c in x.terms.items()}, 1
+    return x.terms, x.legs
+
+
+def _from_keyed(terms: dict, legs: int):
+    """Inverse of _keyed: an Element at one leg, else a TensorElement."""
+    if legs == 1:
+        return Element._raw({m: c for (m,), c in terms.items()})
+    return TensorElement._raw(terms, legs)
+
+
+def _leg_index(legs: int, leg: int) -> int:
+    if not 1 <= leg <= legs:
+        raise ValueError(f"leg must be in 1..{legs} for a {legs}-leg "
+                         f"element, got {leg}")
+    return leg - 1
+
+
+def outer(*factors):
+    """The tensor product of the factors, their legs in order; for example
+    x (x) 1 is outer(x, Element.one())."""
+    terms, legs = _keyed(factors[0])
+    for y in factors[1:]:
+        ys, n = _keyed(y)
+        terms = {k1 + k2: c1 * c2 for k1, c1 in terms.items()
+                 for k2, c2 in ys.items()}
+        legs += n
+    return _from_keyed(terms, legs)
+
+
+def weight(key) -> int:
+    """The total H-adjoint weight sum(e - f) of a tuple of monomials."""
+    return sum(e - f for e, f, _ in key)
+
+
+def is_weight_zero(x) -> bool:
+    return all(weight(key) == 0 for key in _keyed(x)[0])
+
+
+def flip(x: TensorElement) -> TensorElement:
+    """Exchange the two legs of a 2-leg element (legs stay normal-ordered)."""
+    legs = _keyed(x)[1]
+    if legs != 2:
+        raise ValueError(f"flip needs a 2-leg element, got {legs} legs")
+    return TensorElement._raw({(m2, m1): c for (m1, m2), c in x.terms.items()})
+
 
 @cache
-def _delta_mono(mono) -> TensorElement:
-    """Delta(E^e F^f H^d) as the binomial sum of the module docstring."""
+def _delta_mono(mono) -> tuple:
+    """Delta(E^e F^f H^d) as ((pair, int), ...), the binomial sum of the
+    module docstring."""
     e, f, d = mono
-    return TensorElement._raw({
-        ((a, b, c), (e - a, f - b, d - c)):
-            Fraction(comb(e, a) * comb(f, b) * comb(d, c))
-        for a in range(e + 1) for b in range(f + 1) for c in range(d + 1)})
+    return tuple((((a, b, c), (e - a, f - b, d - c)),
+                  comb(e, a) * comb(f, b) * comb(d, c))
+                 for a in range(e + 1) for b in range(f + 1)
+                 for c in range(d + 1))
 
 
-def coproduct(x: Element) -> TensorElement:
-    """Delta(x): primitive on generators, extended multiplicatively."""
-    acc = {}
-    for mono, c in x.terms.items():
-        for pair, d in _delta_mono(mono).terms.items():
-            _iadd(acc, pair, c * d)
-    return TensorElement._raw(acc)
-
-
-def coproduct_leg(x: TensorElement, leg: int) -> TensorElement:
-    """Apply Delta to one leg: leg 1 gives (Delta (x) id)(x), leg 2 gives
+def coproduct(x, leg: int = 1) -> TensorElement:
+    """Apply Delta to one leg of x, which gains a leg: Delta(x) for an
+    Element; on two legs, leg 1 gives (Delta (x) id)(x) and leg 2 gives
     (id (x) Delta)(x)."""
+    terms, legs = _keyed(x)
+    i = _leg_index(legs, leg)
     acc = {}
-    for (m1, m2), c in x.terms.items():
-        if leg == 1:
-            for (a, b), d in _delta_mono(m1).terms.items():
-                _iadd(acc, (a, b, m2), c * d)
-        elif leg == 2:
-            for (a, b), d in _delta_mono(m2).terms.items():
-                _iadd(acc, (m1, a, b), c * d)
-        else:
-            raise ValueError("leg must be 1 or 2")
-    return TensorElement._raw(acc, legs=3)
+    for key, c in terms.items():
+        head, tail = key[:i], key[i + 1:]
+        for pair, d in _delta_mono(key[i]):
+            acc[head + pair + tail] = c * d
+    return TensorElement._raw(acc, legs + 1)
 
 
-def extend_back(x: TensorElement) -> TensorElement:
-    """x (x) 1 in the triple tensor power."""
-    return TensorElement._raw(
-        {(m1, m2, UNIT_MONO): c for (m1, m2), c in x.terms.items()}, legs=3)
-
-
-def extend_front(x: TensorElement) -> TensorElement:
-    """1 (x) x in the triple tensor power."""
-    return TensorElement._raw(
-        {(UNIT_MONO, m1, m2): c for (m1, m2), c in x.terms.items()}, legs=3)
-
-
-def counit_leg(x: TensorElement, leg: int) -> Element:
-    """Apply the counit to one leg, collapsing to a single-leg element."""
-    acc = {}
-    for (m1, m2), c in x.terms.items():
-        if leg == 1 and m1 == UNIT_MONO:
-            _iadd(acc, m2, c)
-        elif leg == 2 and m2 == UNIT_MONO:
-            _iadd(acc, m1, c)
-    return Element._raw(acc)
+def counit_leg(x: TensorElement, leg: int):
+    """Apply the counit to one leg of an element with two or more legs,
+    dropping that leg; from two legs the result is an Element."""
+    legs = _keyed(x)[1]
+    if legs < 2:
+        raise ValueError(f"counit_leg needs an element with two or more "
+                         f"legs, got {legs}")
+    i = _leg_index(legs, leg)
+    return _from_keyed({key[:i] + key[i + 1:]: c
+                        for key, c in x.terms.items() if key[i] == UNIT_MONO},
+                       legs - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +227,6 @@ def series_outer(a: HSeries, b: HSeries) -> HSeries:
         raise ValueError("series_outer needs equal truncation orders")
     return HSeries(_cauchy(_ints(a.coeffs), _ints(b.coeffs), _outer_into,
                            TensorElement._raw), a.order)
-
-
-def series_coproduct(s: HSeries) -> HSeries:
-    return s.map(coproduct)
-
-
-def series_flip(s: HSeries) -> HSeries:
-    return s.map(flip)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,8 @@ from .pbw import E, E_MONO, F, H, Element, casimir, mono_mul
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, cartan_killing, classical_r,
-                     coproduct, coproduct_leg, counit_leg, extend_back,
-                     extend_front, flip, outer, series_coproduct,
-                     series_flip, tensor_from_json, tensor_to_json)
+                     coproduct, counit_leg, flip, outer, tensor_from_json,
+                     tensor_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,7 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     images = generator_images(order)
     out = {}
     for g, image in images.items():
-        lhs = Fs * series_coproduct(image)
+        lhs = Fs * image.map(coproduct)
         rhs = delta_q_image(g, order) * Fs
         out[g] = lhs - rhs
     return out
@@ -202,15 +201,16 @@ def unitarity_defect(cand: TwistCandidate) -> HSeries:
     """sigma(F) F - 1 at the universal level."""
     s = cand.series
     one = HSeries.constant(TensorElement.one(), s.order)
-    return series_flip(s) * s - one
+    return s.map(flip) * s - one
 
 
 def cocycle_defect(cand: TwistCandidate) -> HSeries:
     """(F (x) 1)(Delta (x) id)(F) - (1 (x) F)(id (x) Delta)(F) as a series
     in the triple tensor power."""
     s = cand.series
-    left = s.map(extend_back) * s.map(lambda c: coproduct_leg(c, 1))
-    right = s.map(extend_front) * s.map(lambda c: coproduct_leg(c, 2))
+    one = Element.one()
+    left = s.map(lambda c: outer(c, one)) * s.map(coproduct)
+    right = s.map(lambda c: outer(one, c)) * s.map(lambda c: coproduct(c, 2))
     return left - right
 
 

@@ -11,7 +11,7 @@ from twistkit.reps import (RepMatrix, element_matrix, evaluate,
                            rep_unitarity_check, semi_universal, spin_rep,
                            _identity, _mat_add, _mat_mul, _mono_entries)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
-                             coproduct, leg_embed, outer, series_flip)
+                             coproduct, outer)
 from twistkit.twist import (TwistCandidate, cocycle_defect,
                             reference_candidate, twist_residual_series,
                             unitarity_defect)

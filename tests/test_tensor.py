@@ -4,12 +4,12 @@ from math import comb
 
 import pytest
 
+from twistkit.lincomb import _iadd
 from twistkit.pbw import (E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element,
                           casimir, commutator, mono_mul)
 from twistkit.tensor import (TensorElement, TensorElement3, cartan_killing,
-                             classical_r, coproduct, coproduct_leg, counit_leg,
-                             extend_back, extend_front, flip, is_weight_zero,
-                             leg_embed, outer, tensor_from_json,
+                             classical_r, coproduct, counit_leg, flip,
+                             is_weight_zero, outer, tensor_from_json,
                              tensor_to_json, weight, UNIT2)
 
 from conftest import random_element, random_tensor
@@ -52,7 +52,7 @@ def test_flip_is_involutive_morphism(rng):
 
 
 def test_coproduct_primitive():
-    assert coproduct(H) == leg_embed(H, 1) + leg_embed(H, 2)
+    assert coproduct(H) == outer(H, Element.one()) + outer(Element.one(), H)
 
 
 def test_coproduct_of_H_squared():
@@ -63,7 +63,8 @@ def test_coproduct_of_H_squared():
 def test_coproduct_of_monomials_matches_tensor_powers():
     # reference: Delta as an algebra morphism, Delta(E)^e Delta(F)^f Delta(H)^d
     # multiplied out as 2-leg products
-    powers = [[(leg_embed(g, 1) + leg_embed(g, 2)) ** n for n in range(6)]
+    powers = [[(outer(g, Element.one()) + outer(Element.one(), g)) ** n
+               for n in range(6)]
               for g in (E, F, H)]
     for e, f, d in itertools.product(range(6), repeat=3):
         got = coproduct(Element.monomial(e, f, d))
@@ -80,27 +81,28 @@ def test_coproduct_of_high_power_is_binomial():
 
 def test_coproduct_of_casimir():
     I = casimir()
-    expected = leg_embed(I, 1) + leg_embed(I, 2) + cartan_killing()
+    expected = (outer(I, Element.one()) + outer(Element.one(), I)
+                + cartan_killing())
     assert coproduct(I) == expected
 
 
 def test_leg_embed():
-    assert leg_embed(E, 1) == outer(E, Element.one())
-    assert leg_embed(Element.one(), 2) == TensorElement.one()
+    assert outer(E, Element.one()) == TensorElement({(E_MONO, UNIT_MONO): 1})
+    assert outer(Element.one(), Element.one()) == TensorElement.one()
     x = E * H
     y = F - H
-    assert leg_embed(x, 1) * leg_embed(y, 2) == outer(x, y)
-    with pytest.raises(ValueError):
-        leg_embed(E, 3)
+    assert outer(x, Element.one()) * outer(Element.one(), y) == outer(x, y)
+    with pytest.raises(ValueError, match=r"1\.\.1"):
+        coproduct(E, 2)
 
 
 def test_coproduct_leg_examples():
-    h1 = leg_embed(H, 1)
-    got = coproduct_leg(h1, 1)
+    h1 = outer(H, Element.one())
+    got = coproduct(h1, 1)
     assert got == TensorElement3({(H_MONO, UNIT_MONO, UNIT_MONO): 1,
                                   (UNIT_MONO, H_MONO, UNIT_MONO): 1})
-    h2 = leg_embed(H, 2)
-    got = coproduct_leg(h2, 2)
+    h2 = outer(Element.one(), H)
+    got = coproduct(h2, 2)
     assert got == TensorElement3({(UNIT_MONO, H_MONO, UNIT_MONO): 1,
                                   (UNIT_MONO, UNIT_MONO, H_MONO): 1})
 
@@ -113,7 +115,7 @@ def test_coproduct_leg_of_r():
         (E_MONO, UNIT_MONO, F_MONO): -1,
         (UNIT_MONO, E_MONO, F_MONO): -1,
     })
-    assert coproduct_leg(r, 1) == expected
+    assert coproduct(r, 1) == expected
 
 
 def test_weight_examples():
@@ -132,7 +134,7 @@ def test_weight_characterizes_dH_commutant(rng):
 
 
 def test_counit_leg():
-    x = TensorElement.one() + leg_embed(casimir(), 2)
+    x = TensorElement.one() + outer(Element.one(), casimir())
     assert counit_leg(x, 1) == Element.one() + casimir()
     assert counit_leg(x, 2) == Element.one()
 
@@ -141,7 +143,7 @@ def test_coassociativity_randomized(rng):
     for _ in range(50):
         x = random_element(rng, max_deg=3)
         d = coproduct(x)
-        assert coproduct_leg(d, 1) == coproduct_leg(d, 2)
+        assert coproduct(d, 1) == coproduct(d, 2)
 
 
 def test_coproduct_is_morphism(rng):
@@ -154,7 +156,7 @@ def test_coproduct_is_morphism(rng):
 def test_kernel_characterization_randomized(rng):
     # polynomials in I1, I2, Delta(I) commute with all three coproducts
     I = casimir()
-    gens = [leg_embed(I, 1), leg_embed(I, 2), coproduct(I)]
+    gens = [outer(I, Element.one()), outer(Element.one(), I), coproduct(I)]
     deltas = [coproduct(g) for g in (H, E, F)]
     for _ in range(40):
         x = TensorElement.one() * Fraction(rng.randint(-3, 3))
@@ -167,8 +169,8 @@ def test_kernel_characterization_randomized(rng):
 
 
 def test_triple_product_legwise():
-    a = extend_back(outer(E, F))
-    b = extend_front(outer(F, E))
+    a = outer(outer(E, F), Element.one())
+    b = outer(Element.one(), outer(F, E))
     assert a * b == TensorElement3({(E_MONO, F_MONO, UNIT_MONO): 1}) \
         * TensorElement3({(UNIT_MONO, F_MONO, E_MONO): 1})
     got = a * b
@@ -194,7 +196,7 @@ def test_text_rendering():
 
 def test_mixed_leg_counts_raise():
     two = outer(E, F)
-    three = extend_back(two)
+    three = outer(two, Element.one())
     for combine in (lambda a, b: a + b, lambda a, b: a - b,
                     lambda a, b: a * b, lambda a, b: a == b):
         with pytest.raises(ValueError):
@@ -206,7 +208,7 @@ def test_mixed_leg_counts_raise():
 
 
 def test_three_leg_unit_zero_and_json():
-    x = coproduct_leg(classical_r(), 1)
+    x = coproduct(classical_r(), 1)
     assert x.legs == 3
     one = x.one_like()
     assert one == TensorElement3({(UNIT_MONO, UNIT_MONO, UNIT_MONO): 1})
@@ -275,7 +277,7 @@ def test_product_drops_cancelled_terms():
     dI = coproduct(casimir()) * Fraction(5, 6)
     dE = coproduct(E) * Fraction(2, 3)
     assert (dI * dE - dE * dI).terms == {}
-    dI3, dE3 = coproduct_leg(dI, 1), coproduct_leg(dE, 1)
+    dI3, dE3 = coproduct(dI, 1), coproduct(dE, 1)
     assert (dI3 * dE3 - dE3 * dI3).terms == {}
 
 
@@ -292,3 +294,186 @@ def test_product_with_zero_and_integer_elements(rng, legs):
     assert_stored_fractions(prod)
     assert (ints * x).terms == fraction_product(ints, x)
     assert_stored_fractions(x * ints)
+
+
+# ---------------------------------------------------------------------------
+# the n-leg structure maps against the fixed-arity maps they replaced
+
+
+def ref_flip(x):
+    out = {}
+    for (m1, m2), c in x.terms.items():
+        _iadd(out, (m2, m1), c)
+    return TensorElement._raw(out)
+
+
+def ref_outer(x, y):
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            acc[(m1, m2)] = c1 * c2
+    return TensorElement._raw(acc)
+
+
+def ref_leg_embed(x, leg):
+    if leg == 1:
+        return TensorElement._raw({(m, UNIT_MONO): c
+                                   for m, c in x.terms.items()})
+    return TensorElement._raw({(UNIT_MONO, m): c for m, c in x.terms.items()})
+
+
+def ref_weight(mono_pair):
+    (e1, f1, _), (e2, f2, _) = mono_pair
+    return (e1 - f1) + (e2 - f2)
+
+
+def ref_delta_mono(mono):
+    e, f, d = mono
+    return TensorElement._raw({
+        ((a, b, c), (e - a, f - b, d - c)):
+            Fraction(comb(e, a) * comb(f, b) * comb(d, c))
+        for a in range(e + 1) for b in range(f + 1) for c in range(d + 1)})
+
+
+def ref_coproduct(x):
+    acc = {}
+    for mono, c in x.terms.items():
+        for pair, d in ref_delta_mono(mono).terms.items():
+            _iadd(acc, pair, c * d)
+    return TensorElement._raw(acc)
+
+
+def ref_coproduct_leg(x, leg):
+    acc = {}
+    for (m1, m2), c in x.terms.items():
+        if leg == 1:
+            for (a, b), d in ref_delta_mono(m1).terms.items():
+                _iadd(acc, (a, b, m2), c * d)
+        else:
+            for (a, b), d in ref_delta_mono(m2).terms.items():
+                _iadd(acc, (m1, a, b), c * d)
+    return TensorElement._raw(acc, legs=3)
+
+
+def ref_extend_back(x):
+    return TensorElement._raw(
+        {(m1, m2, UNIT_MONO): c for (m1, m2), c in x.terms.items()}, legs=3)
+
+
+def ref_extend_front(x):
+    return TensorElement._raw(
+        {(UNIT_MONO, m1, m2): c for (m1, m2), c in x.terms.items()}, legs=3)
+
+
+def ref_counit_leg(x, leg):
+    acc = {}
+    for (m1, m2), c in x.terms.items():
+        if leg == 1 and m1 == UNIT_MONO:
+            _iadd(acc, m2, c)
+        elif leg == 2 and m2 == UNIT_MONO:
+            _iadd(acc, m1, c)
+    return Element._raw(acc)
+
+
+def assert_same(got, want):
+    """Equal terms, the same ring and leg count, Fraction coefficients."""
+    assert type(got) is type(want)
+    assert getattr(got, "legs", 1) == getattr(want, "legs", 1)
+    assert got.terms == want.terms
+    assert_stored_fractions(got)
+
+
+def test_maps_match_fixed_arity_references(rng):
+    one = Element.one()
+    for _ in range(60):
+        # pairwise coprime denominators, so every product keeps its factors
+        x = random_element(rng, dens=(1, 2, 4, 8))
+        y = random_element(rng, dens=(3, 9))
+        t = (random_tensor(rng, dens=(5, 25)) + ref_leg_embed(x, 1)
+             + ref_leg_embed(y, 2))
+        assert_same(outer(x, y), ref_outer(x, y))
+        assert_same(outer(x, one), ref_leg_embed(x, 1))
+        assert_same(outer(one, x), ref_leg_embed(x, 2))
+        assert_same(outer(t, one), ref_extend_back(t))
+        assert_same(outer(one, t), ref_extend_front(t))
+        assert_same(coproduct(x), ref_coproduct(x))
+        assert_same(flip(t), ref_flip(t))
+        for leg in (1, 2):
+            assert_same(coproduct(t, leg), ref_coproduct_leg(t, leg))
+            assert_same(counit_leg(t, leg), ref_counit_leg(t, leg))
+        assert [weight(k) for k in t.terms] == [ref_weight(k) for k in t.terms]
+
+
+def random_legs(rng, legs, dens):
+    """A random element with the given number of legs; one leg is an
+    Element."""
+    if legs == 1:
+        return random_element(rng, max_deg=3, dens=dens)
+    return random_tensor(rng, dens=dens, legs=legs)
+
+
+@pytest.mark.parametrize("legs", [1, 2])
+def test_coassociativity_across_leg_counts(rng, legs):
+    # (Delta (x) id) Delta = (id (x) Delta) Delta on each leg, from n to
+    # n + 2 legs, and Delta on two different legs commute
+    for _ in range(30):
+        x = random_legs(rng, legs, (1, 3, 5))
+        for leg in range(1, legs + 1):
+            d = coproduct(x, leg)
+            assert d.legs == legs + 1
+            dd = coproduct(d, leg)
+            assert dd.legs == legs + 2
+            assert dd == coproduct(d, leg + 1)
+        if legs == 2:
+            assert coproduct(coproduct(x, 1), 3) == coproduct(coproduct(x, 2), 1)
+
+
+@pytest.mark.parametrize("legs", [1, 2])
+def test_counit_axiom_across_leg_counts(rng, legs):
+    # (eps (x) id) Delta = id = (id (x) eps) Delta on each leg
+    for _ in range(30):
+        x = random_legs(rng, legs, (2, 7))
+        for leg in range(1, legs + 1):
+            d = coproduct(x, leg)
+            assert_same(counit_leg(d, leg), x)
+            assert_same(counit_leg(d, leg + 1), x)
+
+
+def test_outer_is_associative_with_unit(rng):
+    one = Element.one()
+    for _ in range(30):
+        a = random_element(rng, dens=(1, 2))
+        b = random_tensor(rng, dens=(3, 9))
+        c = random_element(rng, dens=(5,))
+        abc = outer(a, b, c)
+        assert abc.legs == 4
+        assert_same(outer(outer(a, b), c), abc)
+        assert_same(outer(a, outer(b, c)), abc)
+        # 1 is the unit of the legwise product and the counit drops it
+        assert outer(a, one) * outer(one, c) == outer(a, c)
+        assert_same(counit_leg(outer(a, one), 2), a)
+        assert_same(counit_leg(outer(one, b), 1), b)
+    assert_same(outer(one), one)
+    for n in range(2, 5):
+        assert_same(outer(*[one] * n), TensorElement({(UNIT_MONO,) * n: 1}))
+
+
+def test_wrong_leg_raises():
+    r = classical_r()
+    three = coproduct(r, 1)
+    for call, message in [
+            (lambda: counit_leg(r, 3), r"1\.\.2"),
+            (lambda: counit_leg(r, 0), r"1\.\.2"),
+            (lambda: counit_leg(three, 4), r"1\.\.3"),
+            (lambda: counit_leg(E, 1), "two or more legs, got 1"),
+            (lambda: coproduct(r, 3), r"1\.\.2"),
+            (lambda: coproduct(three, 4), r"1\.\.3"),
+            (lambda: coproduct(E, 0), r"1\.\.1"),
+            (lambda: flip(three), "2-leg element, got 3"),
+            (lambda: flip(E), "2-leg element, got 1")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the weight sums over every leg
+    assert is_weight_zero(three)
+    assert not is_weight_zero(outer(E, Element.one(), Element.one()))
+    assert weight((E_MONO, F_MONO, E_MONO)) == 1

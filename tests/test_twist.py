@@ -12,9 +12,7 @@ from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
-                             coproduct, coproduct_leg, extend_back,
-                             extend_front, flip, is_weight_zero, leg_embed,
-                             outer, series_flip)
+                             coproduct, flip, is_weight_zero, outer)
 from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             cocycle_defect, kernel_check, normalization_check,
                             reference_candidate, second_order_term,
@@ -75,7 +73,7 @@ def test_trivial_candidate_passes_at_order_zero(one_candidate):
 
 
 def test_residuals_require_invertible_leading_term():
-    bad = TwistCandidate.from_coefficients([leg_embed(casimir(), 1)])
+    bad = TwistCandidate.from_coefficients([outer(casimir(), Element.one())])
     with pytest.raises(ValueError):
         twist_residuals(bad, 0)
 
@@ -86,20 +84,21 @@ def test_residuals_require_invertible_leading_term():
 
 def test_kernel_examples():
     I = casimir()
-    assert kernel_check(leg_embed(I, 1))
+    assert kernel_check(outer(I, Element.one()))
     assert kernel_check(cartan_killing())
     assert not kernel_check(outer(E, F))
 
 
 def test_cartan_killing_is_coproduct_defect():
     I = casimir()
-    assert cartan_killing() == coproduct(I) - leg_embed(I, 1) - leg_embed(I, 2)
+    assert cartan_killing() == (coproduct(I) - outer(I, Element.one())
+                                - outer(Element.one(), I))
 
 
 def test_normalization_check():
     assert normalization_check(reference_candidate(1)).passed
     spoiled = TwistCandidate.from_coefficients(
-        [TensorElement.one() + leg_embed(casimir(), 2)])
+        [TensorElement.one() + outer(Element.one(), casimir())])
     report = normalization_check(spoiled)
     assert not report.passed
     by_name = {c.name: c for c in report.checks}
@@ -127,8 +126,8 @@ def test_cocycle_defect():
     # first-order term: (r (x) 1 + (Delta(x)id)r) - (1 (x) r + (id(x)Delta)r),
     # which cancels identically; the obstruction enters at order 2
     r = classical_r()
-    manual = (extend_back(r) + coproduct_leg(r, 1)
-              - extend_front(r) - coproduct_leg(r, 2))
+    manual = (outer(r, Element.one()) + coproduct(r, 1)
+              - outer(Element.one(), r) - coproduct(r, 2))
     assert defect.coeffs[1] == manual
     assert defect.coeffs[1].is_zero()
     assert not defect.coeffs[2].is_zero()
@@ -150,8 +149,9 @@ def test_order1_homogeneous_space(order1_solution):
     I = casimir()
     one = Element.one()
     assert tensors_span(hom, cartan_killing())
-    for poly in (leg_embed(I, 1), leg_embed(I, 2),
-                 leg_embed(I * I, 1), leg_embed(I, 1) * leg_embed(I, 2)):
+    for poly in (outer(I, Element.one()), outer(Element.one(), I),
+                 outer(I * I, Element.one()),
+                 outer(I, Element.one()) * outer(Element.one(), I)):
         assert tensors_span(hom, poly)
 
 
@@ -194,7 +194,8 @@ def test_random_kernel_polynomials_lie_in_homogeneous_span(order2_solution):
     # independent kernel construction: polynomials in I1, I2, Delta(I)
     # within the cutoff must lie in the solver's nullspace span
     I = casimir()
-    i1, i2, di = leg_embed(I, 1), leg_embed(I, 2), coproduct(I)
+    i1, i2, di = (outer(I, Element.one()), outer(Element.one(), I),
+                  coproduct(I))
     candidates = [i1, i2, di, i1 * i2, di * i1, di * di]
     for t in candidates:
         assert kernel_check(t)
