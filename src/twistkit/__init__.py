@@ -18,7 +18,7 @@ from .pbw import (CasimirTerm, E, F, H, Element, casimir, commutator, counit,
                   element_from_json, element_to_json, element_to_str,
                   from_casimir_basis, is_hi_polynomial, shift_h,
                   to_casimir_basis)
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport
 from .reps import (RepMatrix, SpinRep, element_matrix, evaluate,
                    rep_unitarity_check, semi_universal, spin_rep)
 from .rmatrix import classical_R, quantum_R_image, quasitriangular_residual

@@ -30,7 +30,7 @@ from functools import cache
 from math import factorial
 
 from .hseries import HSeries, q_analog, series_exp_h, sinhc
-from .pbw import E, F, H, Element, casimir
+from .pbw import E, F, H, Element, casimir, commutator
 from .report import VerificationReport
 from .tensor import coproduct, series_outer
 
@@ -105,20 +105,11 @@ def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
     j0 = m_J0(order)
     jp = jplus if jplus is not None else m_Jplus(order)
     jm = jminus if jminus is not None else m_Jminus(order)
-
-    def comm(a, b):
-        return a * b - b * a
-
-    report = VerificationReport()
-    relations = (
-        ("[J0,J+] = J+", comm(j0, jp) - jp),
-        ("[J0,J-] = -J-", comm(j0, jm) + jm),
-        ("[J+,J-] = [2J0]/2", comm(jp, jm) - q_analog_2h(order) * Fraction(1, 2)),
-    )
-    for name, residual in relations:
-        bad = residual.first_nonzero()
-        report.add(name, bad is None, bad)
-    return report
+    return VerificationReport.of({
+        "[J0,J+] = J+": commutator(j0, jp) - jp,
+        "[J0,J-] = -J-": commutator(j0, jm) + jm,
+        "[J+,J-] = [2J0]/2": commutator(jp, jm) - q_analog_2h(order) * Fraction(1, 2),
+    })
 
 
 def delta_q_image(gen: str, order: int) -> HSeries:

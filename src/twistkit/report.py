@@ -1,37 +1,32 @@
-"""Structured pass/fail reporting for the verification pipelines."""
+"""Structured pass/fail reporting for the verification pipelines.
+
+A check is a set of named residuals that must vanish: series, or matrices
+of series, each with a `first_nonzero()` order.  The report keeps, for
+each name, the first order at which that residual is non-zero."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    first_failure_order: int | None = None
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "fail"
-        extra = ""
-        if not self.passed and self.first_failure_order is not None:
-            extra = f" (first failure at order {self.first_failure_order})"
-        return f"{self.name}: {status}{extra}"
-
-
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    # check name -> first failure order, or None when the check passes
+    first_failures: dict
+
+    @classmethod
+    def of(cls, residuals: dict) -> "VerificationReport":
+        """The report on {name: residual}, in the order of the names."""
+        return cls({name: r.first_nonzero() for name, r in residuals.items()})
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, first_failure_order=None):
-        self.checks.append(CheckResult(name, passed, first_failure_order))
+        return all(bad is None for bad in self.first_failures.values())
 
     def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
+        return [f"{name}: pass" if bad is None
+                else f"{name}: fail (first failure at order {bad})"
+                for name, bad in self.first_failures.items()]
 
     def __str__(self):
         return "\n".join(self.lines())

@@ -172,8 +172,13 @@ class RepMatrix:
         return (self.dim == other.dim and self.order == other.order
                 and self.coeffs == other.coeffs)
 
+    def first_nonzero(self):
+        """The order of the first non-zero matrix, or None if all vanish."""
+        return next((k for k, m in enumerate(self.coeffs)
+                     if any(any(row) for row in m)), None)
+
     def is_zero(self) -> bool:
-        return all(all(all(c == 0 for c in row) for row in m) for m in self.coeffs)
+        return self.first_nonzero() is None
 
     def is_identity(self) -> bool:
         return self == RepMatrix.identity(self.dim, self.order)
@@ -249,12 +254,8 @@ def semi_universal(cand, order: int | None = None):
             for i in range(2)]
 
 
-def rep_unitarity_check(cand, order: int):
+def rep_unitarity_check(cand, order: int) -> VerificationReport:
     """sigma(F) F = 1 evaluated in spin-1/2 (x) spin-1/2."""
     half = spin_rep(1)
-    defect = evaluate(unitarity_defect(cand.at_order(order)), half, half)
-    bad = next((k for k, m in enumerate(defect.coeffs)
-                if any(any(c != 0 for c in row) for row in m)), None)
-    report = VerificationReport()
-    report.add("unitarity in 1/2 (x) 1/2", bad is None, bad)
-    return report
+    return VerificationReport.of({"unitarity in 1/2 (x) 1/2": evaluate(
+        unitarity_defect(cand.at_order(order)), half, half)})

@@ -167,11 +167,8 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
 
 def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
     """Pass iff every residual coefficient vanishes up to the given order."""
-    report = VerificationReport()
-    for g, series in twist_residual_series(cand, order).items():
-        bad = series.first_nonzero()
-        report.add(f"twist[{g}]", bad is None, bad)
-    return report
+    return VerificationReport.of({f"twist[{g}]": series for g, series
+                                  in twist_residual_series(cand, order).items()})
 
 
 def kernel_check(f: TensorElement) -> bool:
@@ -184,17 +181,11 @@ def kernel_check(f: TensorElement) -> bool:
 
 def normalization_check(cand: TwistCandidate) -> VerificationReport:
     """(eps (x) id)(F) = (id (x) eps)(F) = 1, order by order."""
-    report = VerificationReport()
-    for leg, name in ((1, "counit(leg1)"), (2, "counit(leg2)")):
-        bad = None
-        for k, c in enumerate(cand.series.coeffs):
-            collapsed = counit_leg(c, leg)
-            want = Element.one() if k == 0 else Element.zero()
-            if collapsed != want:
-                bad = k
-                break
-        report.add(name, bad is None, bad)
-    return report
+    s = cand.series
+    one = HSeries.constant(Element.one(), s.order)
+    return VerificationReport.of(
+        {f"counit(leg{leg})": s.map(lambda c: counit_leg(c, leg)) - one
+         for leg in (1, 2)})
 
 
 def unitarity_defect(cand: TwistCandidate) -> HSeries:
@@ -241,6 +232,12 @@ class AnsatzUnknown:
         return (a1, b1, g1, self.l), (a2, b2, g2, self.l)
 
 
+def default_cutoffs(order: int) -> tuple:
+    """The ansatz cutoffs (L, D) = (k+1, 2k) used at order k when none
+    are given."""
+    return order + 1, 2 * order
+
+
 class TwistAnsatz:
     """The weight-zero template at one order: powers l < L, polynomial
     coefficients in H1, H2, I1, I2 of total degree <= D.
@@ -255,10 +252,12 @@ class TwistAnsatz:
         if order < 1:
             raise ValueError("ansatz order must be >= 1")
         self.order = order
-        self.cutoff_l = cutoff_l if cutoff_l is not None else order + 1
-        self.cutoff_d = cutoff_d if cutoff_d is not None else 2 * order
+        default_l, default_d = default_cutoffs(order)
+        self.cutoff_l = cutoff_l if cutoff_l is not None else default_l
+        self.cutoff_d = cutoff_d if cutoff_d is not None else default_d
         if self.cutoff_l < 1 or self.cutoff_d < 0:
-            raise ValueError("cutoffs must be positive")
+            raise ValueError(f"cutoffs must satisfy L >= 1 and D >= 0, got "
+                             f"L={self.cutoff_l}, D={self.cutoff_d}")
         monos = [m for m in itertools.product(range(self.cutoff_d + 1), repeat=4)
                  if sum(m) <= self.cutoff_d]
         monos.sort(key=lambda m: (sum(m), m))
@@ -454,9 +453,9 @@ def solve_with_escalation(k: int, lower: TwistCandidate,
                           max_escalations: int = 2):
     """Solve order k, enlarging the cutoffs by (L+1, D+2) on infeasibility,
     at most `max_escalations` times.  Returns the last SolutionSet."""
-    L = cutoff_l if cutoff_l is not None else k + 1
-    D = cutoff_d if cutoff_d is not None else 2 * k
-    sol = solve_order(k, lower, TwistAnsatz(k, L, D))
+    ansatz = TwistAnsatz(k, cutoff_l, cutoff_d)
+    L, D = ansatz.cutoff_l, ansatz.cutoff_d
+    sol = solve_order(k, lower, ansatz)
     attempts = 0
     while not sol.solved and attempts < max_escalations:
         attempts += 1

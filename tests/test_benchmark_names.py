@@ -47,3 +47,29 @@ def test_benchmark_finds_every_twistkit_name():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+TRACED_VERIFY = """
+import contextlib, io, json, sys
+import spans
+from twistkit.cli import main
+tracer = spans.Tracer()
+spans.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", sys.argv[1], "--order", "2", "--checks", "twist", "rmatrix"])
+print(json.dumps(tracer.calls))
+"""
+
+
+def test_traced_verify_sees_each_check():
+    # cli.CHECKS must look its residual functions up when called: a function
+    # object stored in the dict is out of reach of the tracer's rebinding
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(PERFBENCH)]))
+    fixture = PERFBENCH / "fixture" / "candidate-order3.json"
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(fixture)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["twist.twist_residual_series"] == 1
+    assert calls["rmatrix.quasitriangular_residual"] == 1

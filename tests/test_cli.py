@@ -8,8 +8,9 @@ import pytest
 
 from twistkit import cli
 from twistkit.cli import main
-from twistkit.pbw import UNIT_MONO
-from twistkit.tensor import TensorElement, classical_r, tensor_to_json, tensor_from_json
+from twistkit.pbw import UNIT_MONO, Element, casimir
+from twistkit.tensor import (TensorElement, classical_r, outer, tensor_to_json,
+                             tensor_from_json)
 from twistkit.twist import TwistCandidate, reference_candidate
 
 
@@ -24,6 +25,14 @@ def reference_file(tmp_path):
 def trivial_file(tmp_path):
     path = tmp_path / "trivial.json"
     cand = TwistCandidate.from_coefficients([TensorElement.one()]).at_order(1)
+    path.write_text(json.dumps(cand.to_json()))
+    return str(path)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def write_candidate(path, cand) -> str:
     path.write_text(json.dumps(cand.to_json()))
     return str(path)
 
@@ -287,6 +296,12 @@ def test_negative_order_rejected(capsys):
 def test_bad_cutoff_rejected(capsys):
     code = main(["solve-twist", "--order", "1", "--cutoff-l", "0"])
     assert code == 2
+
+
+def test_bad_cutoff_message(capsys):
+    assert main(["solve-twist", "--order", "2", "--cutoff-d", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cutoffs must satisfy L >= 1 and D >= 0, got L=2, D=-1\n")
 
 
 def test_console_entry_point():
@@ -560,3 +575,94 @@ def test_eval_rep_output_pinned(capsys, fmt, digest):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every check sees the candidate truncated or zero-padded to --order
+
+def test_verify_truncates_below_the_first_failure(capsys):
+    # sigma(F) F - 1 and the cocycle defect of the order-3 candidate first
+    # fail at order 2; through order 1 both vanish
+    code, out = run_cli(capsys, "verify", str(DATA / "candidate-order3.json"),
+                        "--order", "1", "--checks", "unitarity", "cocycle")
+    assert code == 0
+    assert out == "unitarity(universal): pass\ncocycle: pass\n"
+
+
+@pytest.mark.parametrize("flag, code, status", [
+    ([], 1, "fail"), (["--expect-paper-behavior"], 0, "fails-as-paper-states")])
+def test_verify_pads_above_the_candidate(capsys, tmp_path, flag, code, status):
+    # F = 1 + h r is unitary and a cocycle through order 1, but its
+    # zero-padded order-2 coefficient is neither
+    path = write_candidate(tmp_path / "ref1.json", reference_candidate(1))
+    got, out = run_cli(capsys, "verify", path, "--order", "2",
+                       "--checks", "unitarity", "cocycle", *flag)
+    assert got == code
+    assert out == (f"unitarity(universal): {status} (first nonzero at order 2)\n"
+                   f"cocycle: {status} (first nonzero at order 2)\n")
+
+
+@pytest.mark.parametrize("order, code, status", [
+    (1, 0, "pass"), (2, 1, "fail (first failure at order 2)"),
+    (3, 1, "fail (first failure at order 2)")])
+def test_verify_normalization_at_order(capsys, tmp_path, order, code, status):
+    # (eps (x) id) sends the h^2 coefficient 1 (x) I to I: a failure at
+    # order 2 that truncation below it drops
+    cand = TwistCandidate.from_coefficients(
+        [TensorElement.one(), TensorElement.zero(), outer(Element.one(), casimir())])
+    path = write_candidate(tmp_path / "spoiled.json", cand)
+    got, out = run_cli(capsys, "verify", path, "--order", str(order),
+                       "--checks", "normalization")
+    assert got == code
+    assert out == (f"normalization counit(leg1): {status}\n"
+                   "normalization counit(leg2): pass\n")
+
+
+@pytest.mark.parametrize("name", sorted(cli.CHECKS))
+def test_checks_agree_with_the_candidate_cut_to_order(name):
+    # a check first run on the candidate cut to its own order gives what it
+    # gives on the candidate truncated or padded to --order outright
+    for cand in (reference_candidate(1), reference_candidate(2)):
+        for order in range(4):
+            direct = cli.CHECKS[name](cand.at_order(order), order)
+            assert cli.CHECKS[name](cand, order) == direct
+
+
+# sha256 and exit code of `twistkit verify tests/data/candidate-order{3,4}.json
+# --checks all --order N --format FMT [--expect-paper-behavior]`, recorded
+# before the checks were given one report shape
+VERIFY_DIGESTS = {
+    (3, 2, "text", False): (1, "ee3d34a20d37a932b032795ac418b714e7999acfd7089dd1f9bf88f7017d1964"),
+    (3, 2, "text", True): (0, "29ee25dfcaa8a7567a7e2e603837ce105e08f606e856925f592926cfae6703be"),
+    (3, 2, "json", False): (1, "ce2ab45ce2fb8a6e41193dc64b5e4bae2f9127a72886243cff89a4bf6dec72a0"),
+    (3, 2, "json", True): (0, "d04f79de8854afc280dc089fbca07853d8f182922381a791993ad55571d1da0b"),
+    (3, 4, "text", False): (1, "f54dcab09341552ca8071e812564206294b8180734548ec9bcf1191ce8eb5182"),
+    (3, 4, "text", True): (1, "3fafc378edb06f9ab9081585768342a75691ac581d115ca7af4999b8e381044e"),
+    (3, 4, "json", False): (1, "ed5db8bc75f89a509ffcff911a76f3957d1916e5ee305cd3cad0dce84044bdc9"),
+    (3, 4, "json", True): (1, "b4d1f8a31ade6bfb2557930320d280a00b0ea00c544fe44a52eceacbbd17e392"),
+    (3, 6, "text", False): (1, "e6cbda32183c4fcc06707ed3097366419a9f2010e40c8e970371c7f819912980"),
+    (3, 6, "text", True): (1, "3f19662c2d0e3bb96f75611e248a163d1103e715f96e43d66d5e433a48392eff"),
+    (3, 6, "json", False): (1, "8cdcb73c06ccd45a85c63568fb5344a7acf8444e4b1a9a26c0e46d980fa14665"),
+    (3, 6, "json", True): (1, "b895e79ca21be681aa0b4f0df5213d6ce7f2a718c3b6d9c92e19fa3e81c6a3b0"),
+    (4, 2, "text", False): (1, "ee3d34a20d37a932b032795ac418b714e7999acfd7089dd1f9bf88f7017d1964"),
+    (4, 2, "text", True): (0, "29ee25dfcaa8a7567a7e2e603837ce105e08f606e856925f592926cfae6703be"),
+    (4, 2, "json", False): (1, "ce2ab45ce2fb8a6e41193dc64b5e4bae2f9127a72886243cff89a4bf6dec72a0"),
+    (4, 2, "json", True): (0, "d04f79de8854afc280dc089fbca07853d8f182922381a791993ad55571d1da0b"),
+    (4, 4, "text", False): (1, "ee3d34a20d37a932b032795ac418b714e7999acfd7089dd1f9bf88f7017d1964"),
+    (4, 4, "text", True): (0, "29ee25dfcaa8a7567a7e2e603837ce105e08f606e856925f592926cfae6703be"),
+    (4, 4, "json", False): (1, "5d448bf5a9504d70cda86e81d283044e40a28723533358bf7fe27fa371f919cd"),
+    (4, 4, "json", True): (0, "3e90272d4077410f1bf96b7121f4bde06e653518872fc6e6b938a921148f4f00"),
+    (4, 6, "text", False): (1, "3614a540affffdbad947ed000fd81b8800ae156acfb7f41275a3c0ca7fad8a39"),
+    (4, 6, "text", True): (1, "9ecb0af1c889e785a4b5b42245ea2603900f931e69e71496e9590096be1cc44a"),
+    (4, 6, "json", False): (1, "efa1a4e87065b76c96acaf297bfefb67f501eae6712bbca9de63481cb72153b5"),
+    (4, 6, "json", True): (1, "1ca76d0575fc80cb0c2e803ed90488d7e7cfa9b105e5d831ce85aa79e19abba7"),
+}
+
+
+@pytest.mark.parametrize("cand_order, order, fmt, paper", sorted(VERIFY_DIGESTS))
+def test_verify_output_pinned(capsys, cand_order, order, fmt, paper):
+    code = main(["verify", str(DATA / f"candidate-order{cand_order}.json"),
+                 "--checks", "all", "--order", str(order), "--format", fmt]
+                + ["--expect-paper-behavior"] * paper)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        VERIFY_DIGESTS[cand_order, order, fmt, paper]

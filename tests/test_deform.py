@@ -142,8 +142,7 @@ def test_quantum_commutators_detect_corruption():
     bad_jplus = corrupted.map(lambda c: c * E)
     report = quantum_commutator_check(order, jplus=bad_jplus)
     assert not report.passed
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["[J+,J-] = [2J0]/2"].first_failure_order == 2
+    assert report.first_failures["[J+,J-] = [2J0]/2"] == 2
 
 
 def test_q_analog_2h_matches_generic_q_analog():

@@ -101,11 +101,8 @@ def test_normalization_check():
         [TensorElement.one() + outer(Element.one(), casimir())])
     report = normalization_check(spoiled)
     assert not report.passed
-    by_name = {c.name: c for c in report.checks}
     # (eps (x) id) collapses 1 (x) I to I != 1; (id (x) eps) kills it
-    assert not by_name["counit(leg1)"].passed
-    assert by_name["counit(leg1)"].first_failure_order == 0
-    assert by_name["counit(leg2)"].passed
+    assert report.first_failures == {"counit(leg1)": 0, "counit(leg2)": None}
 
 
 def test_unitarity_defect_orders():
@@ -331,6 +328,16 @@ def test_ansatz_validation():
     assert ans.cutoff_l == 2 and ans.cutoff_d == 2
     inst = ans.instantiate([Fraction(1)] * len(ans))
     assert is_weight_zero(inst)
+
+
+def test_ansatz_cutoff_defaults_and_bounds():
+    for k in (1, 2, 3):
+        ans = TwistAnsatz(k)
+        assert (ans.cutoff_l, ans.cutoff_d) == twist.default_cutoffs(k) == (k + 1, 2 * k)
+    assert len(TwistAnsatz(1, cutoff_l=1, cutoff_d=0)) == 1   # D = 0 is valid
+    for cutoffs, got in (((0, None), "L=0, D=2"), ((1, -1), "L=1, D=-1")):
+        with pytest.raises(ValueError, match=f"L >= 1 and D >= 0, got {got}"):
+            TwistAnsatz(1, *cutoffs)
 
 
 # ---------------------------------------------------------------------------
