@@ -1,11 +1,11 @@
 """Solving the coproduct twist order by order.
 
 The order-k residual equations are linear in the unknown coefficient F_k;
-expanding them over the PBW tensor basis against a weight-zero polynomial
-ansatz gives an exact rational linear system.  The minimal order-1
-solution is the classical r-matrix; at order 2 the solver's particular
-solution differs from the explicit reference term by a kernel element
-(the twist-class ambiguity).
+writing them in the basis {H^a I^b E^n} u {H^a I^b F^n} of each tensor
+leg against a weight-zero polynomial ansatz gives an exact rational
+linear system.  The minimal order-1 solution is the classical r-matrix;
+at order 2 the solver's particular solution differs from the explicit
+reference term by a kernel element (the twist-class ambiguity).
 """
 
 from twistkit import (TensorElement, TwistCandidate, build_candidate,

@@ -35,10 +35,10 @@ EXIT_INFEASIBLE = 3
 # the largest --order of each command and the wall time of that order on
 # one 2.1 GHz Xeon core with Python 3.11.7 (verify and eval-rep on the
 # order-3 candidate perfbench/fixture/candidate-order3.json); near each
-# bound the time grows about 3x per two orders (8x per order for
+# bound the time grows about 3x per two orders (4x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "42-52 s"),
+MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "6-13 s"),
              "verify": (14, "27 s with --checks all"),
              "eval-rep": (20, "10-19 s at two_j 32 x 32"),
              "show-rmatrix": (18, "31 s")}
@@ -249,7 +249,8 @@ def cmd_verify(args) -> int:
     cand = _load_candidate(args.candidate)
     if cand is None:
         return EXIT_BAD_INPUT
-    checks = ALL_CHECKS if "all" in args.checks else tuple(args.checks)
+    # each check once, in the order first named; "all" among names is all
+    checks = ALL_CHECKS if "all" in args.checks else tuple(dict.fromkeys(args.checks))
     order = args.order
     status = "fails-as-paper-states" if args.expect_paper_behavior else "fail"
     lines = []
@@ -357,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate JSON file")
     common(p, "verify")
     p.add_argument("--checks", nargs="+", default=["all"],
-                   choices=("all",) + ALL_CHECKS)
+                   choices=("all",) + ALL_CHECKS,
+                   help="checks to run, each once in the order first named; "
+                        "all, alone or among names, runs every check "
+                        "(default: all)")
     p.add_argument("--expect-paper-behavior", action="store_true",
                    help="report the documented negative results (universal "
                         "unitarity, cocycle) as expected failures that do "

@@ -33,7 +33,7 @@ from .hseries import HSeries
 from .pbw import Element
 from .report import VerificationReport
 from .tensor import TensorElement
-from .twist import unitarity_defect
+from .twist import TwistCandidate, unitarity_defect
 
 
 def _zeros(n):
@@ -237,12 +237,11 @@ def evaluate(x, *reps: SpinRep) -> RepMatrix:
     return RepMatrix(dim, out)
 
 
-def semi_universal(cand, order: int | None = None):
+def semi_universal(cand: TwistCandidate, order: int | None = None):
     """Apply spin-1/2 to the first leg only: a 2x2 array of Element
-    series (the second leg stays universal)."""
-    series = cand.series if hasattr(cand, "series") else cand
-    if order is not None:
-        series = series.pad_to(order) if order > series.order else series.truncate(order)
+    series (the second leg stays universal), at the candidate's order or
+    padded or truncated to `order`."""
+    series = cand.at_order(cand.order if order is None else order).series
     out = [[[Element.zero() for _ in range(series.order + 1)] for _ in range(2)]
            for _ in range(2)]
     for k, c in enumerate(series.coeffs):

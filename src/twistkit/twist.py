@@ -9,15 +9,17 @@ the residuals are kept in multiplied-through form
 which must vanish order by order.  At each order k the residual equation
 is linear in F_k: the homogeneous part is the commutator with the three
 classical coproducts, the inhomogeneity comes from the lower orders.  The
-solver expands that equation over the PBW tensor basis against the
+solver writes that equation in Casimir coordinates (below) against the
 weight-zero ansatz
 
     F_k = sum_l  a_l(H1,H2,I1,I2) E1^l F2^l + b_l(H1,H2,I1,I2) F1^l E2^l
 
 with polynomial coefficients of bounded degree.  F_k enters only through
-commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, so the system
-matrix is integral and only the right-hand side is rational; it is built
-straight into integer rows and solved by fraction-free elimination.
+commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, whose
+brackets with a leg have half-integral coefficients in those
+coordinates, so twice the system matrix is integral and only the
+right-hand side is rational; it is built straight into integer rows and
+solved by fraction-free elimination.
 
 Only the J+ rows, [F_k, Delta(E)], are assembled and solved: once the
 lower orders are valid, their solutions are exactly those of the whole
@@ -45,6 +47,18 @@ first and raises ValueError if one is non-zero.  A solution is still
 certified exactly before it is returned: the order-k residuals of all
 three generators must vanish on the particular solution, and every
 homogeneous element must commute with Delta(H), Delta(E) and Delta(F).
+
+The equations are written in Casimir coordinates.  The Casimir
+I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
+{E^n} u {F^n}, so {H^a I^b E^n} u {H^a I^b F^n} is a basis of U(sl2),
+and each leg H^a I^b G^l of an ansatz payload is a single basis element
+(in the PBW basis every I^b would expand into many terms).  The change
+from PBW to Casimir coordinates is invertible on each leg, hence on
+U (x) U, so the rows it gives span the same row space as the PBW rows of
+[A|b]: the solution set is the same, and so is the back-reduced echelon
+form, which is unique under the fixed column order.  Status, pivot
+columns, particular solution and nullspace are those of the PBW system,
+and an inconsistent system stays inconsistent.
 """
 
 from __future__ import annotations
@@ -58,8 +72,8 @@ from functools import cache
 from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
-from .lincomb import _integral, _rational
-from .pbw import E, E_MONO, F, H, Element, casimir, mono_mul
+from .lincomb import _iadd, _integral, _rational
+from .pbw import E, F, H, Element, _hpoly_shift, casimir, to_casimir_basis
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, cartan_killing, classical_r,
@@ -225,11 +239,12 @@ class AnsatzUnknown:
         return f"{self.side}{self.l}[{ms or '1'}]"
 
     def legs(self) -> tuple:
-        """The keys (h_exp, i_exp, gen, l) of the two legs of the payload
-        H1^a1 I1^b1 G1^l (x) H2^a2 I2^b2 G2^l."""
+        """The Casimir coordinates (a, b, n) of the two legs of the payload
+        H1^a1 I1^b1 G1^l (x) H2^a2 I2^b2 G2^l: n = l for G = E and n = -l
+        for G = F (see _leg_element)."""
         a1, a2, b1, b2 = self.mono
-        g1, g2 = ("E", "F") if self.side == "a" else ("F", "E")
-        return (a1, b1, g1, self.l), (a2, b2, g2, self.l)
+        n = self.l if self.side == "a" else -self.l
+        return (a1, b1, n), (a2, b2, -n)
 
 
 def default_cutoffs(order: int) -> tuple:
@@ -295,17 +310,18 @@ class TwistAnsatz:
 
 
 @cache
-def _leg_element(h_exp: int, i_exp: int, gen: str, l: int) -> Element:
-    """H^h I^i G^l in PBW normal form, cached."""
-    return (Element.monomial(0, 0, h_exp) * casimir() ** i_exp
-            * (E if gen == "E" else F) ** l)
+def _leg_element(a: int, b: int, n: int) -> Element:
+    """The leg H^a I^b E^n (n >= 0) or H^a I^b F^-n (n < 0) in PBW normal
+    form, cached."""
+    return (Element.monomial(0, 0, a) * casimir() ** b
+            * (E ** n if n >= 0 else F ** -n))
 
 
 @cache
-def _leg_ints(h_exp: int, i_exp: int, gen: str, l: int) -> tuple:
-    """The leg H^h I^i G^l as ((mono, int), ...), cached.  Products of H,
+def _leg_ints(a: int, b: int, n: int) -> tuple:
+    """The leg H^a I^b G^|n| as ((mono, int), ...), cached.  Products of H,
     I, E and F have integer coefficients in the PBW basis."""
-    terms = _leg_element(h_exp, i_exp, gen, l).terms
+    terms = _leg_element(a, b, n).terms
     for c in terms.values():
         if c.denominator != 1:
             raise ValueError(f"leg coefficient {c} is not an integer")
@@ -313,16 +329,55 @@ def _leg_ints(h_exp: int, i_exp: int, gen: str, l: int) -> tuple:
 
 
 @cache
-def _leg_bracket(h_exp: int, i_exp: int, gen: str, l: int, g) -> tuple:
-    """[x, g] for the leg x = H^h I^i G^l and a generator monomial g, as
-    ((mono, int), ...) without zeros, cached."""
+def _casimir_bracket(a: int, b: int, n: int) -> tuple:
+    """2 [x, E] for the leg x = H^a I^b G^|n| in Casimir coordinates, as
+    (((a', b', n'), int), ...) without zeros, cached.
+
+    E p(H) = p(H-1) E, so [H^a I^b E^n, E] = (H^a - (H-1)^a) I^b E^(n+1).
+    For x = H^a I^b F^l, F^l E = (I - (H+l-1)(H+l))/2 F^(l-1) and
+    [E, F^l] = F^(l-1) (lH - l(l-1)/2) = (lH + l(l-1)/2) F^(l-1) (pbw._fm_e),
+    so [x, E] = [(H^a - (H-1)^a)(I - (H+l-1)(H+l))/2
+                 - (H-1)^a (lH + l(l-1)/2)] I^b F^(l-1)."""
+    shifted = _hpoly_shift({a: 1}, -1)                   # (H-1)^a
+    diff = {k: -c for k, c in shifted.items() if k < a}  # H^a - (H-1)^a
     acc: dict = {}
-    for m, c in _leg_ints(h_exp, i_exp, gen, l):
-        for mono, d in mono_mul(m, g):
-            acc[mono] = acc.get(mono, 0) + c * d
-        for mono, d in mono_mul(g, m):
-            acc[mono] = acc.get(mono, 0) - c * d
-    return tuple((mono, c) for mono, c in acc.items() if c)
+    if n >= 0:
+        for k, c in diff.items():
+            acc[(k, b, n + 1)] = 2 * c
+    else:
+        l = -n
+        quad = {2: 1, 1: 2 * l - 1, 0: l * (l - 1)}  # (H+l-1)(H+l)
+        lin = {1: 2 * l, 0: l * (l - 1)}            # 2 (lH + l(l-1)/2)
+        for k, c in diff.items():
+            _iadd(acc, (k, b + 1, n + 1), c)
+            for j, q in quad.items():
+                _iadd(acc, (k + j, b, n + 1), -c * q)
+        for k, c in shifted.items():
+            for j, q in lin.items():
+                _iadd(acc, (k + j, b, n + 1), -c * q)
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+@cache
+def _mono_coords(mono) -> tuple:
+    """The PBW monomial in Casimir coordinates, as (((a, b, n), coeff), ...),
+    cached."""
+    sign = {"pure": 0, "E": 1, "F": -1}
+    return tuple(((t.a, t.b, sign[t.side] * t.c), c)
+                 for t, c in to_casimir_basis(Element({mono: 1})))
+
+
+def _casimir_coords(t: TensorElement) -> dict:
+    """The 2-leg tensor t in Casimir coordinates, converted leg by leg, as
+    {((a1, b1, n1), (a2, b2, n2)): coeff}."""
+    acc: dict = {}
+    for (m1, m2), c in t.terms.items():
+        ys = _mono_coords(m2)
+        for k1, c1 in _mono_coords(m1):
+            c1 *= c
+            for k2, c2 in ys:
+                _iadd(acc, (k1, k2), c1 * c2)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +385,19 @@ def _leg_bracket(h_exp: int, i_exp: int, gen: str, l: int, g) -> tuple:
 
 
 def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
-    """The J+ system matrix as {row mono: {column: int}}, column u holding
-    [payload(u), Delta(E)].  Delta(E) is primitive, so for payload(u) =
-    x (x) y that is [x, E] (x) y + x (x) [y, E].  Each leg is homogeneous
-    in weight, and the first legs of the two outer products differ in
-    weight by one, so no key is written twice and every entry is a
-    non-zero int."""
+    """Twice the J+ system matrix in Casimir coordinates, as {row key:
+    {column: int}}, column u holding 2 [payload(u), Delta(E)].  Delta(E)
+    is primitive, so for payload(u) = x (x) y that is [x, E] (x) y +
+    x (x) [y, E], and x, y are single basis elements.  [x, E] raises the
+    weight n of x by one, so the two outer products differ in the first
+    leg's n, no key is written twice and every entry is a non-zero int."""
     row_of: dict = defaultdict(dict)
     for ci, u in enumerate(ansatz.unknowns):
-        leg1, leg2 = u.legs()
-        for xs, ys in ((_leg_bracket(*leg1, E_MONO), _leg_ints(*leg2)),
-                       (_leg_ints(*leg1), _leg_bracket(*leg2, E_MONO))):
-            for m1, c1 in xs:
-                for m2, c2 in ys:
-                    row_of[(m1, m2)][ci] = c1 * c2
+        x, y = u.legs()
+        for k1, c in _casimir_bracket(*x):
+            row_of[(k1, y)][ci] = c
+        for k2, c in _casimir_bracket(*y):
+            row_of[(x, k2)][ci] = c
     return row_of
 
 
@@ -383,9 +437,10 @@ class SolutionSet:
 
 
 def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
-    """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const."""
+    """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
+    both sides doubled and in Casimir coordinates."""
     row_of = _j_plus_rows(ansatz)
-    b = {mono: -c for mono, c in const.terms.items()}
+    b = {key: -2 * c for key, c in _casimir_coords(const).items()}
 
     # a rhs term outside every column gives an empty, inconsistent row
     keys = sorted(row_of.keys() | b.keys())

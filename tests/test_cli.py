@@ -139,6 +139,24 @@ def test_verify_subset_of_checks(capsys, reference_file):
     assert code == 0
 
 
+def test_verify_runs_each_named_check_once(capsys, reference_file):
+    verify = ("verify", reference_file, "--order", "2", "--format", "json",
+              "--checks")
+    _, once = run_cli(capsys, *verify, "rmatrix", "cocycle")
+    code, twice = run_cli(capsys, *verify, "rmatrix", "cocycle", "rmatrix",
+                          "cocycle")
+    assert code == 1
+    assert twice == once
+    assert json.loads(once)["report"] == ["rmatrix[quasitriangular]: pass",
+                                          "cocycle: fail (first nonzero at order 2)"]
+
+
+def test_verify_all_among_named_checks_is_all(capsys, reference_file):
+    verify = ("verify", reference_file, "--order", "2", "--checks")
+    _, everything = run_cli(capsys, *verify, "all")
+    assert run_cli(capsys, *verify, "cocycle", "all", "twist") == (1, everything)
+
+
 def test_verify_trivial_candidate_falsified(capsys, trivial_file):
     code, out = run_cli(capsys, "verify", trivial_file, "--order", "1",
                         "--checks", "twist")

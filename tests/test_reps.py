@@ -169,6 +169,16 @@ def test_semi_universal_first_order():
     assert mat[1][0] == HSeries([zero, E * Fraction(1, 2)])
 
 
+def test_semi_universal_at_order():
+    cand = reference_candidate(2)
+    full = semi_universal(cand)
+    padded, cut = semi_universal(cand, 4), semi_universal(cand, 1)
+    for i in range(2):
+        for j in range(2):
+            assert padded[i][j] == full[i][j].pad_to(4)
+            assert cut[i][j] == full[i][j].truncate(1)
+
+
 def test_semi_universal_two_path_consistency():
     # evaluating the universal leg afterwards agrees with direct evaluation
     cand = reference_candidate(2)

@@ -10,7 +10,7 @@ import twistkit.twist as twist
 from twistkit.cli import _json_dumps, main
 from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
-from twistkit.pbw import E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir
+from twistkit.pbw import E, F, H, Element, casimir, to_casimir_basis
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, flip, is_weight_zero, outer)
 from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
@@ -344,23 +344,31 @@ def test_ansatz_cutoff_defaults_and_bounds():
 # the order-k system
 
 
-def test_leg_bracket_is_commutator_with_generator():
-    for k in (1, 2, 3):
-        legs = {leg for u in TwistAnsatz(k).unknowns for leg in u.legs()}
-        for leg in legs:
-            x = twist._leg_element(*leg)
-            assert Element(dict(twist._leg_ints(*leg))) == x
-            for g_mono, g in ((H_MONO, H), (E_MONO, E), (F_MONO, F)):
-                terms = twist._leg_bracket(*leg, g_mono)
-                assert Element(dict(terms)) == x * g - g * x
-                assert all(type(c) is int and c for _, c in terms)
+def casimir_coords(x: Element) -> dict:
+    """x over the basis {H^a I^b E^n} u {H^a I^b F^n}, keyed like the
+    solver's legs: (a, b, n), with n < 0 for F^-n."""
+    sign = {"pure": 0, "E": 1, "F": -1}
+    return {(t.a, t.b, sign[t.side] * t.c): c for t, c in to_casimir_basis(x)}
+
+
+def test_casimir_bracket_is_commutator_with_E():
+    # the closed form against the PBW bracket x*E - E*x, doubled
+    legs = {leg for u in TwistAnsatz(4).unknowns for leg in u.legs()}
+    for leg in legs:
+        x = twist._leg_element(*leg)
+        assert casimir_coords(x) == {leg: 1}
+        assert Element(dict(twist._leg_ints(*leg))) == x
+        terms = twist._casimir_bracket(*leg)
+        assert dict(terms) == {key: 2 * c for key, c
+                               in casimir_coords(x * E - E * x).items()}
+        assert all(type(c) is int and c for _, c in terms)
 
 
 def test_non_integral_leg_raises(monkeypatch):
     # __wrapped__ bypasses the cache, which keeps the real legs
     monkeypatch.setattr(twist, "_leg_element", lambda *leg: H * Fraction(1, 2))
     with pytest.raises(ValueError, match="leg coefficient 1/2 is not an integer"):
-        twist._leg_ints.__wrapped__(1, 0, "E", 0)
+        twist._leg_ints.__wrapped__(1, 0, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -373,36 +381,33 @@ def test_ansatz_payloads_are_integral(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ansatz_commutes_with_coproduct_of_H(k):
     # why solve_order assembles no J0 rows: every payload has weight zero,
-    # so [x, H] (x) y + x (x) [y, H] = 0 for each payload x (x) y
+    # so it commutes with Delta(H)
     ans = TwistAnsatz(k)
+    delta = coproduct(H)
     for u in ans.unknowns:
-        leg1, leg2 = u.legs()
-        acc = {}
-        for xs, ys in ((twist._leg_bracket(*leg1, H_MONO), twist._leg_ints(*leg2)),
-                       (twist._leg_ints(*leg1), twist._leg_bracket(*leg2, H_MONO))):
-            for m1, c1 in xs:
-                for m2, c2 in ys:
-                    acc[(m1, m2)] = acc.get((m1, m2), 0) + c1 * c2
-        assert not any(acc.values())
+        p = ans.payload(u)
+        assert (p * delta - delta * p).is_zero()
 
 
 @pytest.mark.parametrize("k, sample", [(1, None), (2, None), (3, 60)])
 def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
-    # the reference is the TensorElement product, not the per-leg brackets
+    # the reference is the TensorElement product, not the per-leg brackets,
+    # taken to Casimir coordinates leg by leg and doubled
     ans = TwistAnsatz(k)
     columns = {}
-    for mono, row in twist._j_plus_rows(ans).items():
+    for key, row in twist._j_plus_rows(ans).items():
         assert row
         for ci, c in row.items():
             assert type(c) is int and c
-            columns.setdefault(ci, {})[mono] = c
+            columns.setdefault(ci, {})[key] = c
     indices = range(len(ans))
     if sample is not None:
         indices = rng.sample(indices, sample)
     delta = coproduct(E)
     for ci in indices:
         p = ans.payload(ans.unknowns[ci])
-        assert TensorElement(columns.get(ci, {})) == p * delta - delta * p
+        want = twist._casimir_coords(p * delta - delta * p)
+        assert columns.get(ci, {}) == {key: 2 * c for key, c in want.items()}
 
 
 def test_instantiate_is_the_sum_of_payloads(rng):
@@ -419,7 +424,7 @@ def test_instantiate_is_the_sum_of_payloads(rng):
 
 
 @pytest.mark.parametrize("k, rows, cols, nnz, rank",
-                         [(1, 84, 45, 176, 38), (2, 962, 350, 7248, 328)])
+                         [(1, 54, 45, 78, 38), (2, 480, 350, 1134, 328)])
 def test_system_handed_to_solver(monkeypatch, k, rows, cols, nnz, rank):
     seen = []
 
@@ -490,8 +495,22 @@ def test_golden_candidate_passes_verify(capsys, order):
     assert "rmatrix[quasitriangular]: pass" in out
 
 
+def test_order4_resolves_from_golden_order3():
+    # solve then symmetrize, as build_candidate chains them, from the
+    # committed order-3 candidate
+    low = TwistCandidate.from_json(
+        json.loads((GOLDEN_DIR / "candidate-order3.json").read_text()))
+    sol = solve_order(4, low)
+    data = (_json_dumps(sol.to_json()) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SOLUTION_SHA256[4]
+    cand, _ = symmetrize_order(TwistCandidate.from_coefficients(
+        list(low.series.coeffs) + [sol.particular]), 4)
+    golden = (GOLDEN_DIR / "candidate-order4.json").read_bytes()
+    assert (_json_dumps(cand.to_json()) + "\n").encode() == golden
+
+
 @pytest.mark.skipif(os.environ.get("TWISTKIT_SLOW_TESTS") != "1",
-                    reason="re-solves orders 4 and 5 (about a minute); "
+                    reason="re-solves orders 4 and 5 (about 12 s); "
                            "set TWISTKIT_SLOW_TESTS=1")
 def test_orders_4_and_5_resolve_to_golden_bytes(capsys, tmp_path):
     cand4 = tmp_path / "candidate-order4.json"
