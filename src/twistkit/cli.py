@@ -38,7 +38,7 @@ EXIT_INFEASIBLE = 3
 # bound the time grows about 3x per two orders (4x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "6-13 s"),
+MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3-5 s"),
              "verify": (14, "27 s with --checks all"),
              "eval-rep": (20, "10-19 s at two_j 32 x 32"),
              "show-rmatrix": (18, "31 s")}

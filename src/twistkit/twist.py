@@ -48,6 +48,23 @@ certified exactly before it is returned: the order-k residuals of all
 three generators must vanish on the particular solution, and every
 homogeneous element must commute with Delta(H), Delta(E) and Delta(F).
 
+The certificate works in PBW coordinates and reads nothing of the
+Casimir assembly below.  The h^k coefficient of F Delta(m(g)) is
+sum_{i+j=k} F_i Delta(m(g))_j, and that of Delta_q~(g) F likewise, so
+F_k meets only the order-0 coefficients m(g)_0 = g and
+Delta_q~(g)_0 = Delta(g), with g = H, E, F for J0, J+, J-.  Hence for
+the lower orders padded with F_k = 0 (low) and F_k = P,
+
+    rho_k(low + h^k P)(g) = rho_k(low)(g) + [P, Delta(g)],
+
+and rho_k(low) is the series already computed for the lower-order check
+and the right-hand side.  Both parts of the certificate are then one
+commutator with a primitive Delta(g), taken leg by leg:
+[x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  It is summed in
+integers, the element scaled once by the lcm of its denominators, so
+the check is exact: it passes iff every solution reported satisfies the
+order-k equations of all three generators.
+
 The equations are written in Casimir coordinates.  The Casimir
 I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
 {E^n} u {F^n}, so {H^a I^b E^n} u {H^a I^b F^n} is a basis of U(sl2),
@@ -73,7 +90,8 @@ from .deform import delta_q_image, generator_images
 from .hseries import HSeries
 from .linsolve import solve_sparse
 from .lincomb import _iadd, _integral, _rational
-from .pbw import E, F, H, Element, _hpoly_shift, casimir, to_casimir_basis
+from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
+                  casimir, mono_mul, to_casimir_basis)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, cartan_killing, classical_r,
@@ -185,10 +203,39 @@ def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
                                   in twist_residual_series(cand, order).items()})
 
 
+# the PBW monomial g of each generator, with m(g) = g and Delta_q~(g) =
+# Delta(g) at order 0
+_GENERATOR_MONOS = {"J0": H_MONO, "J+": E_MONO, "J-": F_MONO}
+
+
+def _delta_bracket_into(acc: dict, xs: dict, g, scale: int = 1):
+    """acc += scale * [x, Delta(g)] in integers, for the 2-leg term dict xs
+    of x with int values and the PBW monomial g.  Delta(g) = g (x) 1 +
+    1 (x) g is primitive, so each term c m1 (x) m2 contributes
+    c ([m1, g] (x) m2 + m1 (x) [m2, g])."""
+    for (m1, m2), c in xs.items():
+        c *= scale
+        for m, d in mono_mul(m1, g):
+            key = (m, m2)
+            acc[key] = acc.get(key, 0) + c * d
+        for m, d in mono_mul(g, m1):
+            key = (m, m2)
+            acc[key] = acc.get(key, 0) - c * d
+        for m, d in mono_mul(m2, g):
+            key = (m1, m)
+            acc[key] = acc.get(key, 0) + c * d
+        for m, d in mono_mul(g, m2):
+            key = (m1, m)
+            acc[key] = acc.get(key, 0) - c * d
+
+
 def kernel_check(f: TensorElement) -> bool:
     """True iff f commutes with Delta(H), Delta(E) and Delta(F)."""
-    for d in (coproduct(H), coproduct(E), coproduct(F)):
-        if not (f * d - d * f).is_zero():
+    xs, _ = _integral(f.terms)
+    for g in _GENERATOR_MONOS.values():
+        acc: dict = {}
+        _delta_bracket_into(acc, xs, g)
+        if any(acc.values()):
             return False
     return True
 
@@ -456,20 +503,24 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
         return sol
     sol.particular = ansatz.instantiate(lin.particular)
     sol.homogeneous = [ansatz.instantiate(vec) for vec in lin.nullspace]
-    sol.homogeneous = [t for t in sol.homogeneous if not t.is_zero()]
     return sol
 
 
-def _certified(k: int, low: TwistCandidate, sol: SolutionSet) -> bool:
+def _certified(k: int, residuals: dict, sol: SolutionSet) -> bool:
     """True iff low + h^k particular has no order-k residual for any
     generator and every homogeneous element is in the classical kernel:
-    then every solution sol describes solves all the order-k equations."""
-    coeffs = list(low.series.coeffs)
-    coeffs[k] = sol.particular
-    cand = TwistCandidate.from_coefficients(coeffs)
-    return (all(s.coeffs[k].is_zero()
-                for s in twist_residual_series(cand, k).values())
-            and all(kernel_check(t) for t in sol.homogeneous))
+    then every solution sol describes solves all the order-k equations.
+    residuals are the residual series of the lower orders padded with
+    F_k = 0; adding h^k P adds [P, Delta(g)] at order k (module
+    docstring)."""
+    ps, dp = _integral(sol.particular.terms)
+    for g, series in residuals.items():
+        rs, dr = _integral(series.coeffs[k].terms)
+        acc = {key: dp * c for key, c in rs.items()}
+        _delta_bracket_into(acc, ps, _GENERATOR_MONOS[g], dr)
+        if any(acc.values()):
+            return False
+    return all(kernel_check(t) for t in sol.homogeneous)
 
 
 def solve_order(k: int, lower: TwistCandidate,
@@ -497,7 +548,7 @@ def solve_order(k: int, lower: TwistCandidate,
             raise ValueError(f"the lower candidate fails twist[{g}] at order {bad}")
 
     sol = _solve(k, ansatz, residuals["J+"].coeffs[k])
-    if sol.solved and not _certified(k, low, sol):
+    if sol.solved and not _certified(k, residuals, sol):
         raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
 

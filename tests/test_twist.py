@@ -2,13 +2,18 @@ import hashlib
 import json
 import os
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistkit.twist as twist
 from twistkit.cli import _json_dumps, main
+from twistkit.deform import delta_q_image, generator_images
 from twistkit.hseries import HSeries
+from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import E, F, H, Element, casimir, to_casimir_basis
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
@@ -87,6 +92,7 @@ def test_kernel_examples():
     assert kernel_check(outer(I, Element.one()))
     assert kernel_check(cartan_killing())
     assert not kernel_check(outer(E, F))
+    assert not kernel_check(coproduct(E))
 
 
 def test_cartan_killing_is_coproduct_defect():
@@ -495,12 +501,21 @@ def test_golden_candidate_passes_verify(capsys, order):
     assert "rmatrix[quasitriangular]: pass" in out
 
 
-def test_order4_resolves_from_golden_order3():
+def golden_order3() -> TwistCandidate:
+    return TwistCandidate.from_json(
+        json.loads((GOLDEN_DIR / "candidate-order3.json").read_text()))
+
+
+@pytest.fixture(scope="module")
+def order4_from_golden_order3():
+    low = golden_order3()
+    return low, solve_order(4, low)
+
+
+def test_order4_resolves_from_golden_order3(order4_from_golden_order3):
     # solve then symmetrize, as build_candidate chains them, from the
     # committed order-3 candidate
-    low = TwistCandidate.from_json(
-        json.loads((GOLDEN_DIR / "candidate-order3.json").read_text()))
-    sol = solve_order(4, low)
+    low, sol = order4_from_golden_order3
     data = (_json_dumps(sol.to_json()) + "\n").encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SOLUTION_SHA256[4]
     cand, _ = symmetrize_order(TwistCandidate.from_coefficients(
@@ -510,7 +525,7 @@ def test_order4_resolves_from_golden_order3():
 
 
 @pytest.mark.skipif(os.environ.get("TWISTKIT_SLOW_TESTS") != "1",
-                    reason="re-solves orders 4 and 5 (about 12 s); "
+                    reason="re-solves orders 4 and 5 (about 5 s); "
                            "set TWISTKIT_SLOW_TESTS=1")
 def test_orders_4_and_5_resolve_to_golden_bytes(capsys, tmp_path):
     cand4 = tmp_path / "candidate-order4.json"
@@ -576,3 +591,115 @@ def test_failed_certificate_raises_without_a_second_solve(monkeypatch,
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
     assert statuses == ["solved"]
+
+
+# ---------------------------------------------------------------------------
+# the certificate
+
+GENERATORS = {"J0": H, "J+": E, "J-": F}
+
+small_monomials = st.tuples(*[st.integers(0, 2)] * 3)
+small_tensors = st.dictionaries(
+    st.tuples(small_monomials, small_monomials),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=small_tensors, scale=st.integers(1, 5))
+def test_leg_wise_commutator_is_the_product_commutator(terms, scale):
+    f = TensorElement(terms)
+    xs, den = _integral(f.terms)
+    for g in GENERATORS.values():
+        (mono,) = g.terms
+        d = coproduct(g)
+        acc: dict = {}
+        twist._delta_bracket_into(acc, xs, mono, scale)
+        assert TensorElement._raw(_rational(acc, den)) == (f * d - d * f) * scale
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_order_zero_images_are_the_classical_generators(n):
+    # rho_k(low + h^k P) = rho_k(low) + [P, Delta(g)] rests on these
+    images = generator_images(n)
+    for name, g in GENERATORS.items():
+        assert images[name].coeffs[0] == g
+        assert delta_q_image(name, n).coeffs[0] == coproduct(g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_particular_enters_the_residual_as_one_commutator(order3_build, k,
+                                                         perturbed):
+    cand, sols = order3_build
+    low = cand.at_order(k - 1).at_order(k)
+    p = sols[k - 1].particular
+    if perturbed:  # breaks the equation of every generator
+        p = (p + outer(E, H * F) * Fraction(2, 3)
+             + outer(E - H, Element.one()))
+    coeffs = list(low.series.coeffs)
+    coeffs[k] = p
+    full = twist_residual_series(TwistCandidate.from_coefficients(coeffs), k)
+    base = twist_residual_series(low, k)
+    for name, g in GENERATORS.items():
+        d = coproduct(g)
+        assert full[name].coeffs[k] == base[name].coeffs[k] + (p * d - d * p)
+        assert full[name].coeffs[k].is_zero() != perturbed
+
+
+# E (x) F has weight zero and breaks the J+ and J- equations; Delta(E)
+# commutes with Delta(E), so the J+ rows cannot see it, and breaks the J0
+# and J- equations
+@pytest.mark.parametrize("corruption", [outer(E, F), coproduct(E)],
+                         ids=["E(x)F", "Delta(E)"])
+@pytest.mark.parametrize("part", ["particular", "homogeneous"])
+def test_corrupted_solution_fails_the_certificate(monkeypatch, one_candidate,
+                                                  part, corruption):
+    real_solve = twist._solve
+
+    def corrupted(*args):
+        sol = real_solve(*args)
+        if part == "particular":
+            sol.particular = sol.particular + corruption
+        else:
+            sol.homogeneous[-1] = sol.homogeneous[-1] + corruption
+        return sol
+    monkeypatch.setattr(twist, "_solve", corrupted)
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_order(1, one_candidate)
+
+
+# ---------------------------------------------------------------------------
+# the kernel dimension
+
+
+def kernel_dimension(cutoff_l: int, cutoff_d: int) -> int:
+    """#{I1^a I2^b P^c : c <= L-1, a + b + 2c <= D}, P = cartan_killing():
+    the closed-form kernel count of ROADMAP.md's open item on the kernel.
+    These tests check it at their points; it is not proved."""
+    return sum(comb(cutoff_d - 2 * c + 2, 2) for c in range(cutoff_l)
+               if 2 * c <= cutoff_d)
+
+
+# the feasible grid points of the benchmark's scan-o3 workload
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d",
+                         [(1, 2, 1), (1, 2, 2), (2, 2, 4), (2, 3, 3), (2, 3, 4)])
+def test_kernel_dimension_at_scan_points(monkeypatch, k, cutoff_l, cutoff_d):
+    results = []
+
+    def spy(a, b, ncols):
+        results.append(solve_sparse(a, b, ncols))
+        return results[-1]
+    monkeypatch.setattr(twist, "solve_sparse", spy)
+    sol = solve_order(k, golden_order3().at_order(k - 1),
+                      TwistAnsatz(k, cutoff_l, cutoff_d))
+    # every nullspace vector instantiates to a non-zero element
+    assert len(sol.homogeneous) == len(results[0].nullspace)
+    assert len(sol.homogeneous) == kernel_dimension(cutoff_l, cutoff_d)
+
+
+def test_kernel_dimension_at_default_cutoffs(order3_build,
+                                             order4_from_golden_order3):
+    _, sols = order3_build
+    sols = sols + [order4_from_golden_order3[1]]
+    assert [len(s.homogeneous) for s in sols] == [
+        kernel_dimension(*twist.default_cutoffs(k)) for k in (1, 2, 3, 4)]
