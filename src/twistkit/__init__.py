@@ -12,8 +12,8 @@ from .cpoly import Poly
 from .deform import (PhiSeries, delta_q_image, generator_images, m_J0,
                      m_Jminus, m_Jplus, phi, q_analog_2h,
                      quantum_commutator_check)
-from .hseries import (HSeries, OrderMismatchError, divide, q_analog,
-                      q_factorial, series_exp_h, sinh_ratio)
+from .hseries import (HSeries, OrderMismatchError, divide, mul_sub,
+                      q_analog, q_factorial, series_exp_h, sinh_ratio)
 from .pbw import (CasimirTerm, E, F, H, Element, casimir, commutator, counit,
                   element_from_json, element_to_json, element_to_str,
                   from_casimir_basis, is_hi_polynomial, shift_h,

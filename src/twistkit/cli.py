@@ -297,21 +297,20 @@ def cmd_eval_rep(args) -> int:
 
 
 def cmd_show_rmatrix(args) -> int:
-    which = args.which
-    out_text = []
-    payload = {"order": args.order}
-    if which in ("classical", "both"):
-        R = classical_R(args.order)
-        out_text.extend(_tensor_series_text(R, "classical R = q^P"))
-        payload["classical"] = [tensor_to_json(c) for c in R.coeffs]
-    if which in ("quantum", "both"):
-        Rq = quantum_R_image(args.order)
-        out_text.extend(_tensor_series_text(Rq, "quantum R image"))
-        payload["quantum"] = [tensor_to_json(c) for c in Rq.coeffs]
+    shown = {}
+    if args.which in ("classical", "both"):
+        shown["classical"] = classical_R(args.order), "classical R = q^P"
+    if args.which in ("quantum", "both"):
+        shown["quantum"] = quantum_R_image(args.order), "quantum R image"
+    # only the rendering that is printed is built
     if args.format == "json":
+        payload = {"order": args.order}
+        payload.update((name, [tensor_to_json(c) for c in R.coeffs])
+                       for name, (R, _) in shown.items())
         _emit(args, _json_dumps(payload))
     else:
-        _emit(args, "\n".join(out_text))
+        _emit(args, "\n".join(line for R, label in shown.values()
+                               for line in _tensor_series_text(R, label)))
     return EXIT_OK
 
 

@@ -14,15 +14,16 @@ which return the zero and the unit of the element's own ring.  The ring
 is fixed by the element, not only by its type: a tensor element's zero
 and unit have as many legs as the element itself.
 
-A product of two series runs in integers when their ring coefficients
-are LinearCombinations of one ring (Element, TensorElement of any leg
-count, Poly), each of which defines an integer kernel ``_mul_into``;
-scalar coefficients may stand beside them.  Every coefficient is scaled
-to integers once per product, and each h^n coefficient is summed into
-one integer dict over the lcm of its pairs' denominators (``_cauchy``)
-before it is divided back into Fractions.  Products of two scalar series
-and of other coefficient rings keep the plain loop of ring products and
-sums.
+Products run in integers when the ring coefficients are
+LinearCombinations of one ring (Element, TensorElement of any leg count,
+Poly), each of which defines an integer kernel ``_mul_into``; scalar
+coefficients may stand beside them.  A product a*b and a difference of
+two products a*b - c*d (``mul_sub``) are both signed sums of products:
+every coefficient is scaled to integers once, and each h^n coefficient
+sums all its signed pairs into one integer dict over the lcm of their
+denominators (``_cauchy``) before it is divided back into Fractions.
+Products of two scalar series and of other coefficient rings keep the
+plain loop of ring products and sums.
 
 The q-calculus with q = e^h lives on top: ``series_exp_h``, the
 q-analogue via the sinh-ratio series (which keeps coefficients
@@ -129,10 +130,9 @@ class HSeries:
         if not isinstance(other, HSeries):
             return NotImplemented
         self._check(other)
-        ring = _ring_of(self.coeffs + other.coeffs)
-        if ring is not None:
-            return HSeries(_cauchy(_ints(self.coeffs), _ints(other.coeffs),
-                                   _ring_into(ring), ring._like), self.order)
+        product = _integer_sum(((self, other, 1),))
+        if product is not None:
+            return product
         out = []
         for n in range(self.order + 1):
             acc = self.coeffs[0] * other.coeffs[n]
@@ -261,12 +261,12 @@ def _ring_of(coeffs):
     return ring
 
 
-def _ints(coeffs) -> list:
+def _ints(coeffs) -> tuple:
     """Each coefficient as (value, den) with an integer value: an int for
     a scalar, a dict of ints for a ring element; None for a zero."""
-    return [((c.numerator, c.denominator) if c else None)
-            if isinstance(c, Fraction)
-            else (_integral(c.terms) if c.terms else None) for c in coeffs]
+    return tuple(((c.numerator, c.denominator) if c else None)
+                 if isinstance(c, Fraction)
+                 else (_integral(c.terms) if c.terms else None) for c in coeffs)
 
 
 def _ring_into(ring):
@@ -286,21 +286,43 @@ def _ring_into(ring):
     return into
 
 
-def _cauchy(xs, ys, into, like) -> tuple:
-    """The Cauchy product coefficients sum_k x_k y_(n-k), n < len(xs), of
-    operands in the form of _ints.  Each one is summed into one integer
-    dict over L, the lcm of its pairs' denominators: into(acc, x, y, w)
-    adds w*x*y with w = L // (dx*dy), and like(terms) builds the
-    coefficient from its non-zero Fractions."""
+def _cauchy(products, into, like) -> tuple:
+    """The h^n coefficients of sum_j s_j xs_j ys_j for the signed products
+    (xs, ys, s) of operands in the form of _ints, all of one length.  Each
+    is summed into one integer dict over L, the lcm of its pairs'
+    denominators: into(acc, x, y, w) adds w*x*y with w = s*L // (dx*dy),
+    and like(terms) builds the coefficient from its non-zero Fractions."""
     out = []
-    for n in range(len(xs)):
-        pairs = [(x, y) for x, y in zip(xs[:n + 1], ys[n::-1]) if x and y]
-        den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    for n in range(len(products[0][0])):
+        pairs = [(x, y, s) for xs, ys, s in products
+                 for x, y in zip(xs[:n + 1], ys[n::-1]) if x and y]
+        den = lcm(*(dx * dy for (_, dx), (_, dy), _ in pairs))
         acc = {}
-        for (x, dx), (y, dy) in pairs:
-            into(acc, x, y, den // (dx * dy))
+        for (x, dx), (y, dy), s in pairs:
+            into(acc, x, y, s * (den // (dx * dy)))
         out.append(like(_rational(acc, den)))
     return tuple(out)
+
+
+def _integer_sum(products):
+    """sum_j s_j a_j b_j for the signed products (a_j, b_j, s_j) of series of
+    one order, summed by _cauchy; None unless their coefficients lie in one
+    ring with an integer product kernel (see _ring_of)."""
+    ring = _ring_of([c for a, b, _ in products for c in a.coeffs + b.coeffs])
+    if ring is None:
+        return None
+    return HSeries(_cauchy([(_ints(a.coeffs), _ints(b.coeffs), s)
+                            for a, b, s in products], _ring_into(ring),
+                           ring._like), products[0][0].order)
+
+
+def mul_sub(a: HSeries, b: HSeries, c: HSeries, d: HSeries) -> HSeries:
+    """a*b - c*d, each h^n coefficient summed in one integer pass when the
+    coefficients allow it (module docstring)."""
+    for x in (b, c, d):
+        a._check(x)
+    out = _integer_sum(((a, b, 1), (c, d, -1)))
+    return a * b - c * d if out is None else out
 
 
 def _is_atomic(s: str) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .deform import m_Jminus, m_Jplus
-from .hseries import HSeries, q_analog, series_exp_h
+from .hseries import HSeries, mul_sub, q_analog, series_exp_h
 from .pbw import H, Element
 from .tensor import TensorElement, cartan_killing, flip, series_outer
 
@@ -68,4 +68,4 @@ def quantum_R_image(order: int, *, extra_terms: int = 0) -> HSeries:
 def quasitriangular_residual(cand, order: int) -> HSeries:
     """R_q~ F - sigma(F) R, order by order."""
     Fs = cand.at_order(order).series
-    return quantum_R_image(order) * Fs - Fs.map(flip) * classical_R(order)
+    return mul_sub(quantum_R_image(order), Fs, Fs.map(flip), classical_R(order))

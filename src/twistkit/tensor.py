@@ -225,8 +225,8 @@ def series_outer(a: HSeries, b: HSeries) -> HSeries:
     sum_k a_k (x) b_(n-k), each h^n coefficient summed in integers."""
     if a.order != b.order:
         raise ValueError("series_outer needs equal truncation orders")
-    return HSeries(_cauchy(_ints(a.coeffs), _ints(b.coeffs), _outer_into,
-                           TensorElement._raw), a.order)
+    return HSeries(_cauchy(((_ints(a.coeffs), _ints(b.coeffs), 1),),
+                           _outer_into, TensorElement._raw), a.order)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,13 @@ the lower orders padded with F_k = 0 (low) and F_k = P,
 
     rho_k(low + h^k P)(g) = rho_k(low)(g) + [P, Delta(g)],
 
-and rho_k(low) is the series already computed for the lower-order check
-and the right-hand side.  Both parts of the certificate are then one
-commutator with a primitive Delta(g), taken leg by leg:
+and rho_k(low) is the h^k coefficient of the residual series already
+computed for the lower-order check and the right-hand side.  That series
+is one signed Cauchy sum per generator, sum_i F_i Delta(m(g))_(n-i) -
+Delta_q~(g)_(n-i) F_i, summed in integers (hseries._cauchy) against the
+two operands, which depend on the order alone and are built once per
+order.  Both parts of the certificate are then one commutator with a
+primitive Delta(g), taken leg by leg:
 [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  It is summed in
 integers, the element scaled once by the lcm of its denominators, so
 the check is exact: it passes iff every solution reported satisfies the
@@ -85,9 +89,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .deform import delta_q_image, generator_images
-from .hseries import HSeries
+from .hseries import HSeries, _cauchy, _ints, mul_sub
 from .linsolve import solve_sparse
 from .lincomb import _iadd, _integral, _rational
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
@@ -187,14 +192,20 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     generator name."""
     if not cand.leading_invertible():
         raise ValueError("twist candidate has a non-invertible leading term")
-    Fs = cand.at_order(order).series
-    images = generator_images(order)
-    out = {}
-    for g, image in images.items():
-        lhs = Fs * image.map(coproduct)
-        rhs = delta_q_image(g, order) * Fs
-        out[g] = lhs - rhs
-    return out
+    fs = _ints(cand.at_order(order).series.coeffs)
+    return {g: HSeries(_cauchy(((fs, cs, 1), (ds, fs, -1)),
+                               TensorElement._mul_into, TensorElement._raw), order)
+            for g, (cs, ds) in _residual_operands(order).items()}
+
+
+@cache
+def _residual_operands(order: int) -> dict:
+    """Delta(m(g)) and Delta_q~(g) for each generator g, their coefficients
+    in the integer form of hseries._ints; they depend on the order alone
+    and are cached by it."""
+    return {g: (_ints(image.map(coproduct).coeffs),
+                _ints(delta_q_image(g, order).coeffs))
+            for g, image in generator_images(order).items()}
 
 
 def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
@@ -261,9 +272,9 @@ def cocycle_defect(cand: TwistCandidate) -> HSeries:
     in the triple tensor power."""
     s = cand.series
     one = Element.one()
-    left = s.map(lambda c: outer(c, one)) * s.map(coproduct)
-    right = s.map(lambda c: outer(one, c)) * s.map(lambda c: coproduct(c, 2))
-    return left - right
+    return mul_sub(s.map(lambda c: outer(c, one)), s.map(coproduct),
+                   s.map(lambda c: outer(one, c)),
+                   s.map(lambda c: coproduct(c, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +418,30 @@ def _casimir_bracket(a: int, b: int, n: int) -> tuple:
 
 @cache
 def _mono_coords(mono) -> tuple:
-    """The PBW monomial in Casimir coordinates, as (((a, b, n), coeff), ...),
-    cached."""
+    """The PBW monomial in Casimir coordinates as ((((a, b, n), int), ...),
+    den), its coefficients the ints over den, cached."""
     sign = {"pure": 0, "E": 1, "F": -1}
-    return tuple(((t.a, t.b, sign[t.side] * t.c), c)
-                 for t, c in to_casimir_basis(Element({mono: 1})))
+    ints, den = _integral({(t.a, t.b, sign[t.side] * t.c): c
+                           for t, c in to_casimir_basis(Element({mono: 1}))})
+    return tuple(ints.items()), den
 
 
-def _casimir_coords(t: TensorElement) -> dict:
+def _casimir_coords(t: TensorElement) -> tuple:
     """The 2-leg tensor t in Casimir coordinates, converted leg by leg, as
-    {((a1, b1, n1), (a2, b2, n2)): coeff}."""
+    (ints, den): {((a1, b1, n1), (a2, b2, n2)): int}, zeros kept, over den."""
+    xs, dx = _integral(t.terms)
+    terms = [(_mono_coords(m1), _mono_coords(m2), c)
+             for (m1, m2), c in xs.items()]
+    den = lcm(*(d1 * d2 for (_, d1), (_, d2), _ in terms))
     acc: dict = {}
-    for (m1, m2), c in t.terms.items():
-        ys = _mono_coords(m2)
-        for k1, c1 in _mono_coords(m1):
+    for (ks1, d1), (ks2, d2), c in terms:
+        c *= den // (d1 * d2)
+        for k1, c1 in ks1:
             c1 *= c
-            for k2, c2 in ys:
-                _iadd(acc, (k1, k2), c1 * c2)
-    return acc
+            for k2, c2 in ks2:
+                key = (k1, k2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return acc, den * dx
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +504,13 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
     both sides doubled and in Casimir coordinates."""
     row_of = _j_plus_rows(ansatz)
-    b = {key: -2 * c for key, c in _casimir_coords(const).items()}
+    ints, den = _casimir_coords(const)
+    b = _rational({key: -2 * c for key, c in ints.items()}, den)
 
     # a rhs term outside every column gives an empty, inconsistent row
     keys = sorted(row_of.keys() | b.keys())
     rows = [row_of.get(key, {}) for key in keys]
-    rhs = [b.get(key, Fraction(0)) for key in keys]
+    rhs = [b.get(key, 0) for key in keys]
 
     lin = solve_sparse(rows, rhs, len(ansatz))
     sol = SolutionSet(order=k, cutoff_l=ansatz.cutoff_l, cutoff_d=ansatz.cutoff_d,

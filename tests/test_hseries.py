@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from twistkit.cpoly import Poly
-from twistkit.hseries import (HSeries, OrderMismatchError, divide, q_analog,
-                              q_factorial, series_exp_h, sinh_ratio)
+from twistkit.hseries import (HSeries, OrderMismatchError, divide, mul_sub,
+                              q_analog, q_factorial, series_exp_h, sinh_ratio)
 from twistkit.pbw import H, Element
 from twistkit.tensor import TensorElement, classical_r
 
@@ -291,3 +291,48 @@ def test_fused_product_rejects_mismatches(rng):
         two * three
     with pytest.raises(OrderMismatchError):
         two * two.pad_to(2)
+
+
+# ---------------------------------------------------------------------------
+# a difference of two products, summed in one integer pass
+
+
+@pytest.mark.parametrize("ring", ["tensor2", "tensor3", "scalar"])
+def test_mul_sub_matches_two_products(rng, ring):
+    def make(order):
+        if ring == "scalar":
+            return scalar_series(rng, order)
+        return random_ring_series(rng, RINGS[ring], order)
+    for _ in range(25):
+        order = rng.randint(0, 4)
+        a, b, c, d = (make(order) for _ in range(4))
+        got = mul_sub(a, b, c, d)
+        assert got == a * b - c * d
+        assert got == cauchy_reference(a, b) - cauchy_reference(c, d)
+        if ring != "scalar":
+            assert_stored_fractions(got)
+            assert all(x.legs == a.coeffs[0].legs for x in got.coeffs)
+
+
+def test_mul_sub_mixes_scalar_and_ring_series(rng):
+    for _ in range(10):
+        order = rng.randint(0, 3)
+        a = random_ring_series(rng, RINGS["tensor2"], order)
+        s = scalar_series(rng, order)
+        assert mul_sub(a, s, s, a) == a * s - s * a
+        assert mul_sub(s, s, a, a) == s * s - a * a
+
+
+def test_mul_sub_of_equal_products_is_zero(rng):
+    a = random_ring_series(rng, RINGS["tensor2"], 3)
+    b = random_ring_series(rng, RINGS["tensor2"], 3)
+    assert mul_sub(a, b, a, b) == HSeries([TensorElement.zero()] * 4)
+
+
+def test_mul_sub_rejects_mismatches(rng):
+    two = HSeries([random_tensor(rng, legs=2), random_tensor(rng, legs=2)])
+    three = HSeries([random_tensor(rng, legs=3), random_tensor(rng, legs=3)])
+    with pytest.raises(ValueError):
+        mul_sub(two, two, three, three)
+    with pytest.raises(OrderMismatchError):
+        mul_sub(two, two, two, two.pad_to(2))

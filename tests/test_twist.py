@@ -16,6 +16,8 @@ from twistkit.hseries import HSeries
 from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import E, F, H, Element, casimir, to_casimir_basis
+from twistkit.rmatrix import (classical_R, quantum_R_image,
+                              quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, flip, is_weight_zero, outer)
 from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
@@ -25,7 +27,7 @@ from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             symmetrize_order, twist_residual_series,
                             twist_residuals, unitarity_defect)
 
-from conftest import random_monomial
+from conftest import random_fraction, random_monomial
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +414,7 @@ def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
     delta = coproduct(E)
     for ci in indices:
         p = ans.payload(ans.unknowns[ci])
-        want = twist._casimir_coords(p * delta - delta * p)
+        want = _rational(*twist._casimir_coords(p * delta - delta * p))
         assert columns.get(ci, {}) == {key: 2 * c for key, c in want.items()}
 
 
@@ -703,3 +705,95 @@ def test_kernel_dimension_at_default_cutoffs(order3_build,
     sols = sols + [order4_from_golden_order3[1]]
     assert [len(s.homogeneous) for s in sols] == [
         kernel_dimension(*twist.default_cutoffs(k)) for k in (1, 2, 3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# the residual series and the right-hand side in integers
+
+coprime_fractions = st.builds(Fraction, st.integers(-9, 9),
+                              st.sampled_from((1, 2, 3, 5, 7, 11)))
+
+
+@st.composite
+def candidates(draw):
+    """A candidate of order 0..5: an invertible scalar F0 and small random
+    higher coefficients with coprime denominators."""
+    coeffs = [TensorElement.one() * draw(coprime_fractions.filter(bool))]
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs.append(TensorElement(draw(st.dictionaries(
+            st.tuples(small_monomials, small_monomials), coprime_fractions,
+            max_size=4))))
+    return TwistCandidate.from_coefficients(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cand=candidates(), order=st.integers(0, 5))
+def test_residual_series_is_the_two_product_difference(cand, order):
+    Fs = cand.at_order(order).series
+    got = twist_residual_series(cand, order)
+    images = generator_images(order)
+    assert list(got) == list(images)
+    for g, image in images.items():
+        want = Fs * image.map(coproduct) - delta_q_image(g, order) * Fs
+        assert got[g] == want
+        assert all(c.legs == 2 and all(type(v) is Fraction and v
+                                       for v in c.terms.values())
+                   for c in got[g].coeffs)
+
+
+@pytest.mark.parametrize("which", ["reference", "golden-order3"])
+def test_residuals_match_product_then_subtract(which):
+    cand = reference_candidate(2) if which == "reference" else golden_order3()
+    s, order, one = cand.series, cand.order, Element.one()
+    assert quasitriangular_residual(cand, order) == (
+        quantum_R_image(order) * s - s.map(flip) * classical_R(order))
+    assert cocycle_defect(cand) == (
+        s.map(lambda c: outer(c, one)) * s.map(coproduct)
+        - s.map(lambda c: outer(one, c)) * s.map(lambda c: coproduct(c, 2)))
+
+
+def casimir_reference(t: TensorElement) -> dict:
+    """t in Casimir coordinates, leg by leg, one Fraction product at a
+    time."""
+    sign = {"pure": 0, "E": 1, "F": -1}
+
+    def coords(mono):
+        return [((x.a, x.b, sign[x.side] * x.c), c)
+                for x, c in to_casimir_basis(Element({mono: 1}))]
+    acc: dict = {}
+    for (m1, m2), c in t.terms.items():
+        for k1, c1 in coords(m1):
+            for k2, c2 in coords(m2):
+                acc[k1, k2] = acc.get((k1, k2), 0) + c * c1 * c2
+    return {key: v for key, v in acc.items() if v}
+
+
+def test_integer_casimir_coords_match_fraction_reference(rng):
+    monos = [(e, f, d) for e in range(5) for f in range(5) for d in range(3)]
+    dens = (1, 2, 3, 5, 7)
+    total = TensorElement.zero()
+    for m in monos:
+        t = TensorElement({(m, rng.choice(monos)): random_fraction(rng, dens=dens),
+                           (rng.choice(monos), m): random_fraction(rng, dens=dens)})
+        assert _rational(*twist._casimir_coords(t)) == casimir_reference(t)
+        total = total + t
+    assert _rational(*twist._casimir_coords(total)) == casimir_reference(total)
+    assert twist._casimir_coords(TensorElement.zero()) == ({}, 1)
+
+
+# the grid of the benchmark's scan-o3 workload
+SCAN_GRID = ([(3, L, D) for L in (2, 3, 4) for D in (2, 3, 4)]
+             + [(3, 3, 5), (3, 2, 6), (1, 2, 1), (1, 2, 2),
+                (2, 2, 4), (2, 3, 3), (2, 3, 4)])
+
+
+def test_residual_operands_are_cached_by_order_alone():
+    twist._residual_operands.cache_clear()
+    golden = golden_order3()
+    for k, cutoff_l, cutoff_d in SCAN_GRID:
+        solve_order(k, golden.at_order(k - 1), TwistAnsatz(k, cutoff_l, cutoff_d))
+    # other candidates at the same orders add no entry
+    for k in (1, 2, 3):
+        twist_residual_series(reference_candidate(2), k)
+    info = twist._residual_operands.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
