@@ -150,14 +150,6 @@ def _check_writable(path: str, made: str) -> None:
 
 
 def cmd_solve_twist(args) -> int:
-    # the output paths are checked before the solve, not after it; --out-dir
-    # through the first file it receives.  "." and its parents exist, so
-    # without --out-dir no directory counts as made
-    made = os.path.abspath(args.out_dir or ".")
-    for path in (args.out_dir and os.path.join(args.out_dir, "twist-order-1.json"),
-                 args.candidate_out, args.output):
-        if path:
-            _check_writable(path, made)
     try:
         cand, sols = build_candidate(args.order, cutoff_l=args.cutoff_l,
                                      cutoff_d=args.cutoff_d,
@@ -435,6 +427,14 @@ def main(argv=None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
+        # every output path is checked before any work; --out-dir through
+        # its first file.  "." exists, so without --out-dir nothing is made
+        out_dir = getattr(args, "out_dir", None)
+        made = os.path.abspath(out_dir or ".")
+        for path in (out_dir and os.path.join(out_dir, "twist-order-1.json"),
+                     getattr(args, "candidate_out", None), args.output):
+            if path:
+                _check_writable(path, made)
         return args.func(args)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

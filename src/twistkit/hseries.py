@@ -7,23 +7,22 @@ orders raises OrderMismatchError instead of silently re-truncating,
 because silent drift in the working order is the classic bug in
 deformation computations.
 
-Coefficients may be rational scalars or any ring element that implements
-``+``, ``-``, ``*`` (including scalar multiplication by a Fraction),
-``is_zero()``, ``as_unit_scalar()``, and ``zero_like()``/``one_like()``,
-which return the zero and the unit of the element's own ring.  The ring
-is fixed by the element, not only by its type: a tensor element's zero
-and unit have as many legs as the element itself.
+Every coefficient is a rational scalar (a Fraction) or a
+LinearCombination: an Element, a TensorElement of any leg count, or a
+Poly.  The ring is fixed by the element, not only by its type: a tensor
+element's zero and unit have as many legs as the element itself.
 
-Products run in integers when the ring coefficients are
-LinearCombinations of one ring (Element, TensorElement of any leg count,
-Poly), each of which defines an integer kernel ``_mul_into``; scalar
-coefficients may stand beside them.  A product a*b and a difference of
-two products a*b - c*d (``mul_sub``) are both signed sums of products:
-every coefficient is scaled to integers once, and each h^n coefficient
-sums all its signed pairs into one integer dict over the lcm of their
-denominators (``_cauchy``) before it is divided back into Fractions.
-Products of two scalar series and of other coefficient rings keep the
-plain loop of ring products and sums.
+There is one product path, in integers.  A product a*b and a difference
+of two products a*b - c*d (``mul_sub``) are both signed sums of
+products: every coefficient is scaled to integers once, and each h^n
+coefficient sums all its signed pairs into one integer dict over the
+lcm of their denominators (``lincomb._sum_products``) before it is
+divided back into Fractions.  The pairs multiply in the ring's kernel
+``_mul_into``; scalar coefficients may stand beside ring coefficients,
+and a product of two scalar series runs through the same sum.
+Coefficients from two different rings raise TypeError, tensor elements
+with different leg counts ValueError.  ``inverse`` and ``sqrt`` keep
+their coefficient recurrences.
 
 The q-calculus with q = e^h lives on top: ``series_exp_h``, the
 q-analogue via the sinh-ratio series (which keeps coefficients
@@ -33,10 +32,11 @@ polynomial in the argument), and q-factorials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from numbers import Rational
 
-from .lincomb import LinearCombination, _add_scaled, _integral, _rational
+from .lincomb import (LinearCombination, _add_scaled, _integral, _rational,
+                      _sum_products)
 
 
 class OrderMismatchError(ValueError):
@@ -130,16 +130,7 @@ class HSeries:
         if not isinstance(other, HSeries):
             return NotImplemented
         self._check(other)
-        product = _integer_sum(((self, other, 1),))
-        if product is not None:
-            return product
-        out = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[0] * other.coeffs[n]
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[n - k]
-            out.append(acc)
-        return HSeries(tuple(out), self.order)
+        return _integer_sum(((self, other, 1),))
 
     def __rmul__(self, other):
         if isinstance(other, Rational):
@@ -245,19 +236,18 @@ def _is_zero_coeff(c):
 
 
 def _ring_of(coeffs):
-    """A ring coefficient among coeffs when all the others are scalars or
-    in its ring, which has an integer product kernel; else None.  A
-    tensor leg-count mismatch raises ValueError."""
+    """The ring coefficient among coeffs, all the others scalars or in its
+    ring; None if all are scalars.  TypeError for a coefficient in another
+    ring, ValueError for a tensor leg-count mismatch."""
     ring = None
     for c in coeffs:
         if isinstance(c, Fraction):
             continue
-        if ring is None:
-            if not isinstance(c, LinearCombination):
-                return None
+        if ring is None and isinstance(c, LinearCombination):
             ring = c
-        elif ring._operand(c) is NotImplemented:
-            return None
+        elif ring is None or ring._operand(c) is NotImplemented:
+            raise TypeError(f"series coefficient of type {type(c).__name__} "
+                            "is neither a Fraction nor in the others' ring")
     return ring
 
 
@@ -270,8 +260,9 @@ def _ints(coeffs) -> tuple:
 
 
 def _ring_into(ring):
-    """ring's product kernel, extended to scalar (int) operands."""
-    unit, mul_into = ring._unit(), ring._mul_into
+    """ring's product kernel, extended to scalar (int) operands; with no
+    ring (None) a product of scalars lands at the key None."""
+    unit = None if ring is None else ring._unit()
 
     def into(acc, x, y, scale):
         if isinstance(x, int):
@@ -282,47 +273,37 @@ def _ring_into(ring):
         elif isinstance(y, int):
             _add_scaled(acc, x, scale * y)
         else:
-            mul_into(acc, x, y, scale)
+            ring._mul_into(acc, x, y, scale)
     return into
 
 
 def _cauchy(products, into, like) -> tuple:
     """The h^n coefficients of sum_j s_j xs_j ys_j for the signed products
-    (xs, ys, s) of operands in the form of _ints, all of one length.  Each
-    is summed into one integer dict over L, the lcm of its pairs'
-    denominators: into(acc, x, y, w) adds w*x*y with w = s*L // (dx*dy),
-    and like(terms) builds the coefficient from its non-zero Fractions."""
-    out = []
-    for n in range(len(products[0][0])):
-        pairs = [(x, y, s) for xs, ys, s in products
-                 for x, y in zip(xs[:n + 1], ys[n::-1]) if x and y]
-        den = lcm(*(dx * dy for (_, dx), (_, dy), _ in pairs))
-        acc = {}
-        for (x, dx), (y, dy), s in pairs:
-            into(acc, x, y, s * (den // (dx * dy)))
-        out.append(like(_rational(acc, den)))
-    return tuple(out)
+    (xs, ys, s) of operands in the form of _ints, all of one length, each
+    summed by _sum_products with the kernel into and built by like."""
+    return tuple(like(_rational(*_sum_products(
+        [(x, y, s) for xs, ys, s in products
+         for x, y in zip(xs[:n + 1], ys[n::-1]) if x and y], into)))
+        for n in range(len(products[0][0])))
 
 
-def _integer_sum(products):
+def _integer_sum(products) -> HSeries:
     """sum_j s_j a_j b_j for the signed products (a_j, b_j, s_j) of series of
-    one order, summed by _cauchy; None unless their coefficients lie in one
-    ring with an integer product kernel (see _ring_of)."""
+    one order, summed by _cauchy in the ring of their coefficients (see
+    _ring_of), or as scalars when they are all scalars."""
     ring = _ring_of([c for a, b, _ in products for c in a.coeffs + b.coeffs])
-    if ring is None:
-        return None
+    like = ring._like if ring is not None else lambda t: t.get(None, Fraction(0))
     return HSeries(_cauchy([(_ints(a.coeffs), _ints(b.coeffs), s)
-                            for a, b, s in products], _ring_into(ring),
-                           ring._like), products[0][0].order)
+                            for a, b, s in products], _ring_into(ring), like),
+                   products[0][0].order)
 
 
 def mul_sub(a: HSeries, b: HSeries, c: HSeries, d: HSeries) -> HSeries:
-    """a*b - c*d, each h^n coefficient summed in one integer pass when the
-    coefficients allow it (module docstring)."""
+    """a*b - c*d, each h^n coefficient summed in one integer pass (module
+    docstring)."""
     for x in (b, c, d):
         a._check(x)
-    out = _integer_sum(((a, b, 1), (c, d, -1)))
-    return a * b - c * d if out is None else out
+    return _integer_sum(((a, b, 1), (c, d, -1)))
 
 
 def _is_atomic(s: str) -> bool:

@@ -9,10 +9,11 @@ and defines its rendering, built from ``_term_body`` and ``_signed_sum``,
 and its product kernel ``_mul_into(acc, xs, ys, scale)``, which adds
 scale * xs * ys to acc for term dicts with int values.
 Products run in integers: each operand is scaled once by the lcm of its
-denominators (``_integral``), the kernel adds up the term-pair products
-in ints, and each output term is divided once by the product of the two
-scales (``_rational``).  Series products (``hseries``) call the same
-kernel, summing a whole Cauchy sum into one integer dict.
+denominators (``_integral``), and ``_sum_products``, the one lcm step,
+sums weighted products of such operands into one int dict that is
+divided back once (``_rational``).  a*b is its one-pair case; series
+products (``hseries``) and Casimir coordinates (``twist``) call it too.
+``_outer_into`` is the one outer-product kernel.
 """
 
 from __future__ import annotations
@@ -52,6 +53,28 @@ def _add_scaled(acc: dict, ints: dict, scale: int):
     """acc += scale * ints, key by key, in integers (zeros stay in acc)."""
     for key, v in ints.items():
         acc[key] = acc.get(key, 0) + scale * v
+
+
+def _sum_products(pairs, into) -> tuple:
+    """(ints, den): sum_j w_j x_j y_j for the weighted pairs ((x, dx),
+    (y, dy), w) of integer operands x/dx and y/dy (a sequence), summed into
+    one int dict over den, the lcm of the dx*dy: into(acc, x, y, s) adds
+    s*x*y with s = w*den // (dx*dy).  Zeros stay in ints; no pairs give
+    ({}, 1)."""
+    den = lcm(*(dx * dy for (_, dx), (_, dy), _ in pairs))
+    acc: dict = {}
+    for (x, dx), (y, dy), w in pairs:
+        into(acc, x, y, w * (den // (dx * dy)))
+    return acc, den
+
+
+def _outer_into(acc, xs, ys, scale):
+    """acc += scale * xs (x) ys for int term dicts, keyed by pairs of keys."""
+    for m1, c1 in xs.items():
+        c1 *= scale
+        for m2, c2 in ys.items():
+            key = (m1, m2)
+            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def _term_body(c, mono: str) -> str:
@@ -169,11 +192,8 @@ class LinearCombination:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        xs, dx = _integral(self.terms)
-        ys, dy = _integral(other.terms)
-        acc = {}
-        self._mul_into(acc, xs, ys, 1)
-        return self._like(_rational(acc, dx * dy))
+        pair = (_integral(self.terms), _integral(other.terms), 1)
+        return self._like(_rational(*_sum_products((pair,), self._mul_into)))
 
     def __rmul__(self, other):
         if isinstance(other, Rational):

@@ -37,10 +37,9 @@ def classical_R(order: int) -> HSeries:
     return series_exp_h(cartan_killing(), order)
 
 
-def quantum_R_image(order: int, *, extra_terms: int = 0) -> HSeries:
+def quantum_R_image(order: int) -> HSeries:
     """The deforming-map image of the quantum R-matrix, truncated at the
-    given order.  extra_terms widens the n-sum past its automatic cutoff
-    (the result must not change; exposed for the losslessness check)."""
+    given order; the n-sum stops at n = order (module docstring)."""
     hh = TensorElement({((0, 0, 1), (0, 0, 1)): 2})
     prefactor = series_exp_h(hh, order)
     x_leg = series_exp_h(H, order) * m_Jplus(order)
@@ -52,8 +51,8 @@ def quantum_R_image(order: int, *, extra_terms: int = 0) -> HSeries:
     total = HSeries.constant(TensorElement.zero(), order)
     x_pow = y_pow = HSeries.constant(Element.one(), order)
     geom_pow = q_fact = one_scalar
-    for n in range(order + 1 + extra_terms):
-        cut = max(order - n, 0)   # past n = N the scalar vanishes outright
+    for n in range(order + 1):
+        cut = order - n
         if n:
             x_pow = x_pow.truncate(cut) * x_leg.truncate(cut)
             y_pow = y_pow.truncate(cut) * y_leg.truncate(cut)

@@ -21,7 +21,7 @@ from functools import cache
 from math import comb
 
 from .hseries import HSeries, _cauchy, _ints
-from .lincomb import LinearCombination, _signed_sum
+from .lincomb import LinearCombination, _outer_into, _signed_sum
 from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
                   mono_mul)
 
@@ -210,14 +210,6 @@ def cartan_killing() -> TensorElement:
 
 # ---------------------------------------------------------------------------
 # series helpers
-
-
-def _outer_into(acc, xs, ys, scale):
-    for m1, c1 in xs.items():
-        c1 *= scale
-        for m2, c2 in ys.items():
-            key = (m1, m2)
-            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def series_outer(a: HSeries, b: HSeries) -> HSeries:

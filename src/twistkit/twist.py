@@ -89,12 +89,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .deform import delta_q_image, generator_images
 from .hseries import HSeries, _cauchy, _ints, mul_sub
 from .linsolve import solve_sparse
-from .lincomb import _iadd, _integral, _rational
+from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
                   casimir, mono_mul, to_casimir_basis)
 from .report import VerificationReport
@@ -358,12 +357,7 @@ class TwistAnsatz:
         acc: dict = {}
         for i, v in ints.items():
             leg1, leg2 = self.unknowns[i].legs()
-            ys = _leg_ints(*leg2)
-            for m1, c1 in _leg_ints(*leg1):
-                c1 *= v
-                for m2, c2 in ys:
-                    key = (m1, m2)
-                    acc[key] = acc.get(key, 0) + c1 * c2
+            _outer_into(acc, _leg_ints(*leg1), _leg_ints(*leg2), v)
         return TensorElement._raw(_rational(acc, den))
 
 
@@ -376,14 +370,15 @@ def _leg_element(a: int, b: int, n: int) -> Element:
 
 
 @cache
-def _leg_ints(a: int, b: int, n: int) -> tuple:
-    """The leg H^a I^b G^|n| as ((mono, int), ...), cached.  Products of H,
-    I, E and F have integer coefficients in the PBW basis."""
+def _leg_ints(a: int, b: int, n: int) -> dict:
+    """The leg H^a I^b G^|n| as {mono: int}, cached: the dict must not be
+    modified.  Products of H, I, E and F have integer coefficients in the
+    PBW basis."""
     terms = _leg_element(a, b, n).terms
     for c in terms.values():
         if c.denominator != 1:
             raise ValueError(f"leg coefficient {c} is not an integer")
-    return tuple((mono, c.numerator) for mono, c in terms.items())
+    return {mono: c.numerator for mono, c in terms.items()}
 
 
 @cache
@@ -418,30 +413,21 @@ def _casimir_bracket(a: int, b: int, n: int) -> tuple:
 
 @cache
 def _mono_coords(mono) -> tuple:
-    """The PBW monomial in Casimir coordinates as ((((a, b, n), int), ...),
-    den), its coefficients the ints over den, cached."""
+    """The PBW monomial in Casimir coordinates as ({(a, b, n): int}, den),
+    its coefficients the ints over den, cached: the dict must not be
+    modified."""
     sign = {"pure": 0, "E": 1, "F": -1}
-    ints, den = _integral({(t.a, t.b, sign[t.side] * t.c): c
-                           for t, c in to_casimir_basis(Element({mono: 1}))})
-    return tuple(ints.items()), den
+    return _integral({(t.a, t.b, sign[t.side] * t.c): c
+                      for t, c in to_casimir_basis(Element({mono: 1}))})
 
 
 def _casimir_coords(t: TensorElement) -> tuple:
     """The 2-leg tensor t in Casimir coordinates, converted leg by leg, as
     (ints, den): {((a1, b1, n1), (a2, b2, n2)): int}, zeros kept, over den."""
     xs, dx = _integral(t.terms)
-    terms = [(_mono_coords(m1), _mono_coords(m2), c)
-             for (m1, m2), c in xs.items()]
-    den = lcm(*(d1 * d2 for (_, d1), (_, d2), _ in terms))
-    acc: dict = {}
-    for (ks1, d1), (ks2, d2), c in terms:
-        c *= den // (d1 * d2)
-        for k1, c1 in ks1:
-            c1 *= c
-            for k2, c2 in ks2:
-                key = (k1, k2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-    return acc, den * dx
+    ints, den = _sum_products([(_mono_coords(m1), _mono_coords(m2), c)
+                               for (m1, m2), c in xs.items()], _outer_into)
+    return ints, den * dx
 
 
 # ---------------------------------------------------------------------------

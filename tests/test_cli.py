@@ -342,6 +342,11 @@ UNWRITABLE_OUTPUTS = [
     (["solve-twist", "--order", "1"], "--out-dir", "a-file/out"),
     (["solve-twist", "--order", "1"], "--candidate-out", "missing-dir/out"),
     (["solve-twist", "--order", "1"], "--candidate-out", ""),
+    (["show-rmatrix", "--order", "2"], "--output", "missing-dir/out"),
+    (["show-rmatrix", "--order", "2", "--format", "json"], "--output", "a-file/out"),
+    (["eval-rep", "CANDIDATE", "--two-j1", "1", "--two-j2", "1"], "--output",
+     "missing-dir/out"),
+    (["eval-rep", "CANDIDATE", "--two-j1", "2", "--two-j2", "1"], "--output", ""),
 ]
 
 
@@ -359,13 +364,20 @@ def test_unwritable_output_is_bad_input(tmp_path, reference_file, command,
     assert "Traceback" not in proc.stderr
 
 
+# the first work each command does, by the names cli calls them by
+WORK_FUNCTIONS = ("phi", "build_candidate", "_load_candidate", "classical_R",
+                  "quantum_R_image")
+
+
 @pytest.mark.parametrize("command, option, target", UNWRITABLE_OUTPUTS)
 def test_unwritable_output_is_reported_before_solving(
         capsys, monkeypatch, tmp_path, reference_file, command, option, target):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before checking the output paths")
+    # before solving, and before any other command's work
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the output paths")
 
-    monkeypatch.setattr(cli, "build_candidate", no_solve)
+    for name in WORK_FUNCTIONS:
+        monkeypatch.setattr(cli, name, no_work)
     (tmp_path / "a-file").write_text("")
     command = [reference_file if a == "CANDIDATE" else a for a in command]
     code = main([*command, option, str(tmp_path / target)])

@@ -6,6 +6,7 @@ import pytest
 from twistkit.cpoly import Poly
 from twistkit.hseries import (HSeries, OrderMismatchError, divide, mul_sub,
                               q_analog, q_factorial, series_exp_h, sinh_ratio)
+from twistkit.lincomb import _integral, _rational, _sum_products
 from twistkit.pbw import H, Element
 from twistkit.tensor import TensorElement, classical_r
 
@@ -266,9 +267,12 @@ def test_fused_product_matches_reference(rng, ring):
         a = random_ring_series(rng, make, order)
         b = random_ring_series(rng, make, order)
         s = scalar_series(rng, order)
-        for x, y in ((a, b), (s, b), (a, s)):
+        for x, y in ((a, b), (s, b), (a, s), (s, s)):
             got = x * y
             assert got == cauchy_reference(x, y)
+            if x is y is s:
+                assert all(type(c) is Fraction for c in got.coeffs)
+                continue
             assert_stored_fractions(got)
             assert all(type(c) is type(a.coeffs[0]) for c in got.coeffs)
         if ring.startswith("tensor"):
@@ -291,6 +295,33 @@ def test_fused_product_rejects_mismatches(rng):
         two * three
     with pytest.raises(OrderMismatchError):
         two * two.pad_to(2)
+
+
+def test_product_of_two_rings_raises_type_error(rng):
+    elements = random_ring_series(rng, RINGS["element"], 2)
+    polys = random_ring_series(rng, RINGS["poly"], 2)
+    for x, y in ((elements, polys), (polys, elements)):
+        with pytest.raises(TypeError):
+            x * y
+        with pytest.raises(TypeError):
+            mul_sub(x, x, y, y)
+        with pytest.raises(TypeError):
+            mul_sub(x, y, x, x)
+
+
+def test_sum_products_matches_fraction_sum(rng):
+    def operand():
+        return _integral(random_element(rng, dens=COPRIME).terms)
+
+    for _ in range(25):
+        pairs = [(operand(), operand(), rng.choice((1, -1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        ints, den = _sum_products(pairs, Element._mul_into)
+        want = Element.zero()
+        for (x, dx), (y, dy), w in pairs:
+            want = want + (Element(x) * Element(y)) * Fraction(w, dx * dy)
+        assert Element(_rational(ints, den)) == want
+    assert _sum_products([], Element._mul_into) == ({}, 1)
 
 
 # ---------------------------------------------------------------------------
