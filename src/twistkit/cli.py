@@ -15,6 +15,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from math import comb
 from .deform import phi
 from .lincomb import _integral, _signed_sum, _term_body
@@ -39,16 +41,18 @@ EXIT_INFEASIBLE = 3
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
 MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3-5 s"),
-             "verify": (14, "27 s with --checks all"),
+             "verify": (14, "10 s with --checks all"),
              "eval-rep": (20, "10-19 s at two_j 32 x 32"),
-             "show-rmatrix": (18, "31 s")}
+             "show-rmatrix": (18, "10-11 s")}
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
 # order 3: spin A/2 (x) B/2 prints ((A+1)(B+1))^2 series per order
 MAX_TWO_J, MAX_TWO_J_TIME = 32, "2.4 s"
-# eval-rep --format json builds one dict per matrix entry and then one
-# indented string, so its memory grows with the ((A+1)(B+1))^2 (N+1)
-# entries: at most those of 16 x 16 at order 3, which peaks at 301 MB
-MAX_JSON_ENTRIES, MAX_JSON_AT = 334084, "16 x 16 at order 3"
+# eval-rep --format json writes the ((A+1)(B+1))^2 (N+1) entries of the
+# matrix one row at a time, about 64 bytes each, so its memory is that of
+# the matrix (67 MB at 32 x 32, order 3, against 261 MB in text) and the
+# entry count bounds the output size and time: at most the entries of the
+# spin bound at order 3
+MAX_JSON_ENTRIES, MAX_JSON_AT = 4743684, "32 x 32 at order 3: 304 MB in 13-18 s"
 # solve-twist: the unknowns (2L-1)*C(D+4, 4) of the ansatz at the top order
 # with the given cutoffs, at most those of the order-5 default (L = 6,
 # D = 10) timed above, and at most the default number of escalations
@@ -59,16 +63,85 @@ MAX_UNKNOWNS, MAX_ESCALATIONS = 11011, 2
 EXPECTED_FAILURES = ("unitarity", "cocycle")
 
 
-def _emit(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(args, out) -> None:
+    """Write a command's output to --output, else to stdout: under
+    --format json out is the payload, streamed by _json_dumps, and
+    otherwise it is the text."""
+    fh = open(args.output, "w") if args.output else sys.stdout
+    try:
+        if args.format == "json":
+            _json_dumps(out, fh)
+        else:
+            fh.write(out + "\n")
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+# pieces of JSON joined per write: a write per piece is slow, and one
+# write per document holds the whole document in memory
+_JSON_BLOCK = 4096
+
+
+def _json_dumps(obj, fh) -> None:
+    """Write obj and a newline to fh, the same text as
+    json.dumps(obj, indent=2, sort_keys=True) + "\n".  The pieces are
+    written after any list item once more than _JSON_BLOCK wait, so that
+    memory holds about one block of text, not the document.  Accepted are
+    dicts with str keys, lists, tuples and any iterator (read once, written
+    as a list), str, int, bool and None; any other type raises TypeError."""
+    buf = []
+    append = buf.append
+
+    def value(o, indent):
+        # indent is the newline and indent of the line o starts on
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not "
+                                    f"{type(key).__name__}")
+                v = o[key]
+                if type(v) is int:              # most leaves: num, den, e, f, d
+                    append(f"{sep}{encode_basestring_ascii(key)}: {v!r}")
+                else:
+                    append(f"{sep}{encode_basestring_ascii(key)}: ")
+                    value(v, inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple, Iterator)):
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in o:
+                append(sep)
+                value(item, inner)
+                sep = "," + inner
+                if len(buf) > _JSON_BLOCK:
+                    fh.write("".join(buf))
+                    buf.clear()
+            # a sep that still opens the list means no item was written
+            append("[]" if sep[0] == "[" else indent + "]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not "
+                            "JSON serializable")
+
+    value(obj, "\n")
+    append("\n")
+    fh.write("".join(buf))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +199,12 @@ def _tensor_series_text(series, label: str) -> list:
 def cmd_expand_phi(args) -> int:
     p = phi(args.sign, args.order)
     if args.format == "json":
-        payload = {
+        _emit(args, {
             "sign": args.sign,
             "order": args.order,
             "coefficients": [element_to_json(c) for c in p.series.coeffs],
             "text": format_phi_series(p.series),
-        }
-        _emit(args, _json_dumps(payload))
+        })
     else:
         _emit(args, format_phi_series(p.series))
     return EXIT_OK
@@ -158,21 +230,28 @@ def cmd_solve_twist(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     solved = all(s.solved for s in sols) and len(sols) == args.order
+    # each document is built once, for its file and for stdout, and kept
+    # only for stdout
+    json_out = args.format == "json"
+    sol_docs = []
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for s in sols:
+            doc = s.to_json()
             path = os.path.join(args.out_dir, f"twist-order-{s.order}.json")
             with open(path, "w") as fh:
-                fh.write(_json_dumps(s.to_json()) + "\n")
+                _json_dumps(doc, fh)
+            if json_out:
+                sol_docs.append(doc)
+    elif json_out:
+        sol_docs = [s.to_json() for s in sols]
+    cand_doc = (cand.to_json() if solved and (json_out or args.candidate_out)
+                else None)
     if solved and args.candidate_out:
         with open(args.candidate_out, "w") as fh:
-            fh.write(_json_dumps(cand.to_json()) + "\n")
-    if args.format == "json":
-        payload = {
-            "solutions": [s.to_json() for s in sols],
-            "candidate": cand.to_json() if solved else None,
-        }
-        _emit(args, _json_dumps(payload))
+            _json_dumps(cand_doc, fh)
+    if json_out:
+        _emit(args, {"solutions": sol_docs, "candidate": cand_doc})
     else:
         lines = []
         for s in sols:
@@ -256,8 +335,7 @@ def cmd_verify(args) -> int:
             lines.append(line)
         falsified |= not (report.passed or expected and args.expect_paper_behavior)
     if args.format == "json":
-        _emit(args, _json_dumps({"order": order, "report": lines,
-                                 "falsified": falsified}))
+        _emit(args, {"order": order, "report": lines, "falsified": falsified})
     else:
         _emit(args, "\n".join(lines))
     return EXIT_FALSIFIED if falsified else EXIT_OK
@@ -277,7 +355,7 @@ def cmd_eval_rep(args) -> int:
         payload = mat.to_json()
         if unitarity is not None:
             payload["unitarity"] = unitarity.lines()
-        _emit(args, _json_dumps(payload))
+        _emit(args, payload)
     else:
         lines = [f"{rep1.dim * rep2.dim}x{rep1.dim * rep2.dim} series matrix "
                  f"(two_j = {args.two_j1}, {args.two_j2}; order {args.order}):",
@@ -294,12 +372,13 @@ def cmd_show_rmatrix(args) -> int:
         shown["classical"] = classical_R(args.order), "classical R = q^P"
     if args.which in ("quantum", "both"):
         shown["quantum"] = quantum_R_image(args.order), "quantum R image"
-    # only the rendering that is printed is built
+    # only the rendering that is printed is built, in JSON one
+    # coefficient at a time as it is written
     if args.format == "json":
         payload = {"order": args.order}
-        payload.update((name, [tensor_to_json(c) for c in R.coeffs])
+        payload.update((name, (tensor_to_json(c) for c in R.coeffs))
                        for name, (R, _) in shown.items())
-        _emit(args, _json_dumps(payload))
+        _emit(args, payload)
     else:
         _emit(args, "\n".join(line for R, label in shown.values()
                                for line in _tensor_series_text(R, label)))

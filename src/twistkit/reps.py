@@ -184,13 +184,17 @@ class RepMatrix:
         return self == RepMatrix.identity(self.dim, self.order)
 
     def to_json(self) -> dict:
+        """The matrix as row-major cells, each the list of its series
+        coefficients.  "matrix" is an iterator that builds one row at a
+        time and can be read once, so that a streamed write
+        (cli._json_dumps) never holds the whole matrix of dicts."""
         return {
             "dim": self.dim,
             "order": self.order,
-            "matrix": [[[{"num": m[i][j].numerator, "den": m[i][j].denominator}
+            "matrix": ([[{"num": m[i][j].numerator, "den": m[i][j].denominator}
                          for m in self.coeffs]
                         for j in range(self.dim)]
-                       for i in range(self.dim)],
+                       for i in range(self.dim)),
         }
 
     def render_text(self) -> str:

@@ -66,16 +66,29 @@ class TensorElement(LinearCombination):
 
     @staticmethod
     def _mul_into(acc, xs, ys, scale):
-        for keys1, c1 in xs.items():
-            c1 *= scale
-            for keys2, c2 in ys.items():
-                # multiply leg by leg, expanding each leg's product
-                partial = [((), c1 * c2)]
-                for x, y in zip(keys1, keys2):
-                    partial = [(key + (m,), c * d) for key, c in partial
-                               for m, d in mono_mul(x, y)]
-                for key, c in partial:
-                    acc[key] = acc.get(key, 0) + c
+        # (x1 (x) x')(y1 (x) y') = x1 y1 (x) x'y': the remaining legs of
+        # each pair of first-leg groups are multiplied once, down to the
+        # one-leg Element kernel, and spread over mono_mul(x1, y1)
+        if not xs or not ys:
+            return
+        legs = len(next(iter(xs)))
+        if legs == 1:
+            rest = {}
+            Element._mul_into(rest, {m: c for (m,), c in xs.items()},
+                              {m: c for (m,), c in ys.items()}, scale)
+            for m, c in rest.items():
+                acc[(m,)] = acc.get((m,), 0) + c
+            return
+        rest_into = Element._mul_into if legs == 2 else TensorElement._mul_into
+        y_groups = _by_first_leg(ys)
+        for x1, x_rest in _by_first_leg(xs).items():
+            for y1, y_rest in y_groups.items():
+                rest = {}
+                rest_into(rest, x_rest, y_rest, scale)
+                for m, d in mono_mul(x1, y1):
+                    for r, c in rest.items():
+                        key = (m, r) if legs == 2 else (m, *r)
+                        acc[key] = acc.get(key, 0) + c * d
 
     def __mul__(self, other):
         # its own function, traced by name like Element.__mul__; a
@@ -87,6 +100,17 @@ class TensorElement(LinearCombination):
 
     def __repr__(self):
         return f"TensorElement({tensor_to_str(self)})"
+
+
+def _by_first_leg(terms: dict) -> dict:
+    """{first monomial: {rest: c}} for terms keyed by tuples of two or
+    more monomials; rest is the second monomial of a 2-leg key, else the
+    tuple of the remaining ones."""
+    groups = {}
+    for key, c in terms.items():
+        rest = key[1] if len(key) == 2 else key[1:]
+        groups.setdefault(key[0], {})[rest] = c
+    return groups
 
 
 # the triple tensor power is the 3-leg case of the same type; as for any

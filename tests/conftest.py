@@ -1,10 +1,19 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from twistkit.cli import _json_dumps
 from twistkit.pbw import Element
 from twistkit.tensor import TensorElement
+
+
+def json_text(obj) -> str:
+    """What the CLI writes for the JSON document obj."""
+    out = io.StringIO()
+    _json_dumps(obj, out)
+    return out.getvalue()
 
 
 def random_fraction(rng, lo=-9, hi=9, max_den=6, dens=None) -> Fraction:

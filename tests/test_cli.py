@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit import cli
 from twistkit.cli import main
@@ -12,6 +16,8 @@ from twistkit.pbw import UNIT_MONO, Element, casimir
 from twistkit.tensor import (TensorElement, classical_r, outer, tensor_to_json,
                              tensor_from_json)
 from twistkit.twist import TwistCandidate, reference_candidate
+
+from conftest import json_text
 
 
 @pytest.fixture
@@ -232,7 +238,7 @@ def test_eval_rep_matches_library(capsys, reference_file):
     data = json.loads(out)
     cand = reference_candidate(2)
     expected = evaluate(cand.series, spin_rep(1), spin_rep(2)).to_json()
-    assert data["matrix"] == expected["matrix"]
+    assert data["matrix"] == list(expected["matrix"])
 
 
 def test_eval_rep_bad_rep(capsys, reference_file):
@@ -485,15 +491,15 @@ def test_two_j_above_bound_rejected_before_work(capsys, monkeypatch, flag,
 
 def test_eval_rep_json_above_entry_bound_rejected_before_work(
         capsys, monkeypatch, tmp_path, reference_file):
-    # 16 x 16 at order 3 is the bound (334,084 entries); order 4 is over it
+    # 32 x 32 at order 3 is the bound (4,743,684 entries); order 4 is over it
     _forbid_work(monkeypatch)
     out = tmp_path / "matrix.json"
-    assert main(["eval-rep", reference_file, "--two-j1", "16", "--two-j2", "16",
+    assert main(["eval-rep", reference_file, "--two-j1", "32", "--two-j2", "32",
                  "--order", "4", "--format", "json", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: eval-rep --format json at two_j 16 x 16, "
-                            "order 4 has 417605 entries, more than 334084\n")
+    assert captured.err == ("error: eval-rep --format json at two_j 32 x 32, "
+                            "order 4 has 5929605 entries, more than 4743684\n")
     assert not out.exists()
 
 
@@ -696,3 +702,93 @@ def test_verify_output_pinned(capsys, cand_order, order, fmt, paper):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         VERIFY_DIGESTS[cand_order, order, fmt, paper]
+
+
+# ---------------------------------------------------------------------------
+# the streamed JSON writer
+
+STRINGS = st.one_of(st.text(max_size=8),
+                    st.sampled_from(['"', '\\"q\\"', "a\nb", "\t\\", "é", " ",
+                                     "\U0001f600", ""]))
+# (what the writer gets, what json.dumps gets): lists may reach the writer
+# as tuples or as iterators, empty or not
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(-10 ** 60, 10 ** 60), STRINGS)
+
+
+def _json_containers(children):
+    def seq(kind):
+        return st.lists(children, max_size=4).map(
+            lambda pairs: (kind(d for d, _ in pairs), [r for _, r in pairs]))
+    return st.one_of(
+        seq(list), seq(tuple), seq(lambda items: iter(list(items))),
+        st.dictionaries(STRINGS, children, max_size=4).map(
+            lambda kv: ({k: d for k, (d, _) in kv.items()},
+                        {k: r for k, (_, r) in kv.items()})))
+
+
+JSON_DOCS = st.recursive(JSON_LEAVES.map(lambda x: (x, x)), _json_containers,
+                         max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    written, reference = doc
+    assert json_text(written) == json.dumps(reference, indent=2,
+                                            sort_keys=True) + "\n"
+
+
+def test_json_writer_flushes_in_blocks():
+    # a long lazy list reaches the stream in several writes, and each write
+    # joins many pieces
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    doc = {"rows": ([{"num": i, "den": 1}] for i in range(5000))}
+    cli._json_dumps(doc, Stream())
+    same = "".join(writes) == json.dumps(
+        {"rows": [[{"num": i, "den": 1}] for i in range(5000)]},
+        indent=2, sort_keys=True) + "\n"
+    assert same                 # a diff of the two texts would take minutes
+    assert 2 <= len(writes) <= 5000 * 8 // cli._JSON_BLOCK + 2
+
+
+@pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {1, 2}, b"x", {1: 2},
+                                 [object()], {"a": {(1, 2): 3}}],
+                         ids=["float", "Fraction", "set", "bytes", "int key",
+                              "object in list", "tuple key"])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
+
+
+HWM_SCRIPT = """
+import sys
+from twistkit.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc")
+def test_eval_rep_json_peak_memory_near_text(tmp_path):
+    # the high-water mark of the child itself (VmHWM): a child's ru_maxrss
+    # starts from the forking parent's, here pytest's own
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    peak = {}
+    for fmt in ("text", "json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HWM_SCRIPT, "eval-rep",
+             str(fixture / "candidate-order3.json"), "--two-j1", "8",
+             "--two-j2", "8", "--order", "3", "--format", fmt,
+             "--output", str(tmp_path / f"out.{fmt}")],
+            env=env, capture_output=True, text=True, check=True)
+        peak[fmt] = int(proc.stdout)
+    assert peak["json"] <= 1.5 * peak["text"], peak

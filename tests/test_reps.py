@@ -260,7 +260,8 @@ def test_repmatrix_entry_and_json():
     assert entry == HSeries([Fraction(0), Fraction(1, 2)])
     data = m.to_json()
     assert data["dim"] == 4 and data["order"] == 1
-    assert data["matrix"][2][1] == [{"num": 0, "den": 1}, {"num": 1, "den": 2}]
+    assert list(data["matrix"])[2][1] == [{"num": 0, "den": 1},
+                                          {"num": 1, "den": 2}]
 
 
 @pytest.mark.parametrize("two_j", range(7))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit.lincomb import _iadd
 from twistkit.pbw import (E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element,
@@ -294,6 +296,37 @@ def test_product_with_zero_and_integer_elements(rng, legs):
     assert_stored_fractions(prod)
     assert (ints * x).terms == fraction_product(ints, x)
     assert_stored_fractions(x * ints)
+
+
+# the kernel groups each operand by its first leg: operands drawn from a
+# few monomials share first legs, so groups hold several terms, and
+# products of rests cancel within a group (EF - FE = H) and across groups
+LEG_MONOS = st.sampled_from([UNIT_MONO, E_MONO, F_MONO, H_MONO, (1, 1, 0)])
+SMALL_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                                Fraction(-2, 3)])
+
+
+@st.composite
+def shared_first_leg_pair(draw):
+    legs = draw(st.integers(1, 4))
+    firsts = st.sampled_from(draw(st.lists(LEG_MONOS, min_size=1, max_size=2,
+                                           unique=True)))
+    keys = st.tuples(firsts, *[LEG_MONOS] * (legs - 1))
+    x, y = (TensorElement._raw(draw(st.dictionaries(keys, SMALL_COEFFS,
+                                                    max_size=5)), legs)
+            for _ in range(2))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_first_leg_pair(), SMALL_COEFFS)
+def test_leg_factored_product_matches_fraction_reference(pair, c):
+    x, y = pair
+    for a, b in ((x, y), (y, x), (x, x), (x + c, x - c), (x - y, x + y)):
+        prod = a * b
+        assert prod.legs == x.legs
+        assert prod.terms == fraction_product(a, b)
+        assert_stored_fractions(prod)
 
 
 # ---------------------------------------------------------------------------

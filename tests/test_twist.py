@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistkit.twist as twist
-from twistkit.cli import _json_dumps, main
+from twistkit.cli import main
 from twistkit.deform import delta_q_image, generator_images
 from twistkit.hseries import HSeries
 from twistkit.lincomb import _integral, _rational
@@ -27,7 +27,7 @@ from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             symmetrize_order, twist_residual_series,
                             twist_residuals, unitarity_defect)
 
-from conftest import random_fraction, random_monomial
+from conftest import json_text, random_fraction, random_monomial
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +471,7 @@ def test_order3_candidate_matches_golden_file(order3_build):
     # correction could still be switched off (it was on by default); the
     # same file as perfbench/fixture/candidate-order3.json
     cand, _ = order3_build
-    text = _json_dumps(cand.to_json()) + "\n"
+    text = json_text(cand.to_json())
     golden = (GOLDEN_DIR / "candidate-order3.json").read_bytes()
     assert text.encode() == golden
 
@@ -518,12 +518,12 @@ def test_order4_resolves_from_golden_order3(order4_from_golden_order3):
     # solve then symmetrize, as build_candidate chains them, from the
     # committed order-3 candidate
     low, sol = order4_from_golden_order3
-    data = (_json_dumps(sol.to_json()) + "\n").encode()
+    data = json_text(sol.to_json()).encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SOLUTION_SHA256[4]
     cand, _ = symmetrize_order(TwistCandidate.from_coefficients(
         list(low.series.coeffs) + [sol.particular]), 4)
     golden = (GOLDEN_DIR / "candidate-order4.json").read_bytes()
-    assert (_json_dumps(cand.to_json()) + "\n").encode() == golden
+    assert json_text(cand.to_json()).encode() == golden
 
 
 @pytest.mark.skipif(os.environ.get("TWISTKIT_SLOW_TESTS") != "1",
