@@ -7,6 +7,8 @@ together: R_q~ F = sigma(F) R.  Everything can be evaluated exactly in
 the rational spin-j representations.
 """
 
+import sys
+
 from twistkit import (classical_R, evaluate, quantum_R_image,
                       quasitriangular_residual, reference_candidate,
                       rep_unitarity_check, spin_rep, unitarity_defect)
@@ -34,4 +36,4 @@ print("universal defect sigma(F)F - 1 at order 2 is nonzero:",
 # exact matrix form of the twist in spin-1/2 (x) spin-1/2
 half = spin_rep(1)
 print("\nF in spin-1/2 (x) spin-1/2:")
-print(evaluate(cand.series, half, half).render_text())
+evaluate(cand.series, half, half).render_text(sys.stdout)

@@ -18,41 +18,37 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from math import comb
-from .deform import phi
-from .lincomb import _integral, _signed_sum, _term_body
-from .pbw import element_to_json, to_casimir_basis
-from .reps import evaluate, rep_unitarity_check, spin_rep
-from .report import VerificationReport
-from .rmatrix import classical_R, quantum_R_image, quasitriangular_residual
-from .tensor import tensor_to_json, tensor_to_str
-from .twist import (TwistCandidate, build_candidate, cocycle_defect,
-                    default_cutoffs, normalization_check, twist_residuals,
-                    unitarity_defect)
+
+# Each command imports the twistkit modules it runs inside its function,
+# so that a process compiles only those.  A name imported inside a function
+# is read from its module when the function runs, so a wrapper rebound
+# there (perfbench's tracer, a test's patch) sees the call.
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 
-# the largest --order of each command and the wall time of that order on
-# one 2.1 GHz Xeon core with Python 3.11.7 (verify and eval-rep on the
-# order-3 candidate perfbench/fixture/candidate-order3.json); near each
+# the largest --order of each command and the wall time of that order,
+# interpreter start included, measured twice on one 2.1 GHz Xeon core of a
+# shared host with Python 3.11.7 (verify and eval-rep on the order-3
+# candidate perfbench/fixture/candidate-order3.json); near each
 # bound the time grows about 3x per two orders (4x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "25 s"), "solve-twist": (5, "3-5 s"),
-             "verify": (14, "10 s with --checks all"),
-             "eval-rep": (20, "10-19 s at two_j 32 x 32"),
-             "show-rmatrix": (18, "10-11 s")}
+MAX_ORDER = {"expand-phi": (50, "19-21 s"), "solve-twist": (5, "3 s"),
+             "verify": (14, "8-11 s with --checks all"),
+             "eval-rep": (20, "17-22 s at two_j 32 x 32"),
+             "show-rmatrix": (18, "8-10 s")}
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
 # order 3: spin A/2 (x) B/2 prints ((A+1)(B+1))^2 series per order
-MAX_TWO_J, MAX_TWO_J_TIME = 32, "2.4 s"
+MAX_TWO_J, MAX_TWO_J_TIME = 32, "3-5 s"
 # eval-rep --format json writes the ((A+1)(B+1))^2 (N+1) entries of the
 # matrix one row at a time, about 64 bytes each, so its memory is that of
-# the matrix (67 MB at 32 x 32, order 3, against 261 MB in text) and the
+# the matrix (64 MB at 32 x 32, order 3, and 63 MB in text) and the
 # entry count bounds the output size and time: at most the entries of the
 # spin bound at order 3
-MAX_JSON_ENTRIES, MAX_JSON_AT = 4743684, "32 x 32 at order 3: 304 MB in 13-18 s"
+MAX_JSON_ENTRIES, MAX_JSON_AT = 4743684, "32 x 32 at order 3: 304 MB in 12-15 s"
 # solve-twist: the unknowns (2L-1)*C(D+4, 4) of the ansatz at the top order
 # with the given cutoffs, at most those of the order-5 default (L = 6,
 # D = 10) timed above, and at most the default number of escalations
@@ -66,11 +62,13 @@ EXPECTED_FAILURES = ("unitarity", "cocycle")
 def _emit(args, out) -> None:
     """Write a command's output to --output, else to stdout: under
     --format json out is the payload, streamed by _json_dumps, and
-    otherwise it is the text."""
+    otherwise it is the text, or a function that writes it to a file."""
     fh = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":
             _json_dumps(out, fh)
+        elif callable(out):
+            out(fh)
         else:
             fh.write(out + "\n")
     finally:
@@ -151,6 +149,9 @@ def _json_dumps(obj, fh) -> None:
 def format_hi_polynomial(x) -> str:
     """Render a polynomial in H and I over a common denominator, e.g.
     (2*I + 2*H^2 - 2*H - 1)/12."""
+    from .lincomb import _integral, _signed_sum, _term_body
+    from .pbw import to_casimir_basis
+
     decomp = to_casimir_basis(x)
     if not decomp:
         return "0"
@@ -186,6 +187,8 @@ def format_phi_series(series) -> str:
 
 
 def _tensor_series_text(series, label: str) -> list:
+    from .tensor import tensor_to_str
+
     lines = [f"{label} up to order {series.order}:"]
     for k, c in enumerate(series.coeffs):
         lines.append(f"  h^{k}: {tensor_to_str(c)}")
@@ -197,6 +200,9 @@ def _tensor_series_text(series, label: str) -> list:
 
 
 def cmd_expand_phi(args) -> int:
+    from .deform import phi
+    from .pbw import element_to_json
+
     p = phi(args.sign, args.order)
     if args.format == "json":
         _emit(args, {
@@ -222,6 +228,9 @@ def _check_writable(path: str, made: str) -> None:
 
 
 def cmd_solve_twist(args) -> int:
+    from .tensor import tensor_to_str
+    from .twist import build_candidate
+
     try:
         cand, sols = build_candidate(args.order, cutoff_l=args.cutoff_l,
                                      cutoff_d=args.cutoff_d,
@@ -272,6 +281,8 @@ def cmd_solve_twist(args) -> int:
 def _load_candidate(path: str):
     """The candidate in a JSON file, or None after reporting on stderr why
     the file cannot be used."""
+    from .twist import TwistCandidate
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -284,6 +295,8 @@ def _load_candidate(path: str):
 
 
 def _prefixed(prefix: str, report: VerificationReport) -> VerificationReport:
+    from .report import VerificationReport
+
     return VerificationReport({prefix + name: bad
                                for name, bad in report.first_failures.items()})
 
@@ -299,20 +312,46 @@ def _at_order(check, cand, order: int) -> VerificationReport:
     return report
 
 
+def _twist(cand, order):
+    from .twist import twist_residuals
+
+    return _prefixed("twist ", twist_residuals(cand, order))
+
+
+def _rmatrix(cand, order):
+    from .report import VerificationReport
+    from .rmatrix import quasitriangular_residual
+
+    return VerificationReport.of(
+        {"rmatrix[quasitriangular]": quasitriangular_residual(cand, order)})
+
+
+def _normalization(cand, order):
+    from .twist import normalization_check
+
+    return _prefixed("normalization ", _at_order(normalization_check, cand, order))
+
+
+def _unitarity(cand, order):
+    from .report import VerificationReport
+    from .twist import unitarity_defect
+
+    return _at_order(lambda c: VerificationReport.of(
+        {"unitarity(universal)": unitarity_defect(c)}), cand, order)
+
+
+def _cocycle(cand, order):
+    from .report import VerificationReport
+    from .twist import cocycle_defect
+
+    return _at_order(lambda c: VerificationReport.of(
+        {"cocycle": cocycle_defect(c)}), cand, order)
+
+
 # check name -> function of (candidate, order) giving a report whose names
-# are the line labels; each looks its residual up when called, so a
-# wrapper rebound in this module (perfbench's tracer) sees the call
-CHECKS = {
-    "twist": lambda cand, order: _prefixed("twist ", twist_residuals(cand, order)),
-    "rmatrix": lambda cand, order: VerificationReport.of(
-        {"rmatrix[quasitriangular]": quasitriangular_residual(cand, order)}),
-    "normalization": lambda cand, order: _prefixed(
-        "normalization ", _at_order(normalization_check, cand, order)),
-    "unitarity": lambda cand, order: _at_order(lambda c: VerificationReport.of(
-        {"unitarity(universal)": unitarity_defect(c)}), cand, order),
-    "cocycle": lambda cand, order: _at_order(lambda c: VerificationReport.of(
-        {"cocycle": cocycle_defect(c)}), cand, order),
-}
+# are the line labels
+CHECKS = {"twist": _twist, "rmatrix": _rmatrix, "normalization": _normalization,
+          "unitarity": _unitarity, "cocycle": _cocycle}
 ALL_CHECKS = tuple(CHECKS)
 
 
@@ -342,6 +381,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_rep(args) -> int:
+    from .reps import evaluate, rep_unitarity_check, spin_rep
+
     cand = _load_candidate(args.candidate)
     if cand is None:
         return EXIT_BAD_INPUT
@@ -357,16 +398,20 @@ def cmd_eval_rep(args) -> int:
             payload["unitarity"] = unitarity.lines()
         _emit(args, payload)
     else:
-        lines = [f"{rep1.dim * rep2.dim}x{rep1.dim * rep2.dim} series matrix "
-                 f"(two_j = {args.two_j1}, {args.two_j2}; order {args.order}):",
-                 mat.render_text()]
-        if unitarity is not None:
-            lines.extend(unitarity.lines())
-        _emit(args, "\n".join(lines))
+        def write(fh):
+            fh.write(f"{mat.dim}x{mat.dim} series matrix (two_j = {args.two_j1}, "
+                     f"{args.two_j2}; order {args.order}):\n")
+            mat.render_text(fh)
+            if unitarity is not None:
+                fh.writelines(line + "\n" for line in unitarity.lines())
+        _emit(args, write)
     return EXIT_OK
 
 
 def cmd_show_rmatrix(args) -> int:
+    from .rmatrix import classical_R, quantum_R_image
+    from .tensor import tensor_to_json
+
     shown = {}
     if args.which in ("classical", "both"):
         shown["classical"] = classical_R(args.order), "classical R = q^P"
@@ -462,6 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _solve_bounds(args):
     """Why the solve-twist cutoffs are out of bounds, or None."""
+    from .twist import default_cutoffs
+
     if not 0 <= args.max_escalations <= MAX_ESCALATIONS:
         return (f"--max-escalations must be in 0..{MAX_ESCALATIONS}, "
                 f"got {args.max_escalations}")

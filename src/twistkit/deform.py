@@ -24,7 +24,7 @@ at the series level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -37,13 +37,11 @@ from .tensor import coproduct, series_outer
 _SIGNS = {"+": +1, "plus": +1, "-": -1, "minus": -1}
 
 
-@dataclass(frozen=True)
-class PhiSeries:
+class PhiSeries(namedtuple("PhiSeries", "sign series")):
     """phi+ or phi-: an even series whose coefficients are polynomials in
     H and I, with constant term 1."""
 
-    sign: str
-    series: HSeries
+    __slots__ = ()
 
     @property
     def order(self) -> int:

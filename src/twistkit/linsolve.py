@@ -24,7 +24,7 @@ moves the time but not the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -85,16 +85,11 @@ def _reduce(work: dict, pivot_row: dict, col) -> list:
     return new
 
 
-@dataclass
-class LinearSolution:
-    status: str                      # "solved" or "inconsistent"
-    ncols: int
-    pivot_cols: list = field(default_factory=list)
-    free_cols: list = field(default_factory=list)
-    particular: list | None = None   # Fractions, len ncols
-    nullspace: list = field(default_factory=list)
-    # (pivot column, caller's row index) in the order the pivots were found
-    pivot_log: list = field(default_factory=list)
+# status is "solved" or "inconsistent"; particular is a list of ncols
+# Fractions, or None; pivot_log holds (pivot column, caller's row index) in
+# the order the pivots were found
+LinearSolution = namedtuple("LinearSolution", "status ncols pivot_cols "
+                            "free_cols particular nullspace pivot_log")
 
 
 def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
@@ -133,15 +128,11 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
         if inconsistent:
             break
 
-    sol = LinearSolution(status="inconsistent" if inconsistent else "solved",
-                         ncols=ncols, pivot_log=pivot_order)
     if inconsistent:
-        return sol
+        return LinearSolution("inconsistent", ncols, [], [], None, [], pivot_order)
 
     pivot_cols = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
-    sol.pivot_cols = pivot_cols
-    sol.free_cols = free_cols
 
     # back-reduce to simplify extraction: clear later pivot columns.  The
     # later rows are already back-reduced, so a step brings in no pivot
@@ -153,7 +144,7 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
         pivots[c] = _primitive(row)
 
     # after back-reduction only the pivot column, free columns and RHS remain
-    sol.particular = [Fraction(0)] * ncols
+    particular = [Fraction(0)] * ncols
     nullspace = {}
     for f in free_cols:
         vec = [Fraction(0)] * ncols
@@ -164,8 +155,8 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
         p = row[c]
         for k, v in row.items():
             if k == RHS:
-                sol.particular[c] = Fraction(v, p)
+                particular[c] = Fraction(v, p)
             elif k != c:
                 nullspace[k][c] = Fraction(-v, p)
-    sol.nullspace = list(nullspace.values())
-    return sol
+    return LinearSolution("solved", ncols, pivot_cols, free_cols, particular,
+                          list(nullspace.values()), pivot_order)

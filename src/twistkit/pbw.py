@@ -15,7 +15,7 @@ from_casimir_basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -141,23 +141,20 @@ def counit(x: Element) -> Fraction:
 # Casimir-adapted spanning set
 
 
-@dataclass(frozen=True)
-class CasimirTerm:
+class CasimirTerm(namedtuple("CasimirTerm", "side a b c")):
     """One monomial H^a I^b E^c (side 'E'), H^a I^b F^c (side 'F') or
     H^a I^b (side 'pure', c = 0)."""
 
-    side: str
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("pure", "E", "F"):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.side == "pure" and self.c != 0:
+    def __new__(cls, side, a, b, c):
+        if side not in ("pure", "E", "F"):
+            raise ValueError(f"bad side {side!r}")
+        if side == "pure" and c != 0:
             raise ValueError("pure terms have c = 0")
-        if self.side != "pure" and self.c < 1:
+        if side != "pure" and c < 1:
             raise ValueError("E/F-side terms need c >= 1")
+        return tuple.__new__(cls, (side, a, b, c))
 
 
 def _hpoly_shift(poly: dict, s: int) -> dict:

@@ -6,13 +6,13 @@ each name, the first order at which that residual is non-zero."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    # check name -> first failure order, or None when the check passes
-    first_failures: dict
+class VerificationReport(namedtuple("VerificationReport", "first_failures")):
+    # first_failures: check name -> first failure order, or None when the
+    # check passes
+    __slots__ = ()
 
     @classmethod
     def of(cls, residuals: dict) -> "VerificationReport":

@@ -24,7 +24,7 @@ formula; every matrix here, rho(H), rho(E) and rho(F) included, sums it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 from math import perm, prod
@@ -93,15 +93,11 @@ def _matrix(two_j: int, terms) -> tuple:
     return _freeze(out)
 
 
-@dataclass(frozen=True)
-class SpinRep:
-    """The spin-(two_j/2) irreducible representation with rational entries."""
+class SpinRep(namedtuple("SpinRep", "two_j dim h e f")):
+    """The spin-(two_j/2) irreducible representation with rational entries:
+    h, e and f are the matrices of H, E and F."""
 
-    two_j: int
-    dim: int
-    h: tuple
-    e: tuple
-    f: tuple
+    __slots__ = ()
 
     def casimir_scalar(self) -> Fraction:
         j = Fraction(self.two_j, 2)
@@ -197,15 +193,19 @@ class RepMatrix:
                        for i in range(self.dim)),
         }
 
-    def render_text(self) -> str:
-        cells = [[str(self.entry(i, j)) for j in range(self.dim)]
-                 for i in range(self.dim)]
-        widths = [max(len(cells[i][j]) for i in range(self.dim))
-                  for j in range(self.dim)]
-        lines = []
-        for row in cells:
-            lines.append("[ " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
+    def _cell(self, i: int, j: int) -> str:
+        # most cells of a tensor rep matrix are zero series, printed "0"
+        return str(self.entry(i, j)) if any(m[i][j] for m in self.coeffs) else "0"
+
+    def render_text(self, fh) -> None:
+        """Write one line per row to fh, each cell padded to the widest of
+        its column.  The widths are found in a first pass, so that only one
+        row of cell text is held at a time."""
+        n = range(self.dim)
+        widths = [max(len(self._cell(i, j)) for i in n) for j in n]
+        for i in n:
+            fh.write("[ " + " | ".join(self._cell(i, j).ljust(widths[j]) for j in n)
+                     + " ]\n")
 
 
 def _as_tensor_series(x, order=None) -> HSeries:

@@ -85,8 +85,7 @@ and an inconsistent system stays inconsistent.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -107,16 +106,16 @@ from .tensor import (TensorElement, cartan_killing, classical_r,
 # candidates
 
 
-@dataclass(frozen=True)
-class TwistCandidate:
+class TwistCandidate(namedtuple("TwistCandidate", "series")):
     """A truncated twist series F0 + h F1 + ... + h^N F_N."""
 
-    series: HSeries
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.series.coeffs:
+    def __new__(cls, series):
+        for c in series.coeffs:
             if not isinstance(c, TensorElement) or c.legs != 2:
                 raise ValueError("twist coefficients must be 2-leg tensor elements")
+        return tuple.__new__(cls, (series,))
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "TwistCandidate":
@@ -280,14 +279,12 @@ def cocycle_defect(cand: TwistCandidate) -> HSeries:
 # the ansatz
 
 
-@dataclass(frozen=True)
-class AnsatzUnknown:
-    """One rational unknown: the coefficient of H1^a1 H2^a2 I1^b1 I2^b2 in
-    the polynomial attached to E1^l F2^l (side 'a') or F1^l E2^l ('b')."""
+class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
+    """One rational unknown: the coefficient of H1^a1 H2^a2 I1^b1 I2^b2,
+    mono = (a1, a2, b1, b2), in the polynomial attached to E1^l F2^l
+    (side 'a') or F1^l E2^l ('b')."""
 
-    l: int
-    side: str
-    mono: tuple  # (a1, a2, b1, b2)
+    __slots__ = ()
 
     def label(self) -> str:
         names = ("H1", "H2", "I1", "I2")
@@ -451,22 +448,15 @@ def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
     return row_of
 
 
-@dataclass
-class SolutionSet:
+class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
+                             "particular homogeneous pivot_log unknown_count rank")):
     """Outcome of one order-k solve: a particular solution (free unknowns
     zeroed under the deterministic pivot order) and a basis of the
     homogeneous solution space inside the ansatz, both certified against
-    all three generators."""
+    all three generators.  status is "solved" or "infeasible-at-cutoff"
+    (the J+ rows are inconsistent, and particular is None)."""
 
-    order: int
-    cutoff_l: int
-    cutoff_d: int
-    status: str       # "solved" | "infeasible-at-cutoff" (J+ rows inconsistent)
-    particular: TensorElement | None = None
-    homogeneous: list = field(default_factory=list)
-    pivot_log: list = field(default_factory=list)
-    unknown_count: int = 0
-    rank: int = 0
+    __slots__ = ()
 
     @property
     def solved(self) -> bool:
@@ -499,15 +489,15 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     rhs = [b.get(key, 0) for key in keys]
 
     lin = solve_sparse(rows, rhs, len(ansatz))
-    sol = SolutionSet(order=k, cutoff_l=ansatz.cutoff_l, cutoff_d=ansatz.cutoff_d,
-                      status="solved" if lin.status == "solved" else "infeasible-at-cutoff",
-                      unknown_count=len(ansatz), rank=len(lin.pivot_cols),
-                      pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols])
-    if not sol.solved:
-        return sol
-    sol.particular = ansatz.instantiate(lin.particular)
-    sol.homogeneous = [ansatz.instantiate(vec) for vec in lin.nullspace]
-    return sol
+    solved = lin.status == "solved"
+    # an inconsistent system has no pivot columns and no nullspace
+    return SolutionSet(
+        k, ansatz.cutoff_l, ansatz.cutoff_d,
+        "solved" if solved else "infeasible-at-cutoff",
+        particular=ansatz.instantiate(lin.particular) if solved else None,
+        homogeneous=[ansatz.instantiate(vec) for vec in lin.nullspace],
+        pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols],
+        unknown_count=len(ansatz), rank=len(lin.pivot_cols))
 
 
 def _certified(k: int, residuals: dict, sol: SolutionSet) -> bool:

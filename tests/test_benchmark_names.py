@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -73,3 +75,30 @@ def test_traced_verify_sees_each_check():
     calls = json.loads(proc.stdout)
     assert calls["twist.twist_residual_series"] == 1
     assert calls["rmatrix.quasitriangular_residual"] == 1
+
+
+TRACED_COMMAND = """
+import contextlib, io, json, sys
+import spans
+from twistkit.cli import main
+tracer = spans.Tracer()
+spans.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(tracer.calls))
+"""
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["show-rmatrix", "--order", "2"], "rmatrix.quantum_R_image"),
+    (["expand-phi", "--sign", "plus", "--order", "2"], "deform.phi"),
+])
+def test_traced_command_sees_its_work(argv, layer):
+    # each command imports its functions when it runs, from the modules the
+    # tracer rebinds them in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(PERFBENCH)]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_COMMAND, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[layer] == 1

@@ -370,9 +370,10 @@ def test_unwritable_output_is_bad_input(tmp_path, reference_file, command,
     assert "Traceback" not in proc.stderr
 
 
-# the first work each command does, by the names cli calls them by
-WORK_FUNCTIONS = ("phi", "build_candidate", "_load_candidate", "classical_R",
-                  "quantum_R_image")
+# the first work each command does, where it is defined: each command
+# imports these names when it runs, so it calls the patched ones
+WORK_FUNCTIONS = ("deform.phi", "twist.build_candidate", "cli._load_candidate",
+                  "rmatrix.classical_R", "rmatrix.quantum_R_image")
 
 
 @pytest.mark.parametrize("command, option, target", UNWRITABLE_OUTPUTS)
@@ -383,7 +384,7 @@ def test_unwritable_output_is_reported_before_solving(
         raise AssertionError("worked before checking the output paths")
 
     for name in WORK_FUNCTIONS:
-        monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(f"twistkit.{name}", no_work)
     (tmp_path / "a-file").write_text("")
     command = [reference_file if a == "CANDIDATE" else a for a in command]
     code = main([*command, option, str(tmp_path / target)])
@@ -449,9 +450,8 @@ def _forbid_work(monkeypatch):
     """Make every entry into the commands' work fail the test."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started above a bound")
-    for name in ("phi", "build_candidate", "_load_candidate", "spin_rep",
-                 "evaluate", "classical_R", "quantum_R_image"):
-        monkeypatch.setattr(cli, name, forbidden)
+    for name in WORK_FUNCTIONS + ("reps.spin_rep", "reps.evaluate"):
+        monkeypatch.setattr(f"twistkit.{name}", forbidden)
 
 
 @pytest.mark.parametrize("command", sorted(cli.MAX_ORDER))
@@ -561,7 +561,7 @@ def test_solve_bounds_accept_defaults_and_tested_cutoffs(capsys, monkeypatch):
     def fake_build(order, **cutoffs):
         calls.append(order)
         return TwistCandidate.from_coefficients([TensorElement.one()]), []
-    monkeypatch.setattr(cli, "build_candidate", fake_build)
+    monkeypatch.setattr("twistkit.twist.build_candidate", fake_build)
     argvs = [["--order", str(n)] for n in range(6)]
     argvs += [["--order", "5", "--max-escalations", "0"],
               ["--order", "2", "--cutoff-l", "3", "--cutoff-d", "4"],

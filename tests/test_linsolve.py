@@ -220,15 +220,11 @@ def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
         if inconsistent:
             break
 
-    sol = LinearSolution(status="inconsistent" if inconsistent else "solved",
-                         ncols=ncols, pivot_log=pivot_order)
     if inconsistent:
-        return sol
+        return LinearSolution("inconsistent", ncols, [], [], None, [], pivot_order)
 
     pivot_cols = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
-    sol.pivot_cols = pivot_cols
-    sol.free_cols = free_cols
 
     for c in reversed(pivot_cols):
         row = pivots[c]
@@ -237,11 +233,12 @@ def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
                 row = _eliminate(row, pivots[later], later)
         pivots[c] = _primitive(row)
 
-    sol.particular = [Fraction(0)] * ncols
+    particular = [Fraction(0)] * ncols
     for c in pivot_cols:
         row = pivots[c]
-        sol.particular[c] = Fraction(row.get(RHS, 0), row[c])
+        particular[c] = Fraction(row.get(RHS, 0), row[c])
 
+    nullspace = []
     for f in free_cols:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
@@ -249,8 +246,9 @@ def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
             row = pivots[c]
             if f in row:
                 vec[c] = Fraction(-row[f], row[c])
-        sol.nullspace.append(vec)
-    return sol
+        nullspace.append(vec)
+    return LinearSolution("solved", ncols, pivot_cols, free_cols, particular,
+                          nullspace, pivot_order)
 
 
 def _same_solution(got: LinearSolution, want: LinearSolution):

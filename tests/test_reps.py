@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +335,25 @@ def test_repmatrix_with_non_matrix_is_type_error():
     for op in (lambda: m + 1, lambda: m - 1, lambda: 1 + m, lambda: m * 1):
         with pytest.raises(TypeError):
             op()
+
+
+def test_render_text_writes_the_whole_matrix_text_row_by_row():
+    # the order-3 fixture at 8 (x) 8: each row is one write, and the rows
+    # are the text of rendering every cell first and padding each column
+    # to its widest cell
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+    with open(path / "candidate-order3.json") as fh:
+        cand = TwistCandidate.from_json(json.load(fh))
+    mat = evaluate(cand.series, spin_rep(8), spin_rep(8))
+    cells = [[str(mat.entry(i, j)) for j in range(mat.dim)]
+             for i in range(mat.dim)]
+    widths = [max(len(row[j]) for row in cells) for j in range(mat.dim)]
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    mat.render_text(Stream())
+    assert writes == ["[ " + " | ".join(c.ljust(w) for c, w in zip(row, widths))
+                      + " ]\n" for row in cells]

@@ -661,7 +661,7 @@ def test_corrupted_solution_fails_the_certificate(monkeypatch, one_candidate,
     def corrupted(*args):
         sol = real_solve(*args)
         if part == "particular":
-            sol.particular = sol.particular + corruption
+            sol = sol._replace(particular=sol.particular + corruption)
         else:
             sol.homogeneous[-1] = sol.homogeneous[-1] + corruption
         return sol
