@@ -253,15 +253,24 @@ def _ring_of(coeffs):
 
 def _ints(coeffs) -> tuple:
     """Each coefficient as (value, den) with an integer value: an int for
-    a scalar, a dict of ints for a ring element; None for a zero."""
-    return tuple(((c.numerator, c.denominator) if c else None)
-                 if isinstance(c, Fraction)
-                 else (_integral(c.terms) if c.terms else None) for c in coeffs)
+    a scalar or a scalar multiple of its ring's unit, a dict of ints for
+    any other ring element; None for a zero."""
+    out = []
+    for c in coeffs:
+        if not isinstance(c, Fraction):
+            s = c.as_unit_scalar()    # Fraction(0) for a zero
+            if s is None:
+                out.append(_integral(c.terms))
+                continue
+            c = s
+        out.append((c.numerator, c.denominator) if c else None)
+    return tuple(out)
 
 
 def _ring_into(ring):
-    """ring's product kernel, extended to scalar (int) operands; with no
-    ring (None) a product of scalars lands at the key None."""
+    """ring's product kernel, extended to scalar (int) operands, which are
+    added as scaled copies of the other operand; with no ring (None) a
+    product of scalars lands at the key None."""
     unit = None if ring is None else ring._unit()
 
     def into(acc, x, y, scale):

@@ -5,9 +5,11 @@ scaled once to integers by the lcm of its denominators, and rows stay
 dicts of ints from then on.  Rows are reduced incrementally against the
 pivot rows found so far, combining two rows with multipliers divided by
 their gcd.  They are visited fewest non-zero entries first, ties broken
-by the caller's row index: sparse rows make sparse pivots, so later rows
-fill in less while they are reduced (the row order of structured
-Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko 1990).  Each
+by the caller's row index (for the twist solver, the order in which
+its assembly first writes each row): sparse rows make sparse pivots, so
+later rows fill in less while they are reduced (the row order of
+structured Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko
+1990).  Each
 reduction step updates the working row in place and walks only the
 pivot row's entries; the working row is multiplied through only when
 its multiplier is not 1, which is rare.  The working row's leading

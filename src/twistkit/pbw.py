@@ -82,6 +82,16 @@ def mono_mul(m1, m2):
     return tuple(sorted(acc.items()))
 
 
+@cache
+def mono_commutator(m1, m2):
+    """The commutator [m1, m2] = mono_mul(m1, m2) - mono_mul(m2, m1) of two
+    monomials as ((mono, int), ...), without zeros, cached."""
+    acc = dict(mono_mul(m1, m2))
+    for mono, c in mono_mul(m2, m1):
+        acc[mono] = acc.get(mono, 0) - c
+    return tuple((mono, c) for mono, c in sorted(acc.items()) if c)
+
+
 # ---------------------------------------------------------------------------
 # elements
 

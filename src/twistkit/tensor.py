@@ -242,7 +242,14 @@ def series_outer(a: HSeries, b: HSeries) -> HSeries:
     if a.order != b.order:
         raise ValueError("series_outer needs equal truncation orders")
     return HSeries(_cauchy(((_ints(a.coeffs), _ints(b.coeffs), 1),),
-                           _outer_into, TensorElement._raw), a.order)
+                           _outer_ints_into, TensorElement._raw), a.order)
+
+
+def _outer_ints_into(acc, x, y, scale):
+    """_outer_into for Element operands in the form of hseries._ints, where
+    a scalar multiple of the unit is an int."""
+    _outer_into(acc, {UNIT_MONO: x} if isinstance(x, int) else x,
+                {UNIT_MONO: y} if isinstance(y, int) else y, scale)
 
 
 # ---------------------------------------------------------------------------

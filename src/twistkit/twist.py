@@ -64,10 +64,12 @@ Delta_q~(g)_(n-i) F_i, summed in integers (hseries._cauchy) against the
 two operands, which depend on the order alone and are built once per
 order.  Both parts of the certificate are then one commutator with a
 primitive Delta(g), taken leg by leg:
-[x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  It is summed in
-integers, the element scaled once by the lcm of its denominators, so
-the check is exact: it passes iff every solution reported satisfies the
-order-k equations of all three generators.
+[x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket [m, g]
+of a PBW monomial m is read from a cache (pbw.mono_commutator) with its
+cancelling terms already gone.  The commutator is summed in integers,
+the element scaled once by the lcm of its denominators, so the check is
+exact: it passes iff every solution reported satisfies the order-k
+equations of all three generators.
 
 The equations are written in Casimir coordinates.  The Casimir
 I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
@@ -79,7 +81,11 @@ U (x) U, so the rows it gives span the same row space as the PBW rows of
 [A|b]: the solution set is the same, and so is the back-reduced echelon
 form, which is unique under the fixed column order.  Status, pivot
 columns, particular solution and nullspace are those of the PBW system,
-and an inconsistent system stays inconsistent.
+and an inconsistent system stays inconsistent.  For the same reason the
+rows are not sorted: they go to the solver in the order the assembly
+first writes their keys, followed by the keys that only the right-hand
+side has (each an empty, inconsistent row).  The row order moves only
+which rows the elimination visits first, not its result.
 """
 
 from __future__ import annotations
@@ -90,14 +96,14 @@ from fractions import Fraction
 from functools import cache
 
 from .deform import delta_q_image, generator_images
-from .hseries import HSeries, _cauchy, _ints, mul_sub
+from .hseries import HSeries, _cauchy, _ints, _ring_into, mul_sub
 from .linsolve import solve_sparse
 from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
-                  casimir, mono_mul, to_casimir_basis)
+                  casimir, mono_commutator, to_casimir_basis)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
-from .tensor import (TensorElement, cartan_killing, classical_r,
+from .tensor import (TensorElement, _keyed, cartan_killing, classical_r,
                      coproduct, counit_leg, flip, outer, tensor_from_json,
                      tensor_to_json)
 
@@ -191,8 +197,9 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     if not cand.leading_invertible():
         raise ValueError("twist candidate has a non-invertible leading term")
     fs = _ints(cand.at_order(order).series.coeffs)
+    into = _ring_into(cand.series.coeffs[0])
     return {g: HSeries(_cauchy(((fs, cs, 1), (ds, fs, -1)),
-                               TensorElement._mul_into, TensorElement._raw), order)
+                               into, TensorElement._raw), order)
             for g, (cs, ds) in _residual_operands(order).items()}
 
 
@@ -221,25 +228,25 @@ def _delta_bracket_into(acc: dict, xs: dict, g, scale: int = 1):
     """acc += scale * [x, Delta(g)] in integers, for the 2-leg term dict xs
     of x with int values and the PBW monomial g.  Delta(g) = g (x) 1 +
     1 (x) g is primitive, so each term c m1 (x) m2 contributes
-    c ([m1, g] (x) m2 + m1 (x) [m2, g])."""
+    c ([m1, g] (x) m2 + m1 (x) [m2, g]), each bracket a cached
+    pbw.mono_commutator."""
     for (m1, m2), c in xs.items():
         c *= scale
-        for m, d in mono_mul(m1, g):
+        for m, d in mono_commutator(m1, g):
             key = (m, m2)
             acc[key] = acc.get(key, 0) + c * d
-        for m, d in mono_mul(g, m1):
-            key = (m, m2)
-            acc[key] = acc.get(key, 0) - c * d
-        for m, d in mono_mul(m2, g):
+        for m, d in mono_commutator(m2, g):
             key = (m1, m)
             acc[key] = acc.get(key, 0) + c * d
-        for m, d in mono_mul(g, m2):
-            key = (m1, m)
-            acc[key] = acc.get(key, 0) - c * d
 
 
 def kernel_check(f: TensorElement) -> bool:
-    """True iff f commutes with Delta(H), Delta(E) and Delta(F)."""
+    """True iff the 2-leg tensor element f commutes with Delta(H),
+    Delta(E) and Delta(F); ValueError for any other leg count."""
+    legs = _keyed(f)[1]
+    if legs != 2:
+        raise ValueError(f"kernel_check needs a 2-leg tensor element, "
+                         f"got {legs} legs")
     xs, _ = _integral(f.terms)
     for g in _GENERATOR_MONOS.values():
         acc: dict = {}
@@ -476,6 +483,14 @@ class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
         }
 
 
+def _row_order(row_of: dict, b: dict) -> list:
+    """The row keys in the order the assembly first writes them, then the
+    keys of right-hand-side terms outside every column, each of which gives
+    an empty, inconsistent row.  The back-reduced echelon form is unique,
+    so the order moves neither the solution nor the status."""
+    return [*row_of, *(key for key in b if key not in row_of)]
+
+
 def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
     both sides doubled and in Casimir coordinates."""
@@ -483,8 +498,7 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     ints, den = _casimir_coords(const)
     b = _rational({key: -2 * c for key, c in ints.items()}, den)
 
-    # a rhs term outside every column gives an empty, inconsistent row
-    keys = sorted(row_of.keys() | b.keys())
+    keys = _row_order(row_of, b)
     rows = [row_of.get(key, {}) for key in keys]
     rhs = [b.get(key, 0) for key in keys]
 
@@ -518,7 +532,8 @@ def _certified(k: int, residuals: dict, sol: SolutionSet) -> bool:
 
 
 def solve_order(k: int, lower: TwistCandidate,
-                ansatz: TwistAnsatz | None = None) -> SolutionSet:
+                ansatz: TwistAnsatz | None = None,
+                max_escalations: int = 0) -> SolutionSet:
     """Solve the order-k residual equations for F_k given the lower-order
     coefficients.
 
@@ -526,7 +541,10 @@ def solve_order(k: int, lower: TwistCandidate,
     theirs is non-zero.  Then only the J+ equations are solved, which
     suffices by the proof in the module docstring.  A solution is returned
     only once it is certified against all three generators; RuntimeError
-    if it is not; there is no fallback solve."""
+    if it is not; there is no fallback solve.  An infeasible ansatz is
+    enlarged by (L+1, D+2) and solved again, at most `max_escalations`
+    times; the lower orders' residual series is built and checked once for
+    all attempts.  Returns the last SolutionSet."""
     if ansatz is None:
         ansatz = TwistAnsatz(k)
     if lower.order < k - 1:
@@ -541,7 +559,13 @@ def solve_order(k: int, lower: TwistCandidate,
         if bad is not None and bad < k:
             raise ValueError(f"the lower candidate fails twist[{g}] at order {bad}")
 
-    sol = _solve(k, ansatz, residuals["J+"].coeffs[k])
+    const = residuals["J+"].coeffs[k]
+    sol = _solve(k, ansatz, const)
+    for _ in range(max_escalations):
+        if sol.solved:
+            break
+        ansatz = TwistAnsatz(k, ansatz.cutoff_l + 1, ansatz.cutoff_d + 2)
+        sol = _solve(k, ansatz, const)
     if sol.solved and not _certified(k, residuals, sol):
         raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
@@ -551,17 +575,11 @@ def solve_with_escalation(k: int, lower: TwistCandidate,
                           cutoff_l: int | None = None,
                           cutoff_d: int | None = None,
                           max_escalations: int = 2):
-    """Solve order k, enlarging the cutoffs by (L+1, D+2) on infeasibility,
-    at most `max_escalations` times.  Returns the last SolutionSet."""
-    ansatz = TwistAnsatz(k, cutoff_l, cutoff_d)
-    L, D = ansatz.cutoff_l, ansatz.cutoff_d
-    sol = solve_order(k, lower, ansatz)
-    attempts = 0
-    while not sol.solved and attempts < max_escalations:
-        attempts += 1
-        L, D = L + 1, D + 2
-        sol = solve_order(k, lower, TwistAnsatz(k, L, D))
-    return sol
+    """Solve order k from the ansatz with the given cutoffs, enlarging them
+    by (L+1, D+2) on infeasibility, at most `max_escalations` times (see
+    solve_order).  Returns the last SolutionSet."""
+    return solve_order(k, lower, TwistAnsatz(k, cutoff_l, cutoff_d),
+                       max_escalations)
 
 
 def symmetrize_order(cand: TwistCandidate, k: int) -> tuple:

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit.cpoly import Poly
 from twistkit.hseries import (HSeries, OrderMismatchError, divide, mul_sub,
                               q_analog, q_factorial, series_exp_h, sinh_ratio)
 from twistkit.lincomb import _integral, _rational, _sum_products
-from twistkit.pbw import H, Element
-from twistkit.tensor import TensorElement, classical_r
+from twistkit.pbw import UNIT_MONO, H, Element, mono_mul
+from twistkit.tensor import TensorElement, classical_r, series_outer
 
 from conftest import random_element, random_fraction, random_tensor
 
@@ -367,3 +370,130 @@ def test_mul_sub_rejects_mismatches(rng):
         mul_sub(two, two, three, three)
     with pytest.raises(OrderMismatchError):
         mul_sub(two, two, two, two.pad_to(2))
+
+
+# ---------------------------------------------------------------------------
+# coefficients that are scalar multiples of the unit, against plain Fractions
+
+LEGS = {"scalar": 0, "element": 1, "tensor2": 2, "tensor3": 3}
+unit_fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                           st.sampled_from(COPRIME))
+small_monos = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+def ring_coefficient(legs, terms):
+    """The coefficient of a series in the ring with this many legs (0 for
+    scalars) from {tuple of monomials: Fraction}."""
+    if legs == 0:
+        return terms.get((), Fraction(0))
+    if legs == 1:
+        return Element({key[0]: c for key, c in terms.items()})
+    return TensorElement._raw(terms, legs)
+
+
+@st.composite
+def unit_heavy_series(draw, legs, order):
+    """A series whose coefficients are zero, a scalar multiple of the unit
+    or a small general element, each drawn often."""
+    coeffs = []
+    for _ in range(order + 1):
+        kind = draw(st.sampled_from(["zero", "unit", "unit", "general"]))
+        if kind == "zero":
+            terms = {}
+        elif kind == "unit" or legs == 0:
+            terms = {(UNIT_MONO,) * legs: draw(unit_fractions)}
+        else:
+            terms = draw(st.dictionaries(st.tuples(*[small_monos] * legs),
+                                         unit_fractions, min_size=1,
+                                         max_size=3))
+        coeffs.append(ring_coefficient(legs, terms))
+    return HSeries(coeffs, order)
+
+
+def fraction_terms(c, legs) -> dict:
+    if legs == 0:
+        return {(): c} if c else {}
+    if legs == 1:
+        return {(m,): v for m, v in c.terms.items()}
+    return c.terms
+
+
+def fraction_series_product(a, b, legs) -> list:
+    """The h^n coefficients of a * b as {tuple of monomials: Fraction}, from
+    a plain Fraction loop over the leg-wise mono_mul products."""
+    out = []
+    for n in range(a.order + 1):
+        acc = {}
+        for i in range(n + 1):
+            xs = fraction_terms(a.coeffs[i], legs)
+            ys = fraction_terms(b.coeffs[n - i], legs)
+            for (k1, c1), (k2, c2) in itertools.product(xs.items(), ys.items()):
+                for choice in itertools.product(
+                        *(mono_mul(p, q) for p, q in zip(k1, k2))):
+                    c = c1 * c2
+                    for _, d in choice:
+                        c *= d
+                    key = tuple(m for m, _ in choice)
+                    acc[key] = acc.get(key, Fraction(0)) + c
+        out.append({key: c for key, c in acc.items() if c})
+    return out
+
+
+def assert_series_is(got, want_terms, legs):
+    assert [fraction_terms(c, legs) for c in got.coeffs] == want_terms
+    for c in got.coeffs:
+        if legs == 0:
+            assert type(c) is Fraction
+        else:
+            assert all(type(v) is Fraction and v for v in c.terms.values())
+            assert getattr(c, "legs", 1) == legs
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(sorted(LEGS)),
+       order=st.integers(0, 3))
+def test_unit_scalar_coefficients_match_fraction_reference(data, ring, order):
+    legs = LEGS[ring]
+    a, b, c, d = (data.draw(unit_heavy_series(legs, order)) for _ in range(4))
+    ab = fraction_series_product(a, b, legs)
+    assert_series_is(a * b, ab, legs)
+    assert_series_is(b * a, fraction_series_product(b, a, legs), legs)
+    cd = fraction_series_product(c, d, legs)
+    want = []
+    for x, y in zip(ab, cd):
+        diff = dict(x)
+        for key, v in y.items():
+            diff[key] = diff.get(key, Fraction(0)) - v
+        want.append({key: v for key, v in diff.items() if v})
+    assert_series_is(mul_sub(a, b, c, d), want, legs)
+    if legs == 1:
+        # series_outer: the outer product of the two legs, unit or not
+        got = series_outer(a, b)
+        want = []
+        for n in range(order + 1):
+            acc = {}
+            for i in range(n + 1):
+                for m1, c1 in a.coeffs[i].terms.items():
+                    for m2, c2 in b.coeffs[n - i].terms.items():
+                        acc[(m1, m2)] = acc.get((m1, m2), Fraction(0)) + c1 * c2
+            want.append(acc)
+        assert [x.terms for x in got.coeffs] == want
+
+
+def test_unit_scalar_coefficients_keep_ring_checks():
+    def units(proto):
+        return HSeries([proto * 3, proto * 0, proto * Fraction(1, 2)])
+
+    two = units(TensorElement.one())
+    three = units(TensorElement._raw({(UNIT_MONO,) * 3: Fraction(1)}, 3))
+    with pytest.raises(ValueError):
+        two * three
+    with pytest.raises(ValueError):
+        mul_sub(two, two, three, three)
+    elements = units(Element.one())
+    polys = units(Poly.one())
+    for x, y in ((elements, polys), (polys, elements), (two, elements)):
+        with pytest.raises(TypeError):
+            x * y
+        with pytest.raises(TypeError):
+            mul_sub(x, x, y, y)

@@ -4,12 +4,16 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit import pbw
-from twistkit.pbw import (CasimirTerm, E, F, H, Element, casimir, commutator,
-                          counit, element_from_json, element_to_json,
-                          from_casimir_basis, is_hi_polynomial, mono_mul,
-                          shift_h, to_casimir_basis)
+from twistkit.pbw import (E_MONO, F_MONO, H_MONO, CasimirTerm, E, F, H,
+                          Element, casimir, commutator, counit,
+                          element_from_json, element_to_json,
+                          from_casimir_basis, is_hi_polynomial,
+                          mono_commutator, mono_mul, shift_h,
+                          to_casimir_basis)
 
 from conftest import random_element
 
@@ -258,3 +262,24 @@ def test_product_with_zero_and_integer_elements(rng):
     assert_stored_fractions(prod)
     assert (ints * x).terms == fraction_product(ints, x)
     assert_stored_fractions(ints * x)
+
+
+# ---------------------------------------------------------------------------
+# the cached commutator of two monomials
+
+monomials_to_4 = st.tuples(*[st.integers(0, 4)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m1=monomials_to_4,
+       m2=st.one_of(st.sampled_from([H_MONO, E_MONO, F_MONO]), monomials_to_4))
+def test_mono_commutator_is_the_product_difference(m1, m2):
+    want = dict(mono_mul(m1, m2))
+    for mono, c in mono_mul(m2, m1):
+        want[mono] = want.get(mono, 0) - c
+    got = mono_commutator(m1, m2)
+    assert dict(got) == {mono: c for mono, c in want.items() if c}
+    assert all(type(c) is int and c for _, c in got)
+    x, y = Element({m1: 1}), Element({m2: 1})
+    assert Element(dict(got)) == commutator(x, y)
+    assert mono_commutator(m2, m1) == tuple((m, -c) for m, c in got)

@@ -15,7 +15,8 @@ from twistkit.deform import delta_q_image, generator_images
 from twistkit.hseries import HSeries
 from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
-from twistkit.pbw import E, F, H, Element, casimir, to_casimir_basis
+from twistkit.pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir,
+                          to_casimir_basis)
 from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
@@ -797,3 +798,51 @@ def test_residual_operands_are_cached_by_order_alone():
         twist_residual_series(reference_candidate(2), k)
     info = twist._residual_operands.cache_info()
     assert (info.currsize, info.misses) == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# the J+ rows in first-write order, the escalation, kernel_check's input
+
+
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d", SCAN_GRID + [(3, 4, 6)])
+def test_first_write_row_order_gives_the_sorted_solution(monkeypatch, k,
+                                                          cutoff_l, cutoff_d):
+    lower = golden_order3().at_order(k - 1)
+    first_write = solve_order(k, lower, TwistAnsatz(k, cutoff_l, cutoff_d))
+    orders = []
+    real_order = twist._row_order
+
+    def sorted_order(row_of, b):
+        keys = sorted(row_of.keys() | b.keys())
+        orders.append((real_order(row_of, b), keys))
+        return keys
+    monkeypatch.setattr(twist, "_row_order", sorted_order)
+    assert solve_order(k, lower, TwistAnsatz(k, cutoff_l, cutoff_d)) == first_write
+    ((unsorted, keys),) = orders
+    assert sorted(unsorted) == keys and unsorted != keys
+
+
+def test_escalation_builds_the_residual_series_once(monkeypatch):
+    calls = []
+    real_series = twist.twist_residual_series
+
+    def counting_series(*args):
+        calls.append(args[1])
+        return real_series(*args)
+    monkeypatch.setattr(twist, "twist_residual_series", counting_series)
+    statuses = spy_on_solver(monkeypatch)
+    lower = golden_order3().at_order(2)
+    sol = solve_with_escalation(3, lower, cutoff_l=2, cutoff_d=2)
+    assert statuses == ["inconsistent", "inconsistent", "solved"]
+    assert calls == [3]
+    assert (sol.cutoff_l, sol.cutoff_d) == (4, 6)
+    assert sol == solve_order(3, lower, TwistAnsatz(3, 4, 6))
+
+
+@pytest.mark.parametrize("f, legs", [
+    (TensorElement({(E_MONO, F_MONO, H_MONO): 1}), 3),
+    (TensorElement._raw({}, 3), 3),
+    (E + H, 1)], ids=["3-leg", "3-leg zero", "Element"])
+def test_kernel_check_rejects_other_leg_counts(f, legs):
+    with pytest.raises(ValueError, match=f"2-leg tensor element, got {legs} legs$"):
+        kernel_check(f)
