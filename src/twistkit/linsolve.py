@@ -9,15 +9,20 @@ by the caller's row index (for the twist solver, the order in which
 its assembly first writes each row): sparse rows make sparse pivots, so
 later rows fill in less while they are reduced (the row order of
 structured Gaussian elimination; Markowitz 1957, LaMacchia & Odlyzko
-1990).  Each
-reduction step updates the working row in place and walks only the
-pivot row's entries; the working row is multiplied through only when
-its multiplier is not 1, which is rare.  The working row's leading
-column comes from a heap of its candidate columns, so no step scans the
-row.  Every stored pivot row is primitive (content 1, leading entry
-positive), which fixes it by the line it spans alone, so the elimination
-is fraction-free and bit-for-bit reproducible.  Fractions reappear only
-when the solution is read off.  Pivot columns are the leading
+1990).  The order is one stable sort of the rows' non-zero counts.
+
+The work is paid per reduction step, not per row.  A row whose leading
+column has no pivot yet (about two rows in three of the twist solver's
+order-3 systems) is stored as a pivot at once.  Each reduction step
+updates the working row in place and walks only the pivot row's
+entries; the working row is multiplied through only when its multiplier
+is not 1, which is rare.  A row that needs a step keeps its columns in
+a heap from then on, so no step scans the row for its next lead.  Every
+stored pivot row is primitive (content 1, leading entry positive), which
+fixes it by the line it spans alone, so the elimination is fraction-free
+and bit-for-bit reproducible; the content step is told the lead and
+keeps a row that is already primitive as it is.  Fractions reappear
+only when the solution is read off.  Pivot columns are the leading
 (smallest-index) columns of the echelon rows; the particular solution
 sets every free column to zero.  The back-reduced echelon form of the
 row space is unique under the fixed column order, so the visiting order
@@ -29,17 +34,22 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, inf
+from operator import countOf
 
 from .lincomb import _integral
 
-RHS = -1  # augmented-column key inside a row dict
+# the augmented-column key inside a row dict: it sorts after every column,
+# so min(row) is the row's leading column, or RHS when no column is left
+RHS = inf
+
+_INT = {int}
 
 
 def _integer_row(row: dict, b) -> dict:
     """The equation row . x = b as an integer row: every nonzero entry
     times the lcm of the denominators."""
-    if all(type(v) is int for v in row.values()):
+    if _INT.issuperset(map(type, row.values())):
         # the lcm is b's denominator alone
         den = b.denominator
         out = {k: v * den for k, v in row.items() if v}
@@ -49,12 +59,15 @@ def _integer_row(row: dict, b) -> dict:
     return _integral({k: v for k, v in (*row.items(), (RHS, b)) if v})[0]
 
 
-def _primitive(row: dict) -> dict:
-    """Divide an integer pivot row by its content, making its leading
-    (smallest-column) entry positive."""
+def _primitive(row: dict, lead) -> dict:
+    """The integer pivot row with leading column lead divided by its
+    content, its leading entry made positive; row itself when it already
+    is."""
     g = gcd(*row.values())
-    if row[min(k for k in row if k != RHS)] < 0:
+    if row[lead] < 0:
         g = -g
+    if g == 1:
+        return row
     return {k: v // g for k, v in row.items()}
 
 
@@ -102,32 +115,33 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
     pivots: dict = {}
     pivot_order: list = []
     inconsistent = False
-    visit = sorted(range(len(rows)),
-                   key=lambda i: (sum(map(bool, rows[i].values())), i))
-    for idx in visit:
+    counts = [len(row) - countOf(row.values(), 0) for row in rows]
+    for idx in sorted(range(len(rows)), key=counts.__getitem__):
         work = _integer_row(rows[idx], rhs[idx])
-        # every column of work is in the heap; popped keys no longer in
-        # work are stale, and a step only inserts keys above the lead
-        heap = [k for k in work if k != RHS]
-        heapify(heap)
-        while True:
-            while heap and heap[0] not in work:
-                heappop(heap)
-            if not heap:
-                if work.get(RHS):
-                    inconsistent = True
-                break
-            lead = heappop(heap)
-            if lead in pivots:
+        lead = min(work, default=RHS)
+        if lead in pivots:
+            # every column of work is in the heap; popped keys no longer in
+            # work are stale, and a step only inserts keys above the lead
+            _reduce(work, pivots[lead], lead)
+            heap = [k for k in work if k != RHS]
+            heapify(heap)
+            while True:
+                while heap and heap[0] not in work:
+                    heappop(heap)
+                if not heap:
+                    lead = RHS
+                    break
+                lead = heappop(heap)
+                if lead not in pivots:
+                    break
                 for k in _reduce(work, pivots[lead], lead):
                     if k != RHS:
                         heappush(heap, k)
-            else:
-                work = _primitive(work)
-                pivots[lead] = work
-                pivot_order.append((lead, idx))
-                break
-        if inconsistent:
+        if lead != RHS:
+            pivots[lead] = _primitive(work, lead)
+            pivot_order.append((lead, idx))
+        elif work:
+            inconsistent = True
             break
 
     if inconsistent:
@@ -143,7 +157,7 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
         row = pivots[c]
         for later in sorted(k for k in row if k > c and k in pivots):
             _reduce(row, pivots[later], later)
-        pivots[c] = _primitive(row)
+        pivots[c] = _primitive(row, c)
 
     # after back-reduction only the pivot column, free columns and RHS remain
     particular = [Fraction(0)] * ncols

@@ -278,8 +278,49 @@ def element_to_json(x: Element) -> list:
     ]
 
 
+def _json_field(obj, name: str, what: str):
+    """obj[name] for the JSON object obj; ValueError, naming what obj is,
+    when obj is not an object or has no such field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{what} has no {name!r} field")
+    return obj[name]
+
+
+def _json_list(data, what: str) -> list:
+    """data, which must be a JSON list; ValueError naming what it is."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list, got {type(data).__name__}")
+    return data
+
+
+def _mono_from_json(obj, what: str) -> tuple:
+    """The monomial (e, f, d) of the JSON object obj."""
+    mono = tuple(_json_field(obj, name, what) for name in ("e", "f", "d"))
+    if not all(type(x) is int and x >= 0 for x in mono):
+        raise ValueError(f"exponents must be non-negative integers, got {mono}")
+    return mono
+
+
+def _coeff_from_json(term, what: str) -> Fraction:
+    """The coefficient num/den of the JSON term."""
+    num, den = (_json_field(term, name, what) for name in ("num", "den"))
+    if not (type(num) is int and type(den) is int) or den == 0:
+        raise ValueError(f"coefficient {num}/{den} is not a fraction of "
+                         "integers with a non-zero denominator")
+    return Fraction(num, den)
+
+
 def element_from_json(data) -> Element:
+    """Inverse of element_to_json; ValueError for a malformed or repeated
+    term."""
     terms = {}
-    for t in data:
-        terms[(t["e"], t["f"], t["d"])] = Fraction(t["num"], t["den"])
+    for t in _json_list(data, "an element"):
+        c = _coeff_from_json(t, "an element term")
+        mono = _mono_from_json(t, "an element term")
+        if mono in terms:
+            raise ValueError(f"term {_mono_str(mono)} is listed twice")
+        terms[mono] = c
     return Element(terms)

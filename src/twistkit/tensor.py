@@ -16,14 +16,13 @@ whose two legs are already in normal order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
 
 from .hseries import HSeries, _cauchy, _ints
 from .lincomb import LinearCombination, _outer_into, _signed_sum
-from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _mono_str,
-                  mono_mul)
+from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _coeff_from_json,
+                  _json_list, _mono_from_json, _mono_str, mono_mul)
 
 UNIT2 = (UNIT_MONO, UNIT_MONO)
 
@@ -275,23 +274,18 @@ def tensor_to_json(x: TensorElement) -> list:
     return out
 
 
-def _mono_from_json(leg) -> tuple:
-    mono = (leg["e"], leg["f"], leg["d"])
-    if not all(type(x) is int and x >= 0 for x in mono):
-        raise ValueError(f"exponents must be non-negative integers, got {mono}")
-    return mono
-
-
 def tensor_from_json(data) -> TensorElement:
-    """Inverse of tensor_to_json; rejects malformed terms with ValueError."""
+    """Inverse of tensor_to_json; ValueError for a malformed or repeated
+    term."""
     terms = {}
-    for t in data:
+    for t in _json_list(data, "a tensor element"):
+        c = _coeff_from_json(t, "a tensor term")
         legs = []
         while (name := f"leg{len(legs) + 1}") in t:
-            legs.append(_mono_from_json(t[name]))
-        num, den = t["num"], t["den"]
-        if not (type(num) is int and type(den) is int) or den == 0:
-            raise ValueError(f"coefficient {num}/{den} is not a fraction of "
-                             "integers with a non-zero denominator")
-        terms[tuple(legs)] = Fraction(num, den)
+            legs.append(_mono_from_json(t[name], "a tensor leg"))
+        key = tuple(legs)
+        if key in terms:
+            raise ValueError(f"term {' ⊗ '.join(map(_mono_str, key))} is "
+                             "listed twice")
+        terms[key] = c
     return TensorElement(terms)

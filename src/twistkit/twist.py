@@ -58,11 +58,15 @@ the lower orders padded with F_k = 0 (low) and F_k = P,
     rho_k(low + h^k P)(g) = rho_k(low)(g) + [P, Delta(g)],
 
 and rho_k(low) is the h^k coefficient of the residual series already
-computed for the lower-order check and the right-hand side.  That series
-is one signed Cauchy sum per generator, sum_i F_i Delta(m(g))_(n-i) -
-Delta_q~(g)_(n-i) F_i, summed in integers (hseries._cauchy) against the
-two operands, which depend on the order alone and are built once per
-order.  Both parts of the certificate are then one commutator with a
+computed for the lower-order check and the right-hand side.  For J0
+that series is written in closed form: m(J0) = H and Delta_q~(J0) =
+Delta(H) at every order, so rho_n(J0) = [F_n, Delta(H)] =
+-sum wt(key) c key over the terms c key of F_n, where wt is the weight
+e - f summed over both legs.  For J+ and J- it is one signed Cauchy sum,
+sum_i F_i Delta(m(g))_(n-i) - Delta_q~(g)_(n-i) F_i, summed in integers
+(hseries._cauchy) against the two operands, which depend on the order
+alone and are built once per order; the operands hold only J+ and J-.
+Both parts of the certificate are then one commutator with a
 primitive Delta(g), taken leg by leg:
 [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket [m, g]
 of a PBW monomial m is read from a cache (pbw.mono_commutator) with its
@@ -90,17 +94,17 @@ which rows the elimination visits first, not its result.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .deform import delta_q_image, generator_images
+from .deform import IMAGES, delta_q_image
 from .hseries import HSeries, _cauchy, _ints, _ring_into, mul_sub
 from .linsolve import solve_sparse
 from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
-                  casimir, mono_commutator, to_casimir_basis)
+                  _json_field, _json_list, casimir, mono_commutator,
+                  to_casimir_basis)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, _keyed, cartan_killing, classical_r,
@@ -152,8 +156,11 @@ class TwistCandidate(namedtuple("TwistCandidate", "series")):
 
     @classmethod
     def from_json(cls, data: dict) -> "TwistCandidate":
-        coeffs = [tensor_from_json(c) for c in data["coeffs"]]
-        if type(data["order"]) is not int or len(coeffs) != data["order"] + 1:
+        coeffs = [tensor_from_json(c) for c in
+                  _json_list(_json_field(data, "coeffs", "a candidate"),
+                             "the candidate's coeffs")]
+        order = _json_field(data, "order", "a candidate")
+        if type(order) is not int or len(coeffs) != order + 1:
             raise ValueError("candidate order does not match coefficient count")
         cand = cls.from_coefficients(coeffs)
         if not cand.leading_invertible():
@@ -196,21 +203,33 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     generator name."""
     if not cand.leading_invertible():
         raise ValueError("twist candidate has a non-invertible leading term")
-    fs = _ints(cand.at_order(order).series.coeffs)
+    coeffs = cand.at_order(order).series.coeffs
+    fs = _ints(coeffs)
     into = _ring_into(cand.series.coeffs[0])
-    return {g: HSeries(_cauchy(((fs, cs, 1), (ds, fs, -1)),
-                               into, TensorElement._raw), order)
-            for g, (cs, ds) in _residual_operands(order).items()}
+    series = {"J0": HSeries(tuple(map(_j0_residual, coeffs)), order)}
+    for g, (cs, ds) in _residual_operands(order).items():
+        series[g] = HSeries(_cauchy(((fs, cs, 1), (ds, fs, -1)),
+                                    into, TensorElement._raw), order)
+    return series
+
+
+def _j0_residual(f: TensorElement) -> TensorElement:
+    """[f, Delta(H)] for the 2-leg f, in closed form: [m, H] = -wt(m) m
+    for a PBW monomial m = E^e F^f H^d of weight wt(m) = e - f, so each
+    term c m1 (x) m2 of f gives -(wt(m1) + wt(m2)) c m1 (x) m2."""
+    return TensorElement._raw({(m1, m2): -w * c
+                               for (m1, m2), c in f.terms.items()
+                               if (w := m1[0] - m1[1] + m2[0] - m2[1])})
 
 
 @cache
 def _residual_operands(order: int) -> dict:
-    """Delta(m(g)) and Delta_q~(g) for each generator g, their coefficients
-    in the integer form of hseries._ints; they depend on the order alone
-    and are cached by it."""
-    return {g: (_ints(image.map(coproduct).coeffs),
+    """Delta(m(g)) and Delta_q~(g) for g = J+ and J-, their coefficients in
+    the integer form of hseries._ints; they depend on the order alone and
+    are cached by it.  The J0 residual needs none (_j0_residual)."""
+    return {g: (_ints(IMAGES[g](order).map(coproduct).coeffs),
                 _ints(delta_q_image(g, order).coeffs))
-            for g, image in generator_images(order).items()}
+            for g in ("J+", "J-")}
 
 
 def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:
@@ -294,10 +313,7 @@ class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
     __slots__ = ()
 
     def label(self) -> str:
-        names = ("H1", "H2", "I1", "I2")
-        ms = "*".join(n if e == 1 else f"{n}^{e}"
-                      for n, e in zip(names, self.mono) if e)
-        return f"{self.side}{self.l}[{ms or '1'}]"
+        return f"{self.side}{self.l}[{_mono_label(self.mono)}]"
 
     def legs(self) -> tuple:
         """The Casimir coordinates (a, b, n) of the two legs of the payload
@@ -306,6 +322,23 @@ class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
         a1, a2, b1, b2 = self.mono
         n = self.l if self.side == "a" else -self.l
         return (a1, b1, n), (a2, b2, -n)
+
+
+@cache
+def _mono_label(mono) -> str:
+    """The text of H1^a1 H2^a2 I1^b1 I2^b2 for mono = (a1, a2, b1, b2),
+    cached: "1" for the unit, else factors like "H1*I2^2"."""
+    ms = "*".join(n if e == 1 else f"{n}^{e}"
+                  for n, e in zip(("H1", "H2", "I1", "I2"), mono) if e)
+    return ms or "1"
+
+
+def _monomials(d: int) -> list:
+    """The exponent tuples (a1, a2, b1, b2) of total degree <= d, by
+    degree, then lexicographically."""
+    return [(a, b, c, n - a - b - c) for n in range(d + 1)
+            for a in range(n + 1) for b in range(n - a + 1)
+            for c in range(n - a - b + 1)]
 
 
 def default_cutoffs(order: int) -> tuple:
@@ -334,9 +367,7 @@ class TwistAnsatz:
         if self.cutoff_l < 1 or self.cutoff_d < 0:
             raise ValueError(f"cutoffs must satisfy L >= 1 and D >= 0, got "
                              f"L={self.cutoff_l}, D={self.cutoff_d}")
-        monos = [m for m in itertools.product(range(self.cutoff_d + 1), repeat=4)
-                 if sum(m) <= self.cutoff_d]
-        monos.sort(key=lambda m: (sum(m), m))
+        monos = _monomials(self.cutoff_d)
         unknowns = []
         for l in range(self.cutoff_l - 1, -1, -1):
             # at l = 0 both sides multiply 1 (x) 1; keep a single slot

@@ -595,6 +595,43 @@ def test_boolean_in_candidate_is_bad_input(capsys, tmp_path, command, field):
     assert captured.err.count("\n") == 1
 
 
+UNIT_TERM = {"leg1": {"e": 0, "f": 0, "d": 0},
+             "leg2": {"e": 0, "f": 0, "d": 0}, "num": 1, "den": 1}
+
+
+@pytest.mark.parametrize("data, message", [
+    # read as F0 = 1 if the second term replaced the first
+    ({"order": 0, "coeffs": [[UNIT_TERM, UNIT_TERM]]},
+     "term 1 ⊗ 1 is listed twice"),
+    ({"order": 0, "coeffs": [[{k: v for k, v in UNIT_TERM.items()
+                               if k != "den"}]]},
+     "a tensor term has no 'den' field"),
+    ({"order": 0, "coeffs": [[dict(UNIT_TERM, leg2={"e": 0, "f": 0})]]},
+     "a tensor leg has no 'd' field"),
+    ({"order": 0, "coeffs": [[dict(UNIT_TERM, leg1=[0, 0, 0])]]},
+     "a tensor leg must be a JSON object, got list"),
+    ({"order": 0, "coeffs": [[7]]},
+     "a tensor term must be a JSON object, got int"),
+    ({"order": 0, "coeffs": [5]}, "a tensor element must be a list, got int"),
+    ({"order": 0, "coeffs": 5}, "the candidate's coeffs must be a list, got int"),
+    ({"order": 0}, "a candidate has no 'coeffs' field"),
+    ({"coeffs": [[UNIT_TERM]]}, "a candidate has no 'order' field"),
+    ([[UNIT_TERM]], "a candidate must be a JSON object, got list"),
+], ids=["repeated-term", "no-den", "no-exponent", "leg-not-object",
+        "term-not-object", "coefficient-not-list", "coeffs-not-list",
+        "no-coeffs", "no-order", "candidate-not-object"])
+def test_candidate_file_is_read_exactly_or_refused(capsys, tmp_path, data,
+                                                   message):
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", str(path), "--order", "0",
+                 "--checks", "normalization"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot load candidate: {message}\n"
+
+
 # digests of the output of
 #   twistkit eval-rep perfbench/fixture/candidate-order3.json \
 #       --two-j1 8 --two-j2 8 --order 3 [--format json]

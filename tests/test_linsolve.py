@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 from math import gcd
@@ -191,10 +192,20 @@ def _eliminate(row: dict, pivot_row: dict, col) -> dict:
     return out
 
 
+def _divided(row: dict) -> dict:
+    """row divided by its content, its leading column's entry made
+    positive, as a new dict."""
+    g = gcd(*row.values())
+    if row[min(k for k in row if k != RHS)] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()}
+
+
 def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
     """The solver before in-place reduction: every step copies the working
-    row and rescans it for its lead, back-reduction tests every later
-    pivot column, and the nullspace tests every (free, pivot) pair."""
+    row and rescans it for its lead, every pivot row is a new divided
+    copy, back-reduction tests every later pivot column, and the nullspace
+    tests every (free, pivot) pair."""
     pivots: dict = {}
     pivot_order: list = []
     inconsistent = False
@@ -213,7 +224,7 @@ def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
             if lead in pivots:
                 work = _eliminate(work, pivots[lead], lead)
             else:
-                work = _primitive(work)
+                work = _divided(work)
                 pivots[lead] = work
                 pivot_order.append((lead, idx))
                 break
@@ -231,7 +242,7 @@ def reference_solve(rows, rhs, ncols: int) -> LinearSolution:
         for later in pivot_cols:
             if later > c and later in row:
                 row = _eliminate(row, pivots[later], later)
-        pivots[c] = _primitive(row)
+        pivots[c] = _divided(row)
 
     particular = [Fraction(0)] * ncols
     for c in pivot_cols:
@@ -339,6 +350,65 @@ def test_inconsistent_system_keeps_pivots_up_to_the_contradiction():
     _same_solution(sol, reference_solve(rows, rhs, 3))
     assert sol.status == "inconsistent"
     assert sol.pivot_log == [(0, 0), (1, 1), (2, 2)]
+
+
+def colliding_system(rng):
+    """Rows that mostly lead in one of the first two columns, so their
+    leading columns collide; every row is a multiple of a row with
+    content 1, by 1, 2, 3 or 6 and either sign, so pivot rows are found
+    with content above 1 and with negative leads."""
+    ncols = rng.randint(3, 10)
+    rows, rhs = [], []
+    for _ in range(rng.randint(3, 16)):
+        lead = rng.randrange(min(2, ncols) if rng.random() < 0.8 else ncols)
+        row = {lead: rng.choice((1, 2, 3, 5))}
+        for c in range(lead + 1, ncols):
+            if rng.random() < 0.4:
+                row[c] = rng.choice((-3, -2, -1, 1, 2, 3))
+        b = rng.randint(-3, 3)
+        if rng.random() < 0.2:
+            b = Fraction(b, rng.choice((2, 3)))
+        scale = rng.choice((1, 2, 3, 6)) * rng.choice((1, -1))
+        rows.append({c: scale * v for c, v in row.items()})
+        rhs.append(scale * b)
+    return rows, rhs, ncols
+
+
+def test_colliding_leads_match_the_reference_solver(rng, monkeypatch):
+    seen = []
+    primitive = linsolve._primitive
+
+    def spy(row, lead):
+        out = primitive(row, lead)
+        seen.append((gcd(*row.values()), row[lead] < 0, out is row))
+        return out
+
+    monkeypatch.setattr(linsolve, "_primitive", spy)
+    statuses = set()
+    for _ in range(200):
+        rows, rhs, ncols = colliding_system(rng)
+        given = copy.deepcopy((rows, rhs))
+        sol = solve_sparse(rows, rhs, ncols)
+        assert (rows, rhs) == given
+        _same_solution(sol, reference_solve(rows, rhs, ncols))
+        statuses.add(sol.status)
+    assert statuses == {"solved", "inconsistent"}
+    # pivot rows with content above 1 and with negative leads were divided;
+    # primitive ones were kept as they were
+    assert any(content > 1 for content, _, _ in seen)
+    assert any(negative for _, negative, _ in seen)
+    assert any(kept for _, _, kept in seen)
+    assert all(kept == (content == 1 and not negative)
+               for content, negative, kept in seen)
+
+
+def test_primitive_keeps_a_primitive_row():
+    row = {2: 3, 5: -4, RHS: 7}
+    assert _primitive(row, 2) is row
+    assert row == {2: 3, 5: -4, RHS: 7}
+    assert _primitive({2: -3, 5: 4, RHS: 1}, 2) == {2: 3, 5: -4, RHS: -1}
+    assert _primitive({2: 6, 5: -4, RHS: 2}, 2) == {2: 3, 5: -2, RHS: 1}
+    assert _primitive({2: -6, 5: 4}, 2) == {2: 3, 5: -2}
 
 
 @pytest.mark.parametrize("row, b, want", [

@@ -174,6 +174,21 @@ def test_json_shape():
     ]
 
 
+@pytest.mark.parametrize("data, message", [
+    ([{"e": 1, "f": 0, "d": 0, "num": 1, "den": 1},
+      {"e": 1, "f": 0, "d": 0, "num": 2, "den": 1}], "term E is listed twice"),
+    ([{"e": 1, "f": 0, "d": 0, "num": 1}], "an element term has no 'den' field"),
+    ([{"e": 1, "f": 0, "num": 1, "den": 1}], "an element term has no 'd' field"),
+    ([3], "an element term must be a JSON object, got int"),
+    (5, "an element must be a list, got int"),
+], ids=["repeated-term", "no-den", "no-exponent", "term-not-object",
+        "not-list"])
+def test_json_refuses_repeated_and_malformed_terms(data, message):
+    with pytest.raises(ValueError) as exc:
+        element_from_json(data)
+    assert str(exc.value) == message
+
+
 def _clear_pbw_caches():
     for fn in (pbw._fe_normal, pbw.mono_mul):
         fn.cache_clear()

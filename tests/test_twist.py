@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import twistkit.twist as twist
 from twistkit.cli import main
-from twistkit.deform import delta_q_image, generator_images
-from twistkit.hseries import HSeries
+from twistkit.deform import delta_q_image, generator_images, m_J0
+from twistkit.hseries import HSeries, _cauchy, _ints, _ring_into
 from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir,
@@ -20,7 +21,7 @@ from twistkit.pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir,
 from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
-                             coproduct, flip, is_weight_zero, outer)
+                             coproduct, flip, is_weight_zero, outer, weight)
 from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             cocycle_defect, kernel_check, normalization_check,
                             reference_candidate, second_order_term,
@@ -846,3 +847,44 @@ def test_escalation_builds_the_residual_series_once(monkeypatch):
 def test_kernel_check_rejects_other_leg_counts(f, legs):
     with pytest.raises(ValueError, match=f"2-leg tensor element, got {legs} legs$"):
         kernel_check(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cand=candidates(), order=st.integers(1, 5),
+       key=st.tuples(small_monomials, small_monomials).filter(weight),
+       c=coprime_fractions.filter(bool))
+def test_j0_residual_in_closed_form_is_the_cauchy_sum(cand, order, key, c):
+    # F_order gains a term of non-zero weight, so [F_order, Delta(H)] != 0
+    coeffs = list(cand.at_order(order).series.coeffs)
+    coeffs[order] = coeffs[order] + TensorElement({key: c})
+    cand = TwistCandidate.from_coefficients(coeffs)
+    fs = _ints(coeffs)
+    cs = _ints(m_J0(order).map(coproduct).coeffs)
+    ds = _ints(delta_q_image("J0", order).coeffs)
+    want = _cauchy(((fs, cs, 1), (ds, fs, -1)),
+                   _ring_into(coeffs[0]), TensorElement._raw)
+    got = twist_residual_series(cand, order)["J0"]
+    assert got.coeffs == want
+    assert got.coeffs[order].terms.get(key) == -weight(key) * coeffs[order].terms[key]
+    assert not twist._j0_residual(TensorElement.one()).terms
+
+
+def test_residual_operands_hold_only_j_plus_and_j_minus():
+    assert list(twist._residual_operands(3)) == ["J+", "J-"]
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_ansatz_monomials_are_the_sorted_product(d):
+    want = sorted((m for m in itertools.product(range(d + 1), repeat=4)
+                   if sum(m) <= d), key=lambda m: (sum(m), m))
+    assert twist._monomials(d) == want
+
+
+def test_labels_match_the_monomial_formula():
+    names = ("H1", "H2", "I1", "I2")
+    ansatz = TwistAnsatz(5)
+    for u in ansatz.unknowns:
+        ms = "*".join(n if e == 1 else f"{n}^{e}"
+                      for n, e in zip(names, u.mono) if e)
+        assert u.label() == f"{u.side}{u.l}[{ms or '1'}]"
+    assert len({u.mono for u in ansatz.unknowns}) == comb(10 + 4, 4)
