@@ -14,10 +14,13 @@ print("\nI          =", I)
 print("[I, E]     =", commutator(I, E))
 print("[I, F]     =", commutator(I, F))
 
-# Mixed EF pairs can be eliminated in favour of I: the Casimir-adapted
-# spanning set {H^a I^b E^c} u {H^a I^b F^t}.
+# Mixed EF pairs can be eliminated in favour of I: {H^a I^b E^n} u
+# {H^a I^b F^n} is a basis, and the key (a, b, n) names H^a I^b E^n for
+# n > 0, H^a I^b F^-n for n < 0 and H^a I^b for n = 0.
 x = E * E * F * H
 print("\nx          =", x)
-for term, coeff in to_casimir_basis(x):
-    print(f"   {coeff} * H^{term.a} I^{term.b} {term.side}^{term.c}")
-print("round trip ok:", from_casimir_basis(to_casimir_basis(x)) == x)
+coords = to_casimir_basis(x)
+for (a, b, n), coeff in sorted(coords.items()):
+    g = "" if n == 0 else f" E^{n}" if n > 0 else f" F^{-n}"
+    print(f"   key {(a, b, n)}: {coeff} * H^{a} I^{b}{g}")
+print("round trip ok:", from_casimir_basis(coords) == x)

@@ -20,7 +20,7 @@ _EXPORTS = {
               "phi q_analog_2h quantum_commutator_check",
     "hseries": "HSeries OrderMismatchError divide mul_sub q_analog q_factorial "
                "series_exp_h sinh_ratio",
-    "pbw": "CasimirTerm E F H Element casimir commutator counit element_from_json "
+    "pbw": "E F H Element casimir commutator counit element_from_json "
            "element_to_json element_to_str from_casimir_basis is_hi_polynomial "
            "shift_h to_casimir_basis",
     "report": "VerificationReport",

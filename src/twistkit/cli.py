@@ -152,22 +152,23 @@ def format_hi_polynomial(x) -> str:
     from .lincomb import _integral, _signed_sum, _term_body
     from .pbw import to_casimir_basis
 
-    decomp = to_casimir_basis(x)
-    if not decomp:
+    coords = to_casimir_basis(x)
+    if not coords:
         return "0"
-    if any(t.side != "pure" for t, _ in decomp):
+    if any(n for _, _, n in coords):
         raise ValueError("not a polynomial in H and I")
-    terms = sorted(decomp, key=lambda kv: (kv[0].b, kv[0].a), reverse=True)
-    nums, den = _integral(dict(terms))
+    # highest power of I first, then of H
+    nums, den = _integral(dict(sorted((((b, a), c) for (a, b, _), c
+                                       in coords.items()), reverse=True)))
     parts = []
-    for t, n in nums.items():
-        mono = "*".join(s for s in (f"I^{t.b}" if t.b > 1 else "I" if t.b else "",
-                                    f"H^{t.a}" if t.a > 1 else "H" if t.a else "") if s)
+    for (b, a), n in nums.items():
+        mono = "*".join(s for s in (f"I^{b}" if b > 1 else "I" * b,
+                                    f"H^{a}" if a > 1 else "H" * a) if s)
         parts.append((n, _term_body(n, mono)))
     poly = _signed_sum(parts)
     if den == 1:
         return poly
-    if len(terms) == 1 and not poly.startswith("-"):
+    if len(coords) == 1 and not poly.startswith("-"):
         return f"{poly}/{den}"
     return f"({poly})/{den}"
 

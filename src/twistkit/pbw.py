@@ -8,19 +8,23 @@ reduce to that form with the exchange relations
     phi(H) E^n = E^n phi(H+n),    phi(H) F^n = F^n phi(H-n)
 
 and the single commutator rewrite F E = E F - H.  The quadratic Casimir
-is I = 2EF + H(H-1) = 2FE + H(H+1); the Casimir-adapted spanning set
-{H^a I^b E^c} u {H^r I^s F^t} is available through to_casimir_basis /
-from_casimir_basis.
+is I = 2EF + H(H-1) = 2FE + H(H+1), and {H^a I^b E^n} u {H^a I^b F^n}
+is a basis of U(sl2).  This module owns the coordinates in it: the key
+(a, b, n) names H^a I^b E^n (n > 0), H^a I^b F^-n (n < 0) or H^a I^b
+(n = 0); to_casimir_basis gives x as {(a, b, n): Fraction} and
+from_casimir_basis takes such a dict back to PBW normal form, each
+through one cached integer conversion per PBW monomial (mono_to_casimir)
+or per basis element (casimir_to_pbw).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
-from .lincomb import LinearCombination, _iadd, _signed_sum, _term_body
+from .lincomb import (LinearCombination, _add_scaled, _iadd, _integral,
+                      _rational, _signed_sum, _term_body)
 
 UNIT_MONO = (0, 0, 0)
 E_MONO = (1, 0, 0)
@@ -137,9 +141,13 @@ def commutator(x: Element, y: Element) -> Element:
     return x * y - y * x
 
 
+# I = 2EF + H(H-1) as {mono: int}
+_CASIMIR = {(1, 1, 0): 2, (0, 0, 2): 1, (0, 0, 1): -1}
+
+
 def casimir() -> Element:
     """I = 2EF + H(H-1), central in U(sl2)."""
-    return Element({(1, 1, 0): 2, (0, 0, 2): 1, (0, 0, 1): -1})
+    return Element(_CASIMIR)
 
 
 def counit(x: Element) -> Fraction:
@@ -148,23 +156,7 @@ def counit(x: Element) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Casimir-adapted spanning set
-
-
-class CasimirTerm(namedtuple("CasimirTerm", "side a b c")):
-    """One monomial H^a I^b E^c (side 'E'), H^a I^b F^c (side 'F') or
-    H^a I^b (side 'pure', c = 0)."""
-
-    __slots__ = ()
-
-    def __new__(cls, side, a, b, c):
-        if side not in ("pure", "E", "F"):
-            raise ValueError(f"bad side {side!r}")
-        if side == "pure" and c != 0:
-            raise ValueError("pure terms have c = 0")
-        if side != "pure" and c < 1:
-            raise ValueError("E/F-side terms need c >= 1")
-        return tuple.__new__(cls, (side, a, b, c))
+# Casimir coordinates, keyed (a, b, n) as in the module docstring
 
 
 def _hpoly_shift(poly: dict, s: int) -> dict:
@@ -176,77 +168,85 @@ def _hpoly_shift(poly: dict, s: int) -> dict:
     return out
 
 
-def to_casimir_basis(x: Element):
-    """Decompose over {H^a I^b E^c} u {H^a I^b F^c} u {H^a I^b} by
-    eliminating mixed EF pairs via 2EF = I - H(H-1)."""
-    work: dict = {}
-    for (e, f, d), c in x.terms.items():
-        poly = work.setdefault((e, f, 0), {})
-        _iadd(poly, d, c)
-    while True:
-        mixed = [k for k in work if k[0] > 0 and k[1] > 0]
-        if not mixed:
-            break
-        for e, f, b in mixed:
-            poly = work.pop((e, f, b))
-            # E^e F^f = E^{e-1} F^{f-1} (I - (H-f+1)(H-f)) / 2
-            half = {a: c * Fraction(1, 2) for a, c in poly.items()}
-            dest = work.setdefault((e - 1, f - 1, b + 1), {})
-            for a, c in half.items():
-                _iadd(dest, a, c)
-            # -(H-f+1)(H-f)/2 = -(H^2 + (1-2f)H + f^2 - f)/2
-            psi = {2: Fraction(-1, 2), 1: Fraction(2 * f - 1, 2),
-                   0: Fraction(-(f * f - f), 2)}
-            dest = work.setdefault((e - 1, f - 1, b), {})
-            for a1, c1 in poly.items():
-                for a2, c2 in psi.items():
-                    _iadd(dest, a1 + a2, c1 * c2)
-    out = {}
-    for (e, f, b), poly in work.items():
-        if e:
-            side, c_exp, shifted = "E", e, _hpoly_shift(poly, -e)
-        elif f:
-            side, c_exp, shifted = "F", f, _hpoly_shift(poly, f)
-        else:
-            side, c_exp, shifted = "pure", 0, poly
-        for a, coef in shifted.items():
-            _iadd(out, CasimirTerm(side, a, b, c_exp), coef)
-    order = {"pure": 0, "E": 1, "F": 2}
-    return sorted(out.items(), key=lambda kv: (order[kv[0].side], kv[0].c,
-                                               kv[0].b, kv[0].a))
+@cache
+def mono_to_casimir(mono) -> tuple:
+    """E^e F^f H^d in Casimir coordinates, as ({(a, b, n): int}, den)
+    without zeros, cached: the dict must not be modified.
+
+    With n = e - f and m = min(e, f), E^m F^m = P(H) = prod_{t<m}
+    (I - (H-t)(H-t-1))/2, as E^(t+1) F^(t+1) = E^t F^t EF(H-t) and
+    EF = (I - H(H-1))/2.  H moves left by E^n q(H) = q(H-n) E^n and
+    F^l q(H) = q(H+l) F^l, so E^e F^f H^d = P(H-s) (H-n)^d G^|n| with
+    s = max(n, 0): the product below, over den = 2^m."""
+    e, f, d = mono
+    m, n = min(e, f), e - f
+    s = max(n, 0)
+    poly = {(k, 0): comb(d, k) * (-n) ** (d - k) for k in range(d + 1)}
+    for t in range(s, s + m):
+        # I - (H-t)(H-t-1) = I - H^2 + (2t+1) H - t(t+1)
+        factor = (((0, 1), 1), ((2, 0), -1), ((1, 0), 2 * t + 1),
+                  ((0, 0), -t * (t + 1)))
+        prev, poly = poly, {}
+        for (a, b), c in prev.items():
+            for (da, db), q in factor:
+                _iadd(poly, (a + da, b + db), c * q)
+    return {(a, b, n): c for (a, b), c in poly.items() if c}, 2 ** m
 
 
-def from_casimir_basis(terms) -> Element:
-    """Expand I -> 2EF + H^2 - H and multiply out to PBW normal form."""
-    I = casimir()
-    total = Element.zero()
-    for term, coef in terms:
-        x = Element.monomial(0, 0, term.a) * I ** term.b
-        if term.side == "E":
-            x = x * E ** term.c
-        elif term.side == "F":
-            x = x * F ** term.c
-        total = total + x * coef
-    return total
+@cache
+def casimir_to_pbw(key) -> dict:
+    """The basis element of key = (a, b, n) in PBW normal form, as
+    {mono: int} without zeros, cached: the dict must not be modified.
+    Built as H^a G^|n| times I, b times, with mono_mul; products of H, I,
+    E and F have integer coefficients in the PBW basis."""
+    a, b, n = key
+    if a < 0 or b < 0:
+        raise ValueError(f"Casimir key {key} has a negative exponent")
+    if not b:
+        return dict(mono_mul((0, 0, a), (n, 0, 0) if n >= 0 else (0, -n, 0)))
+    acc: dict = {}
+    Element._mul_into(acc, casimir_to_pbw((a, b - 1, n)), _CASIMIR, 1)
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def to_casimir_basis(x: Element) -> dict:
+    """x in Casimir coordinates, {(a, b, n): Fraction} without zeros: the
+    sum of mono_to_casimir over the terms of x, taken in integers."""
+    xs, dx = _integral(x.terms)
+    coords = [(mono_to_casimir(mono), c) for mono, c in xs.items()]
+    den = lcm(*(d for (_, d), _ in coords))
+    acc: dict = {}
+    for (ints, d), c in coords:
+        _add_scaled(acc, ints, c * (den // d))
+    return _rational(acc, den * dx)
+
+
+def from_casimir_basis(coords: dict) -> Element:
+    """The element sum c * key over {key: c} in Casimir coordinates, in PBW
+    normal form: the sum of casimir_to_pbw, taken in integers."""
+    ints, den = _integral(coords)
+    acc: dict = {}
+    for key, c in ints.items():
+        _add_scaled(acc, casimir_to_pbw(key), c)
+    return Element._raw(_rational(acc, den))
 
 
 def is_hi_polynomial(x: Element) -> bool:
     """True when x lies in the commuting subalgebra generated by H and I."""
-    return all(t.side == "pure" for t, _ in to_casimir_basis(x))
+    return not any(n for _, _, n in to_casimir_basis(x))
 
 
 def shift_h(x: Element, n: int) -> Element:
     """Formal substitution H -> H + n on a polynomial in H and I (the image
     of x under conjugation through E^n by the exchange relations)."""
-    decomp = to_casimir_basis(x)
-    if any(t.side != "pure" for t, _ in decomp):
+    coords = to_casimir_basis(x)
+    if any(key[2] for key in coords):
         raise ValueError("shift_h is defined on polynomials in H and I only")
-    I = casimir()
-    total = Element.zero()
-    hplus = Element({H_MONO: 1, UNIT_MONO: n})
-    for term, coef in decomp:
-        total = total + hplus ** term.a * I ** term.b * coef
-    return total
+    shifted: dict = {}
+    for (a, b, _), c in coords.items():
+        for k, q in _hpoly_shift({a: 1}, n).items():
+            _iadd(shifted, (k, b, 0), c * q)
+    return from_casimir_basis(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,14 @@ def _json_list(data, what: str) -> list:
     return data
 
 
+def _only_fields(obj: dict, names, what: str):
+    """ValueError naming a field of the JSON object obj that is not one of
+    names; obj holds every one of names."""
+    if len(obj) != len(names):
+        extra = next(name for name in obj if name not in names)
+        raise ValueError(f"{what} has an unexpected {extra!r} field")
+
+
 def _mono_from_json(obj, what: str) -> tuple:
     """The monomial (e, f, d) of the JSON object obj."""
     mono = tuple(_json_field(obj, name, what) for name in ("e", "f", "d"))
@@ -315,11 +323,12 @@ def _coeff_from_json(term, what: str) -> Fraction:
 
 def element_from_json(data) -> Element:
     """Inverse of element_to_json; ValueError for a malformed or repeated
-    term."""
+    term, or one with a field other than e, f, d, num and den."""
     terms = {}
     for t in _json_list(data, "an element"):
         c = _coeff_from_json(t, "an element term")
         mono = _mono_from_json(t, "an element term")
+        _only_fields(t, ("e", "f", "d", "num", "den"), "an element term")
         if mono in terms:
             raise ValueError(f"term {_mono_str(mono)} is listed twice")
         terms[mono] = c

@@ -22,7 +22,8 @@ from math import comb
 from .hseries import HSeries, _cauchy, _ints
 from .lincomb import LinearCombination, _outer_into, _signed_sum
 from .pbw import (E_MONO, F_MONO, H_MONO, UNIT_MONO, Element, _coeff_from_json,
-                  _json_list, _mono_from_json, _mono_str, mono_mul)
+                  _json_list, _mono_from_json, _mono_str, _only_fields,
+                  mono_mul)
 
 UNIT2 = (UNIT_MONO, UNIT_MONO)
 
@@ -276,13 +277,17 @@ def tensor_to_json(x: TensorElement) -> list:
 
 def tensor_from_json(data) -> TensorElement:
     """Inverse of tensor_to_json; ValueError for a malformed or repeated
-    term."""
+    term, or for a field other than leg1, leg2, ... (numbered without a
+    gap), num and den in a term or other than e, f and d in a leg."""
     terms = {}
     for t in _json_list(data, "a tensor element"):
         c = _coeff_from_json(t, "a tensor term")
-        legs = []
+        legs, names = [], ["num", "den"]
         while (name := f"leg{len(legs) + 1}") in t:
             legs.append(_mono_from_json(t[name], "a tensor leg"))
+            _only_fields(t[name], ("e", "f", "d"), "a tensor leg")
+            names.append(name)
+        _only_fields(t, names, "a tensor term")
         key = tuple(legs)
         if key in terms:
             raise ValueError(f"term {' ⊗ '.join(map(_mono_str, key))} is "

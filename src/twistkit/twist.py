@@ -79,7 +79,10 @@ The equations are written in Casimir coordinates.  The Casimir
 I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
 {E^n} u {F^n}, so {H^a I^b E^n} u {H^a I^b F^n} is a basis of U(sl2),
 and each leg H^a I^b G^l of an ansatz payload is a single basis element
-(in the PBW basis every I^b would expand into many terms).  The change
+(in the PBW basis every I^b would expand into many terms).  The
+coordinates are pbw's: the key (a, b, n) names H^a I^b E^n, or
+H^a I^b F^-n for n < 0, and keys the legs, the rows and the right-hand
+side alike.  The change
 from PBW to Casimir coordinates is invertible on each leg, hence on
 U (x) U, so the rows it gives span the same row space as the PBW rows of
 [A|b]: the solution set is the same, and so is the back-reduced echelon
@@ -103,8 +106,8 @@ from .hseries import HSeries, _cauchy, _ints, _ring_into, mul_sub
 from .linsolve import solve_sparse
 from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
-                  _json_field, _json_list, casimir, mono_commutator,
-                  to_casimir_basis)
+                  _json_field, _json_list, casimir, casimir_to_pbw,
+                  from_casimir_basis, mono_commutator, mono_to_casimir)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, _keyed, cartan_killing, classical_r,
@@ -259,6 +262,19 @@ def _delta_bracket_into(acc: dict, xs: dict, g, scale: int = 1):
             acc[key] = acc.get(key, 0) + c * d
 
 
+def _brackets_vanish(xs: dict, seed) -> bool:
+    """True iff acc + scale * [x, Delta(g)] = 0 for each generator g = H,
+    E, F, where xs is the 2-leg term dict of x with int values and
+    (acc, scale) = seed(name of g): an int dict keyed like xs, which is
+    consumed, and an int."""
+    for name, g in _GENERATOR_MONOS.items():
+        acc, scale = seed(name)
+        _delta_bracket_into(acc, xs, g, scale)
+        if any(acc.values()):
+            return False
+    return True
+
+
 def kernel_check(f: TensorElement) -> bool:
     """True iff the 2-leg tensor element f commutes with Delta(H),
     Delta(E) and Delta(F); ValueError for any other leg count."""
@@ -266,13 +282,7 @@ def kernel_check(f: TensorElement) -> bool:
     if legs != 2:
         raise ValueError(f"kernel_check needs a 2-leg tensor element, "
                          f"got {legs} legs")
-    xs, _ = _integral(f.terms)
-    for g in _GENERATOR_MONOS.values():
-        acc: dict = {}
-        _delta_bracket_into(acc, xs, g)
-        if any(acc.values()):
-            return False
-    return True
+    return _brackets_vanish(_integral(f.terms)[0], lambda _: ({}, 1))
 
 
 def normalization_check(cand: TwistCandidate) -> VerificationReport:
@@ -316,9 +326,9 @@ class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
         return f"{self.side}{self.l}[{_mono_label(self.mono)}]"
 
     def legs(self) -> tuple:
-        """The Casimir coordinates (a, b, n) of the two legs of the payload
+        """The Casimir keys (a, b, n) of the two legs of the payload
         H1^a1 I1^b1 G1^l (x) H2^a2 I2^b2 G2^l: n = l for G = E and n = -l
-        for G = F (see _leg_element)."""
+        for G = F (the keys of pbw.to_casimir_basis)."""
         a1, a2, b1, b2 = self.mono
         n = self.l if self.side == "a" else -self.l
         return (a1, b1, n), (a2, b2, -n)
@@ -382,7 +392,8 @@ class TwistAnsatz:
     def payload(self, u: AnsatzUnknown) -> TensorElement:
         """The tensor element multiplied by the unknown u."""
         leg1, leg2 = u.legs()
-        return outer(_leg_element(*leg1), _leg_element(*leg2))
+        return outer(from_casimir_basis({leg1: 1}),
+                     from_casimir_basis({leg2: 1}))
 
     def instantiate(self, values) -> TensorElement:
         """Assemble sum_u values[u_index] * payload(u), in integers: the
@@ -392,28 +403,8 @@ class TwistAnsatz:
         acc: dict = {}
         for i, v in ints.items():
             leg1, leg2 = self.unknowns[i].legs()
-            _outer_into(acc, _leg_ints(*leg1), _leg_ints(*leg2), v)
+            _outer_into(acc, casimir_to_pbw(leg1), casimir_to_pbw(leg2), v)
         return TensorElement._raw(_rational(acc, den))
-
-
-@cache
-def _leg_element(a: int, b: int, n: int) -> Element:
-    """The leg H^a I^b E^n (n >= 0) or H^a I^b F^-n (n < 0) in PBW normal
-    form, cached."""
-    return (Element.monomial(0, 0, a) * casimir() ** b
-            * (E ** n if n >= 0 else F ** -n))
-
-
-@cache
-def _leg_ints(a: int, b: int, n: int) -> dict:
-    """The leg H^a I^b G^|n| as {mono: int}, cached: the dict must not be
-    modified.  Products of H, I, E and F have integer coefficients in the
-    PBW basis."""
-    terms = _leg_element(a, b, n).terms
-    for c in terms.values():
-        if c.denominator != 1:
-            raise ValueError(f"leg coefficient {c} is not an integer")
-    return {mono: c.numerator for mono, c in terms.items()}
 
 
 @cache
@@ -446,21 +437,12 @@ def _casimir_bracket(a: int, b: int, n: int) -> tuple:
     return tuple((key, c) for key, c in acc.items() if c)
 
 
-@cache
-def _mono_coords(mono) -> tuple:
-    """The PBW monomial in Casimir coordinates as ({(a, b, n): int}, den),
-    its coefficients the ints over den, cached: the dict must not be
-    modified."""
-    sign = {"pure": 0, "E": 1, "F": -1}
-    return _integral({(t.a, t.b, sign[t.side] * t.c): c
-                      for t, c in to_casimir_basis(Element({mono: 1}))})
-
-
 def _casimir_coords(t: TensorElement) -> tuple:
-    """The 2-leg tensor t in Casimir coordinates, converted leg by leg, as
-    (ints, den): {((a1, b1, n1), (a2, b2, n2)): int}, zeros kept, over den."""
+    """The 2-leg tensor t in Casimir coordinates, converted leg by leg with
+    pbw.mono_to_casimir, as (ints, den): {((a1, b1, n1), (a2, b2, n2)):
+    int}, zeros kept, over den."""
     xs, dx = _integral(t.terms)
-    ints, den = _sum_products([(_mono_coords(m1), _mono_coords(m2), c)
+    ints, den = _sum_products([(mono_to_casimir(m1), mono_to_casimir(m2), c)
                                for (m1, m2), c in xs.items()], _outer_into)
     return ints, den * dx
 
@@ -553,13 +535,12 @@ def _certified(k: int, residuals: dict, sol: SolutionSet) -> bool:
     F_k = 0; adding h^k P adds [P, Delta(g)] at order k (module
     docstring)."""
     ps, dp = _integral(sol.particular.terms)
-    for g, series in residuals.items():
-        rs, dr = _integral(series.coeffs[k].terms)
-        acc = {key: dp * c for key, c in rs.items()}
-        _delta_bracket_into(acc, ps, _GENERATOR_MONOS[g], dr)
-        if any(acc.values()):
-            return False
-    return all(kernel_check(t) for t in sol.homogeneous)
+
+    def seed(g):
+        rs, dr = _integral(residuals[g].coeffs[k].terms)
+        return {key: dp * c for key, c in rs.items()}, dr
+    return (_brackets_vanish(ps, seed)
+            and all(kernel_check(t) for t in sol.homogeneous))
 
 
 def solve_order(k: int, lower: TwistCandidate,

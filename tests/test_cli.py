@@ -617,9 +617,19 @@ UNIT_TERM = {"leg1": {"e": 0, "f": 0, "d": 0},
     ({"order": 0}, "a candidate has no 'coeffs' field"),
     ({"coeffs": [[UNIT_TERM]]}, "a candidate has no 'order' field"),
     ([[UNIT_TERM]], "a candidate must be a JSON object, got list"),
+    # read as F0 = 1 if legs after a gap were ignored
+    ({"order": 0,
+      "coeffs": [[dict(UNIT_TERM, leg4={"e": 5, "f": 0, "d": 0})]]},
+     "a tensor term has an unexpected 'leg4' field"),
+    ({"order": 0, "coeffs": [[dict(UNIT_TERM, weight=0)]]},
+     "a tensor term has an unexpected 'weight' field"),
+    ({"order": 0, "coeffs": [[dict(UNIT_TERM,
+                                   leg2={"e": 0, "f": 0, "d": 0, "h": 1})]]},
+     "a tensor leg has an unexpected 'h' field"),
 ], ids=["repeated-term", "no-den", "no-exponent", "leg-not-object",
         "term-not-object", "coefficient-not-list", "coeffs-not-list",
-        "no-coeffs", "no-order", "candidate-not-object"])
+        "no-coeffs", "no-order", "candidate-not-object", "leg-gap",
+        "extra-term-field", "extra-leg-field"])
 def test_candidate_file_is_read_exactly_or_refused(capsys, tmp_path, data,
                                                    message):
     path = tmp_path / "cand.json"

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistkit import pbw
-from twistkit.pbw import (E_MONO, F_MONO, H_MONO, CasimirTerm, E, F, H,
-                          Element, casimir, commutator, counit,
+from twistkit.pbw import (E_MONO, F_MONO, H_MONO, E, F, H, Element, casimir,
+                          casimir_to_pbw, commutator, counit,
                           element_from_json, element_to_json,
                           from_casimir_basis, is_hi_polynomial,
-                          mono_commutator, mono_mul, shift_h,
-                          to_casimir_basis)
+                          mono_commutator, mono_mul, mono_to_casimir,
+                          shift_h, to_casimir_basis)
 
 from conftest import random_element
 
@@ -68,18 +68,17 @@ def test_counit():
 
 
 def test_casimir_basis_of_2EF():
-    decomp = to_casimir_basis(E * F * 2)
-    as_dict = {t: c for t, c in decomp}
-    assert as_dict == {
-        CasimirTerm("pure", 0, 1, 0): Fraction(1),
-        CasimirTerm("pure", 2, 0, 0): Fraction(-1),
-        CasimirTerm("pure", 1, 0, 0): Fraction(1),
-    }
+    # 2EF = I - H^2 + H, keyed (a, b, n) for H^a I^b
+    assert to_casimir_basis(E * F * 2) == {(0, 1, 0): 1, (2, 0, 0): -1,
+                                           (1, 0, 0): 1}
 
 
 def test_casimir_basis_of_E():
-    decomp = to_casimir_basis(E)
-    assert decomp == [(CasimirTerm("E", 0, 0, 1), Fraction(1))]
+    assert to_casimir_basis(E) == {(0, 0, 1): 1}
+    assert to_casimir_basis(F * F) == {(0, 0, -2): 1}
+    # F H = (H + 1) F
+    assert to_casimir_basis(F * H) == {(1, 0, -1): 1, (0, 0, -1): 1}
+    assert to_casimir_basis(Element.zero()) == {}
 
 
 def test_casimir_basis_round_trip_mixed_word():
@@ -88,8 +87,56 @@ def test_casimir_basis_round_trip_mixed_word():
 
 
 def test_from_casimir_basis_examples():
-    assert from_casimir_basis([(CasimirTerm("pure", 0, 1, 0), Fraction(1))]) == casimir()
-    assert from_casimir_basis([(CasimirTerm("pure", 1, 0, 0), Fraction(1))]) == H
+    assert from_casimir_basis({(0, 1, 0): 1}) == casimir()
+    assert from_casimir_basis({(1, 0, 0): 1}) == H
+    half = Fraction(1, 2)
+    assert from_casimir_basis({(0, 0, -1): half}) == F * half
+    assert from_casimir_basis({}) == Element.zero()
+    for key in ((-1, 0, 0), (0, -1, 2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            from_casimir_basis({key: 1})
+
+
+def _basis_element(key) -> Element:
+    """The basis element of the key (a, b, n), multiplied out as Elements."""
+    a, b, n = key
+    return H ** a * casimir() ** b * (E ** n if n >= 0 else F ** -n)
+
+
+elements = st.dictionaries(
+    st.tuples(*[st.integers(0, 5)] * 3),
+    st.fractions(max_denominator=12).filter(bool), max_size=6).map(Element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=elements)
+def test_casimir_coordinates_sum_back_to_the_element(x):
+    # the reference multiplies H^a, I^b and E^n or F^-n as Elements
+    coords = to_casimir_basis(x)
+    assert all(a >= 0 and b >= 0 and type(c) is Fraction and c
+               for (a, b, _), c in coords.items())
+    total = Element.zero()
+    for key, c in coords.items():
+        total = total + _basis_element(key) * c
+    assert total == x
+    assert from_casimir_basis(coords) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+       mono=st.tuples(*[st.integers(0, 5)] * 3))
+def test_cached_conversions_are_integral(key, mono):
+    pbw_form = casimir_to_pbw(key)
+    assert all(type(c) is int and c for c in pbw_form.values())
+    assert Element(pbw_form) == _basis_element(key)
+    assert to_casimir_basis(Element(pbw_form)) == {key: 1}
+    ints, den = mono_to_casimir(mono)
+    assert all(type(c) is int and c for c in ints.values())
+    assert den == 2 ** min(mono[:2])
+    total = Element.zero()
+    for k, c in ints.items():
+        total = total + _basis_element(k) * Fraction(c, den)
+    assert total == Element({mono: 1})
 
 
 def test_casimir_basis_round_trip_randomized(rng):
@@ -141,7 +188,9 @@ def test_normal_form_confluence(rng):
 
 def test_is_hi_polynomial():
     assert is_hi_polynomial(casimir() * H + Element.one())
+    assert is_hi_polynomial(E * F)
     assert not is_hi_polynomial(E)
+    assert not is_hi_polynomial(E * F * F + H)
 
 
 def test_shift_h():
@@ -181,8 +230,10 @@ def test_json_shape():
     ([{"e": 1, "f": 0, "num": 1, "den": 1}], "an element term has no 'd' field"),
     ([3], "an element term must be a JSON object, got int"),
     (5, "an element must be a list, got int"),
+    ([{"e": 1, "f": 0, "d": 0, "num": 1, "den": 1, "g": 2}],
+     "an element term has an unexpected 'g' field"),
 ], ids=["repeated-term", "no-den", "no-exponent", "term-not-object",
-        "not-list"])
+        "not-list", "extra-field"])
 def test_json_refuses_repeated_and_malformed_terms(data, message):
     with pytest.raises(ValueError) as exc:
         element_from_json(data)

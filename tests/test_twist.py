@@ -17,6 +17,7 @@ from twistkit.hseries import HSeries, _cauchy, _ints, _ring_into
 from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
 from twistkit.pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, casimir,
+                          casimir_to_pbw, from_casimir_basis,
                           to_casimir_basis)
 from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
@@ -354,31 +355,20 @@ def test_ansatz_cutoff_defaults_and_bounds():
 # the order-k system
 
 
-def casimir_coords(x: Element) -> dict:
-    """x over the basis {H^a I^b E^n} u {H^a I^b F^n}, keyed like the
-    solver's legs: (a, b, n), with n < 0 for F^-n."""
-    sign = {"pure": 0, "E": 1, "F": -1}
-    return {(t.a, t.b, sign[t.side] * t.c): c for t, c in to_casimir_basis(x)}
-
-
 def test_casimir_bracket_is_commutator_with_E():
-    # the closed form against the PBW bracket x*E - E*x, doubled
+    # the closed form against the PBW bracket x*E - E*x, doubled; the leg
+    # keys are those of pbw's Casimir coordinates
     legs = {leg for u in TwistAnsatz(4).unknowns for leg in u.legs()}
     for leg in legs:
-        x = twist._leg_element(*leg)
-        assert casimir_coords(x) == {leg: 1}
-        assert Element(dict(twist._leg_ints(*leg))) == x
+        a, b, n = leg
+        x = H ** a * casimir() ** b * (E ** n if n >= 0 else F ** -n)
+        assert from_casimir_basis({leg: 1}) == x
+        assert Element(casimir_to_pbw(leg)) == x
+        assert to_casimir_basis(x) == {leg: 1}
         terms = twist._casimir_bracket(*leg)
         assert dict(terms) == {key: 2 * c for key, c
-                               in casimir_coords(x * E - E * x).items()}
+                               in to_casimir_basis(x * E - E * x).items()}
         assert all(type(c) is int and c for _, c in terms)
-
-
-def test_non_integral_leg_raises(monkeypatch):
-    # __wrapped__ bypasses the cache, which keeps the real legs
-    monkeypatch.setattr(twist, "_leg_element", lambda *leg: H * Fraction(1, 2))
-    with pytest.raises(ValueError, match="leg coefficient 1/2 is not an integer"):
-        twist._leg_ints.__wrapped__(1, 0, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -621,6 +611,27 @@ def test_leg_wise_commutator_is_the_product_commutator(terms, scale):
         assert TensorElement._raw(_rational(acc, den)) == (f * d - d * f) * scale
 
 
+@pytest.mark.parametrize("bumped", [None, *GENERATORS])
+def test_certificate_checks_each_generator(bumped):
+    # no weight-zero element commutes with two of Delta(H), Delta(E) and
+    # Delta(F) but not with the third, so each generator's check is tested
+    # through its seed: a seed of -2 [x, Delta(g)] at scale 2 cancels for
+    # every g, and one unit more in the seed of one generator is found
+    f = outer(E, H) * Fraction(1, 2) + outer(F, F)
+    xs, den = _integral(f.terms)
+    unit = (Element.UNIT, Element.UNIT)
+
+    def seed(g):
+        d = coproduct(GENERATORS[g])
+        minus = (d * f - f * d) * 2 * den
+        acc = {key: int(c) for key, c in minus.terms.items()}
+        assert acc
+        if g == bumped:
+            acc[unit] = acc.get(unit, 0) + 1
+        return acc, 2
+    assert twist._brackets_vanish(xs, seed) == (bumped is None)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_order_zero_images_are_the_classical_generators(n):
     # rho_k(low + h^k P) = rho_k(low) + [P, Delta(g)] rests on these
@@ -757,11 +768,8 @@ def test_residuals_match_product_then_subtract(which):
 def casimir_reference(t: TensorElement) -> dict:
     """t in Casimir coordinates, leg by leg, one Fraction product at a
     time."""
-    sign = {"pure": 0, "E": 1, "F": -1}
-
     def coords(mono):
-        return [((x.a, x.b, sign[x.side] * x.c), c)
-                for x, c in to_casimir_basis(Element({mono: 1}))]
+        return to_casimir_basis(Element({mono: 1})).items()
     acc: dict = {}
     for (m1, m2), c in t.terms.items():
         for k1, c1 in coords(m1):

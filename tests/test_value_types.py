@@ -8,7 +8,7 @@ import pytest
 from twistkit.deform import PhiSeries, phi
 from twistkit.hseries import HSeries
 from twistkit.linsolve import solve_sparse
-from twistkit.pbw import CasimirTerm, Element
+from twistkit.pbw import Element
 from twistkit.report import VerificationReport
 from twistkit.reps import spin_rep
 from twistkit.tensor import TensorElement
@@ -22,7 +22,6 @@ def _values():
         return solve_order(1, reference_candidate(0))
 
     return {
-        "CasimirTerm": (CasimirTerm("E", 1, 2, 3), CasimirTerm("E", 1, 2, 3)),
         "AnsatzUnknown": (AnsatzUnknown(2, "a", (1, 0, 0, 1)),
                           AnsatzUnknown(2, "a", (1, 0, 0, 1))),
         "SpinRep": (spin_rep(2), spin_rep.__wrapped__(2)),
@@ -36,7 +35,7 @@ def _values():
     }
 
 
-HASHABLE = ("CasimirTerm", "AnsatzUnknown", "SpinRep")
+HASHABLE = ("AnsatzUnknown", "SpinRep")
 
 
 @pytest.mark.parametrize("name", list(_values()))
@@ -55,24 +54,10 @@ def test_equal_values_are_equal_and_immutable(name):
 
 
 def test_unequal_values_differ():
-    assert CasimirTerm("E", 1, 2, 3) != CasimirTerm("F", 1, 2, 3)
     assert AnsatzUnknown(2, "a", (1, 0, 0, 1)) != AnsatzUnknown(2, "b", (1, 0, 0, 1))
     assert spin_rep(1) != spin_rep(2)
     assert phi("+", 4) != phi("-", 4)
     assert reference_candidate(1) != reference_candidate(2)
-
-
-@pytest.mark.parametrize("args", [("X", 0, 0, 0), ("pure", 0, 0, 1),
-                                  ("E", 1, 1, 0), ("F", 0, 0, -1)])
-def test_casimir_term_rejects_bad_fields(args):
-    with pytest.raises(ValueError):
-        CasimirTerm(*args)
-
-
-def test_casimir_term_keeps_its_fields():
-    t = CasimirTerm(side="F", a=1, b=2, c=3)
-    assert (t.side, t.a, t.b, t.c) == ("F", 1, 2, 3)
-    assert repr(t) == "CasimirTerm(side='F', a=1, b=2, c=3)"
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -37,6 +37,8 @@ JOBS = [
     ("solve-escalating", ["solve-twist", "--order", "3", "--cutoff-l", "2",
                           "--cutoff-d", "2", "--format", "json",
                           "--out-dir", "out"]),
+    ("solve-o4-json", ["solve-twist", "--order", "4", "--format", "json",
+                       "--out-dir", "out"]),
     ("solve-infeasible", ["solve-twist", "--order", "3", "--cutoff-l", "1",
                           "--max-escalations", "0", "--out-dir", "out",
                           "--candidate-out", "cand.json"]),
@@ -87,6 +89,14 @@ JOBS = [
     ("expand-phi-minus-output", ["expand-phi", "--sign", "minus", "--order",
                                  "12", "--format", "json",
                                  "--output", "phi.json"]),
+    ("expand-phi-plus-o24-text", ["expand-phi", "--sign", "plus",
+                                  "--order", "24"]),
+    ("expand-phi-plus-o24-json", ["expand-phi", "--sign", "plus",
+                                  "--order", "24", "--format", "json"]),
+    ("expand-phi-minus-o24-text", ["expand-phi", "--sign", "minus",
+                                   "--order", "24"]),
+    ("expand-phi-minus-o24-json", ["expand-phi", "--sign", "minus",
+                                   "--order", "24", "--format", "json"]),
     ("order-above-bound", ["expand-phi", "--sign", "plus", "--order", "51"]),
     ("unwritable-output", ["show-rmatrix", "--order", "2",
                            "--output", "nodir/r.txt"]),
