@@ -5,7 +5,10 @@ writing them in the basis {H^a I^b E^n} u {H^a I^b F^n} of each tensor
 leg against a weight-zero polynomial ansatz gives an exact rational
 linear system.  The minimal order-1 solution is the classical r-matrix;
 at order 2 the solver's particular solution differs from the explicit
-reference term by a kernel element (the twist-class ambiguity).
+reference term by a kernel element (the twist-class ambiguity).  The
+kernel is certified to be spanned by the invariants I1^a I2^b P^c inside
+the ansatz (P the Cartan-Killing element); its elements are built only
+when they are read, so printing its dimension builds none.
 """
 
 from twistkit import (TensorElement, TwistCandidate, build_candidate,
@@ -18,7 +21,8 @@ sol1 = solve_order(1, one)
 print("order 1:", sol1.status, f"({sol1.unknown_count} unknowns, rank {sol1.rank})")
 print("  particular       =", sol1.particular)
 print("  equals r-matrix  :", sol1.particular == classical_r())
-print("  kernel dimension =", len(sol1.homogeneous))
+print("  kernel dimension =", len(sol1.homogeneous),
+      "(the invariants I1^a I2^b P^c with c <= 1, a + b + 2c <= 2)")
 
 lower = TwistCandidate.from_coefficients([TensorElement.one(), classical_r()])
 sol2 = solve_order(2, lower)

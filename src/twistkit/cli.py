@@ -33,10 +33,10 @@ EXIT_INFEASIBLE = 3
 # interpreter start included, measured twice on one 2.1 GHz Xeon core of a
 # shared host with Python 3.11.7 (verify and eval-rep on the order-3
 # candidate perfbench/fixture/candidate-order3.json); near each
-# bound the time grows about 3x per two orders (4x per order for
+# bound the time grows about 3x per two orders (about 3x per order for
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
-MAX_ORDER = {"expand-phi": (50, "19-21 s"), "solve-twist": (5, "3 s"),
+MAX_ORDER = {"expand-phi": (50, "19-21 s"), "solve-twist": (5, "1.1-1.4 s"),
              "verify": (14, "8-11 s with --checks all"),
              "eval-rep": (20, "17-22 s at two_j 32 x 32"),
              "show-rmatrix": (18, "8-10 s")}
@@ -280,14 +280,15 @@ def cmd_solve_twist(args) -> int:
 
 
 def _load_candidate(path: str):
-    """The candidate in a JSON file, or None after reporting on stderr why
-    the file cannot be used."""
+    """The candidate in a JSON file, a candidate file or the document of
+    `solve-twist --format json` (exactly `solutions` and `candidate`), or
+    None after reporting on stderr why the file cannot be used."""
     from .twist import TwistCandidate
 
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if isinstance(data, dict) and "candidate" in data:
+        if isinstance(data, dict) and data.keys() == {"solutions", "candidate"}:
             data = data["candidate"]
         return TwistCandidate.from_json(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -45,17 +45,17 @@ coefficient is the right-hand side also holds orders 0..k-1 of all three
 residuals, which depend only on F_0..F_{k-1}, so solve_order checks them
 first and raises ValueError if one is non-zero.  A solution is still
 certified exactly before it is returned: the order-k residuals of all
-three generators must vanish on the particular solution, and every
-homogeneous element must commute with Delta(H), Delta(E) and Delta(F).
+three generators must vanish on the particular solution, and the
+homogeneous solutions must span exactly the known kernel elements below.
 
-The certificate works in PBW coordinates and reads nothing of the
+The particular's half works in PBW coordinates and reads nothing of the
 Casimir assembly below.  The h^k coefficient of F Delta(m(g)) is
 sum_{i+j=k} F_i Delta(m(g))_j, and that of Delta_q~(g) F likewise, so
 F_k meets only the order-0 coefficients m(g)_0 = g and
 Delta_q~(g)_0 = Delta(g), with g = H, E, F for J0, J+, J-.  Hence for
-the lower orders padded with F_k = 0 (low) and F_k = P,
+the lower orders padded with F_k = 0 (low) and F_k = X,
 
-    rho_k(low + h^k P)(g) = rho_k(low)(g) + [P, Delta(g)],
+    rho_k(low + h^k X)(g) = rho_k(low)(g) + [X, Delta(g)],
 
 and rho_k(low) is the h^k coefficient of the residual series already
 computed for the lower-order check and the right-hand side.  For J0
@@ -66,14 +66,43 @@ e - f summed over both legs.  For J+ and J- it is one signed Cauchy sum,
 sum_i F_i Delta(m(g))_(n-i) - Delta_q~(g)_(n-i) F_i, summed in integers
 (hseries._cauchy) against the two operands, which depend on the order
 alone and are built once per order; the operands hold only J+ and J-.
-Both parts of the certificate are then one commutator with a
-primitive Delta(g), taken leg by leg:
-[x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket [m, g]
-of a PBW monomial m is read from a cache (pbw.mono_commutator) with its
-cancelling terms already gone.  The commutator is summed in integers,
-the element scaled once by the lcm of its denominators, so the check is
-exact: it passes iff every solution reported satisfies the order-k
-equations of all three generators.
+The check is then one commutator with a primitive Delta(g), taken leg
+by leg: [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket
+[m, g] of a PBW monomial m is read from a cache (pbw.mono_commutator)
+with its cancelling terms already gone, and the sum is taken in
+integers, so the check is exact.
+
+The homogeneous half is an identity test, with no commutator.  I is
+central, so I1 = I (x) 1 and I2 = 1 (x) I commute with every Delta(g);
+Delta is an algebra map, so Delta(I) does too, and so does
+P = Delta(I) - I1 - I2 (tensor.cartan_killing()).  So every
+I1^a I2^b P^c is in the kernel.  For cutoffs (L, D) the
+kappa = sum_{c <= min(L-1, D/2)} C(D-2c+2, 2) of them with
+a + b + 2c <= D are integer rows V over the unknowns: P^c's Casimir
+coordinates are cached per c, and I1^a I2^b only shifts each leg's b.
+V has rank kappa.  The only product of c factors of P whose first leg
+has weight c is (2 E (x) F)^c, so the one term of I1^a I2^b P^c with
+first-leg key n = c is 2^c I^a E^c (x) I^b F^c, and no invariant of
+smaller c has a term with n = c: V is triangular on those columns.  The
+solver's nullspace N is the identity on its free columns, and the test
+is len(N) = kappa and V = V_free N, summed in integers, with V_free the
+columns of V at the free columns.  Then every row of V lies in the row
+space of N, which has at most kappa dimensions, so the two are equal
+and every reported homogeneous element commutes with Delta(H), Delta(E)
+and Delta(F).  An invariant term outside the ansatz fails the test.
+
+Completeness, a sketch (the count kappa is what the test checks).  By
+Weyl's first fundamental theorem for SO(3) on two vectors (H. Weyl, The
+Classical Groups, 1939), the invariants of sl2 in the symmetric algebra
+of sl2 + sl2 are the polynomials in the three inner products, the
+symbols of I1, I2 and P; filtering U (x) U by degree, the I1^a I2^b P^c
+form a basis of the elements commuting with Delta(sl2).  A kernel
+element inside the ansatz uses none with c >= L: among its invariants
+of largest c the terms 2^c I^a E^c (x) I^b F^c above cannot cancel.  Nor
+with a + b + 2c > D: every term of P^c has degree a + b <= c on each
+leg, and H^c (x) H^c has the coefficient C(2c, c), so among its
+invariants of largest a + b + 2c, the one of largest c keeps the term
+H^c I^a (x) H^c I^b.  So N is the whole kernel inside the cutoffs.
 
 The equations are written in Casimir coordinates.  The Casimir
 I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
@@ -100,14 +129,19 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
+from itertools import compress, count, repeat
+from math import lcm
+from operator import is_not
 
 from .deform import IMAGES, delta_q_image
 from .hseries import HSeries, _cauchy, _ints, _ring_into, mul_sub
 from .linsolve import solve_sparse
-from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
+from .lincomb import (_add_scaled, _iadd, _integral, _outer_into, _rational,
+                      _sum_products)
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
-                  _json_field, _json_list, casimir, casimir_to_pbw,
-                  from_casimir_basis, mono_commutator, mono_to_casimir)
+                  _json_field, _json_list, _only_fields, casimir,
+                  casimir_to_pbw, from_casimir_basis, mono_commutator,
+                  mono_to_casimir)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, _keyed, cartan_killing, classical_r,
@@ -159,6 +193,11 @@ class TwistCandidate(namedtuple("TwistCandidate", "series")):
 
     @classmethod
     def from_json(cls, data: dict) -> "TwistCandidate":
+        """Inverse of to_json; ValueError for a malformed candidate, or
+        one with a field other than order and coeffs."""
+        if isinstance(data, dict):
+            # against the fields present: a stray field is named first
+            _only_fields(data, data.keys() & {"order", "coeffs"}, "a candidate")
         coeffs = [tensor_from_json(c) for c in
                   _json_list(_json_field(data, "coeffs", "a candidate"),
                              "the candidate's coeffs")]
@@ -351,6 +390,17 @@ def _monomials(d: int) -> list:
             for c in range(n - a - b + 1)]
 
 
+def _nonzeros(values) -> dict:
+    """{index: value} for the non-zero entries of a dense sequence.  An
+    entry that is the very zero object met first is skipped without a
+    comparison, and every other one is tested by value: solve_sparse
+    fills each vector with one shared zero, so a long, sparse vector is
+    scanned without a Python-level call per entry."""
+    zero = next((v for v in values if not v), None)
+    return {i: values[i] for i in
+            compress(count(), map(is_not, values, repeat(zero))) if values[i]}
+
+
 def default_cutoffs(order: int) -> tuple:
     """The ansatz cutoffs (L, D) = (k+1, 2k) used at order k when none
     are given."""
@@ -396,10 +446,11 @@ class TwistAnsatz:
                      from_casimir_basis({leg2: 1}))
 
     def instantiate(self, values) -> TensorElement:
-        """Assemble sum_u values[u_index] * payload(u), in integers: the
+        """Assemble sum_u values[u_index] * payload(u), in integers, for a
+        dense sequence of values or a sparse {index: value} dict: the
         values are scaled once by the lcm of their denominators."""
-        ints, den = _integral({i: values[i] for i in range(len(self))
-                               if values[i]})
+        ints, den = _integral(values if isinstance(values, dict)
+                              else _nonzeros(values))
         acc: dict = {}
         for i, v in ints.items():
             leg1, leg2 = self.unknowns[i].legs()
@@ -468,13 +519,47 @@ def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
     return row_of
 
 
+class _KernelBasis:
+    """The homogeneous solutions of one solve: the solver's nullspace
+    vectors as sparse {unknown index: Fraction} dicts over the ansatz, one
+    per free column, built into TensorElements once, on first read.  len()
+    builds nothing.  Equal by value to any sequence of the same
+    elements."""
+
+    __slots__ = ("ansatz", "free_cols", "vectors", "_elements")
+
+    def __init__(self, ansatz: TwistAnsatz, free_cols, vectors):
+        self.ansatz, self.free_cols, self.vectors = ansatz, free_cols, vectors
+        self._elements = None
+
+    def _built(self) -> list:
+        if self._elements is None:
+            self._elements = [self.ansatz.instantiate(v) for v in self.vectors]
+        return self._elements
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_KernelBasis, list, tuple)):
+            return NotImplemented
+        return self._built() == list(other)
+
+    def __repr__(self):
+        return repr(self._built())
+
+
 class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
                              "particular homogeneous pivot_log unknown_count rank")):
     """Outcome of one order-k solve: a particular solution (free unknowns
     zeroed under the deterministic pivot order) and a basis of the
     homogeneous solution space inside the ansatz, both certified against
-    all three generators.  status is "solved" or "infeasible-at-cutoff"
-    (the J+ rows are inconsistent, and particular is None)."""
+    all three generators; the basis is a sequence of TensorElements built
+    on first read.  status is "solved" or "infeasible-at-cutoff" (the J+
+    rows are inconsistent, and particular is None)."""
 
     __slots__ = ()
 
@@ -522,25 +607,77 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
         k, ansatz.cutoff_l, ansatz.cutoff_d,
         "solved" if solved else "infeasible-at-cutoff",
         particular=ansatz.instantiate(lin.particular) if solved else None,
-        homogeneous=[ansatz.instantiate(vec) for vec in lin.nullspace],
+        homogeneous=_KernelBasis(ansatz, lin.free_cols,
+                                 [_nonzeros(vec) for vec in lin.nullspace]),
         pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols],
         unknown_count=len(ansatz), rank=len(lin.pivot_cols))
 
 
-def _certified(k: int, residuals: dict, sol: SolutionSet) -> bool:
-    """True iff low + h^k particular has no order-k residual for any
-    generator and every homogeneous element is in the classical kernel:
-    then every solution sol describes solves all the order-k equations.
+def _particular_certified(k: int, residuals: dict, x: TensorElement) -> bool:
+    """True iff low + h^k x has no order-k residual for any generator.
     residuals are the residual series of the lower orders padded with
-    F_k = 0; adding h^k P adds [P, Delta(g)] at order k (module
+    F_k = 0; adding h^k x adds [x, Delta(g)] at order k (module
     docstring)."""
-    ps, dp = _integral(sol.particular.terms)
+    xs, dx = _integral(x.terms)
 
     def seed(g):
         rs, dr = _integral(residuals[g].coeffs[k].terms)
-        return {key: dp * c for key, c in rs.items()}, dr
-    return (_brackets_vanish(ps, seed)
-            and all(kernel_check(t) for t in sol.homogeneous))
+        return {key: dx * c for key, c in rs.items()}, dr
+    return _brackets_vanish(xs, seed)
+
+
+@cache
+def _cartan_power(c: int) -> tuple:
+    """P^c in Casimir coordinates, P = cartan_killing(), as ((key, int),
+    ...) without zeros, cached.  The common denominator is dropped: scaling
+    an invariant does not change the kernel test."""
+    ints, _ = _casimir_coords(cartan_killing() ** c)
+    return tuple((key, v) for key, v in ints.items() if v)
+
+
+@cache
+def _invariant_rows(cutoff_l: int, cutoff_d: int):
+    """The invariants I1^a I2^b P^c with c <= L-1 and a + b + 2c <= D as
+    integer rows {column: int} over the unknowns of the ansatz with these
+    cutoffs, or None if a term lies outside it; cached, the rows must not
+    be modified.  I is central, so I1^a I2^b only shifts each leg's b.  The
+    unknowns depend on the cutoffs alone."""
+    column = {u.legs(): i for i, u in
+              enumerate(TwistAnsatz(1, cutoff_l, cutoff_d).unknowns)}
+    rows = []
+    for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1):
+        terms = _cartan_power(c)
+        for a in range(cutoff_d - 2 * c + 1):
+            for b in range(cutoff_d - 2 * c - a + 1):
+                row = {}
+                for ((a1, b1, n1), (a2, b2, n2)), v in terms:
+                    col = column.get(((a1, b1 + a, n1), (a2, b2 + b, n2)))
+                    if col is None:
+                        return None
+                    row[col] = v
+                rows.append(row)
+    return tuple(rows)
+
+
+def _kernel_certified(kernel: _KernelBasis) -> bool:
+    """True iff the nullspace vectors N span exactly the invariants inside
+    the ansatz: there are as many as invariant rows v, and
+    v = sum_f v[f] N_f over the free columns f, in integers (module
+    docstring).  Nothing is eliminated."""
+    rows = _invariant_rows(kernel.ansatz.cutoff_l, kernel.ansatz.cutoff_d)
+    if rows is None or len(rows) != len(kernel):
+        return False
+    basis = dict(zip(kernel.free_cols, map(_integral, kernel.vectors)))
+    for row in rows:
+        parts = [(basis[col], v) for col, v in row.items() if col in basis]
+        den = lcm(*(d for (_, d), _ in parts))
+        acc: dict = {}
+        for (ints, d), v in parts:
+            _add_scaled(acc, ints, v * (den // d))
+        if ({col: x for col, x in acc.items() if x}
+                != {col: den * v for col, v in row.items()}):
+            return False
+    return True
 
 
 def solve_order(k: int, lower: TwistCandidate,
@@ -578,7 +715,8 @@ def solve_order(k: int, lower: TwistCandidate,
             break
         ansatz = TwistAnsatz(k, ansatz.cutoff_l + 1, ansatz.cutoff_d + 2)
         sol = _solve(k, ansatz, const)
-    if sol.solved and not _certified(k, residuals, sol):
+    if sol.solved and not (_particular_certified(k, residuals, sol.particular)
+                           and _kernel_certified(sol.homogeneous)):
         raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
 

@@ -626,10 +626,22 @@ UNIT_TERM = {"leg1": {"e": 0, "f": 0, "d": 0},
     ({"order": 0, "coeffs": [[dict(UNIT_TERM,
                                    leg2={"e": 0, "f": 0, "d": 0, "h": 1})]]},
      "a tensor leg has an unexpected 'h' field"),
+    # read as F0 = 1 if top-level fields were dropped, and only a
+    # solve-twist document (solutions and candidate) is unwrapped
+    ({"order": 0, "coeffs": [[UNIT_TERM]], "coefs": [[UNIT_TERM]]},
+     "a candidate has an unexpected 'coefs' field"),
+    ({"candidate": {"order": 0, "coeffs": [[UNIT_TERM]]}, "order": 7},
+     "a candidate has an unexpected 'candidate' field"),
+    ({"order": 0, "coeffs": [[UNIT_TERM]], "candidate": 3},
+     "a candidate has an unexpected 'candidate' field"),
+    ({"solutions": [], "candidate": {"order": 0, "coeffs": [[UNIT_TERM]]},
+      "order": 0}, "a candidate has an unexpected 'solutions' field"),
 ], ids=["repeated-term", "no-den", "no-exponent", "leg-not-object",
         "term-not-object", "coefficient-not-list", "coeffs-not-list",
         "no-coeffs", "no-order", "candidate-not-object", "leg-gap",
-        "extra-term-field", "extra-leg-field"])
+        "extra-term-field", "extra-leg-field", "misspelt-field",
+        "wrapper-extra-field", "stray-candidate-field",
+        "solve-document-extra-field"])
 def test_candidate_file_is_read_exactly_or_refused(capsys, tmp_path, data,
                                                    message):
     path = tmp_path / "cand.json"
@@ -640,6 +652,16 @@ def test_candidate_file_is_read_exactly_or_refused(capsys, tmp_path, data,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: cannot load candidate: {message}\n"
+
+
+def test_solve_twist_document_is_read_as_its_candidate(capsys, tmp_path):
+    doc = tmp_path / "solve.json"
+    assert main(["solve-twist", "--order", "1", "--format", "json",
+                 "--output", str(doc)]) == 0
+    assert set(json.loads(doc.read_text())) == {"solutions", "candidate"}
+    code = main(["verify", str(doc), "--order", "1", "--checks", "twist"])
+    assert code == 0
+    assert "twist[J+]: pass" in capsys.readouterr().out
 
 
 # digests of the output of

@@ -421,6 +421,15 @@ def test_instantiate_is_the_sum_of_payloads(rng):
     assert got == want
     assert all(type(c) is Fraction for c in got.terms.values())
     assert ans.instantiate([0] * len(ans)).is_zero()
+    assert ans.instantiate({i: v for i, v in enumerate(values) if v}) == want
+
+
+def test_nonzeros_tests_every_entry_but_the_first_zero_by_value():
+    zero = Fraction(0)
+    values = [zero, Fraction(2, 3), zero, 0, Fraction(0), 5, zero, -1]
+    assert twist._nonzeros(values) == {1: Fraction(2, 3), 5: 5, 7: -1}
+    assert twist._nonzeros([1, 2]) == {0: 1, 1: 2}
+    assert twist._nonzeros([]) == {}
 
 
 @pytest.mark.parametrize("k, rows, cols, nnz, rank",
@@ -581,7 +590,9 @@ def test_inconsistent_J_plus_rows_need_no_fallback(monkeypatch, one_candidate):
 def test_failed_certificate_raises_without_a_second_solve(monkeypatch,
                                                           one_candidate):
     statuses = spy_on_solver(monkeypatch)
-    monkeypatch.setattr(twist, "kernel_check", lambda f: False)
+    real_rows = twist._invariant_rows
+    # one invariant too few: the nullspace no longer matches the count
+    monkeypatch.setattr(twist, "_invariant_rows", lambda l, d: real_rows(l, d)[:-1])
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
     assert statuses == ["solved"]
@@ -663,24 +674,142 @@ def test_particular_enters_the_residual_as_one_commutator(order3_build, k,
 
 # E (x) F has weight zero and breaks the J+ and J- equations; Delta(E)
 # commutes with Delta(E), so the J+ rows cannot see it, and breaks the J0
-# and J- equations
+# and J- equations.  The homogeneous half reads the invariants
+# I1^a I2^b P^c, not the elements: added to P, E (x) F lies inside the
+# ansatz but outside the nullspace's span, and Delta(E) outside the ansatz
 @pytest.mark.parametrize("corruption", [outer(E, F), coproduct(E)],
                          ids=["E(x)F", "Delta(E)"])
 @pytest.mark.parametrize("part", ["particular", "homogeneous"])
 def test_corrupted_solution_fails_the_certificate(monkeypatch, one_candidate,
                                                   part, corruption):
-    real_solve = twist._solve
+    if part == "particular":
+        real_solve = twist._solve
 
-    def corrupted(*args):
-        sol = real_solve(*args)
-        if part == "particular":
-            sol = sol._replace(particular=sol.particular + corruption)
-        else:
-            sol.homogeneous[-1] = sol.homogeneous[-1] + corruption
-        return sol
-    monkeypatch.setattr(twist, "_solve", corrupted)
+        def corrupted(*args):
+            sol = real_solve(*args)
+            return sol._replace(particular=sol.particular + corruption)
+        monkeypatch.setattr(twist, "_solve", corrupted)
+    else:
+        real_power = twist._cartan_power
+
+        def corrupted_power(c):
+            terms = dict(real_power(c))
+            if c == 1:
+                for key, v in _rational(*twist._casimir_coords(corruption)).items():
+                    terms[key] = terms.get(key, 0) + int(v)
+            return tuple(terms.items())
+        monkeypatch.setattr(twist, "_cartan_power", corrupted_power)
+        monkeypatch.setattr(twist, "_invariant_rows",
+                            twist._invariant_rows.__wrapped__)
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
+
+
+@pytest.mark.parametrize("defect", ["corrupt", "drop", "extra"])
+def test_wrong_nullspace_fails_the_certificate(monkeypatch, defect):
+    # the certificate reads the solver's nullspace vectors as they are:
+    # a unit more at a pivot column leaves their span, and one vector too
+    # few or too many (here a copy, still in the kernel) breaks the count
+    calls = []
+
+    def wrong(a, b, ncols):
+        result = solve_sparse(a, b, ncols)
+        calls.append(result.status)
+        null = [list(vec) for vec in result.nullspace]
+        if defect == "corrupt":
+            null[-1][result.pivot_cols[0]] += 1
+        elif defect == "drop":
+            null.pop()
+        else:
+            null.append(null[0])
+        return result._replace(nullspace=null)
+    monkeypatch.setattr(twist, "solve_sparse", wrong)
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_order(2, reference_candidate(1))
+    assert calls == ["solved"]
+
+
+def kernel_by_invariants(k, cutoff_l, cutoff_d):
+    """(ansatz, [(a, b, c, the invariant's row)]) in the certificate's
+    order."""
+    rows = twist._invariant_rows(cutoff_l, cutoff_d)
+    exps = [(a, b, c) for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1)
+            for a in range(cutoff_d - 2 * c + 1)
+            for b in range(cutoff_d - 2 * c - a + 1)]
+    assert len(rows) == len(exps) == kernel_dimension(cutoff_l, cutoff_d)
+    return TwistAnsatz(k, cutoff_l, cutoff_d), list(zip(exps, rows))
+
+
+# the feasible scan-o3 points and the order-3 default
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d", [
+    (1, 2, 1), (1, 2, 2), (2, 2, 4), (2, 3, 3), (2, 3, 4), (3, 4, 6)])
+def test_each_invariant_passes_the_kernel_check(k, cutoff_l, cutoff_d):
+    # the certificate's premise, checked by PBW commutators
+    ans, rows = kernel_by_invariants(k, cutoff_l, cutoff_d)
+    for _, row in rows:
+        assert kernel_check(ans.instantiate(row))
+
+
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d", [(2, 2, 4), (2, 3, 3)])
+def test_invariant_rows_are_the_products(k, cutoff_l, cutoff_d):
+    # each row is a multiple of I1^a I2^b P^c, multiplied as TensorElements
+    one, I, P = Element.one(), casimir(), cartan_killing()
+    ans, rows = kernel_by_invariants(k, cutoff_l, cutoff_d)
+    for (a, b, c), row in rows:
+        got = ans.instantiate(row)
+        want = outer(I ** a, one) * outer(one, I ** b) * P ** c
+        key = next(iter(got.terms))
+        assert got * (want.terms[key] / got.terms[key]) == want
+
+
+@pytest.mark.parametrize("c", range(8))
+def test_cartan_powers_have_the_terms_the_proofs_use(c):
+    # the one term with first-leg key n = c (the rank of V), and a + b <= c
+    # on each leg, with H^c (x) H^c at C(2c, c) / 2^c times that term (the
+    # completeness sketch)
+    terms = dict(twist._cartan_power(c))
+    top = ((0, 0, c), (0, 0, -c))
+    assert [key for key in terms if key[0][2] == c] == [top]
+    assert all(a + b <= c for key in terms for a, b, _ in key)
+    assert (Fraction(terms[(c, 0, 0), (c, 0, 0)], terms[top])
+            == Fraction(comb(2 * c, c), 2 ** c))
+
+
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d", [(1, 3, 2), (2, 4, 4)])
+def test_kernel_at_cutoffs_with_more_powers_than_degree(k, cutoff_l, cutoff_d):
+    # L - 1 > D / 2: the powers c stop at D / 2, not at L - 1
+    assert cutoff_l - 1 > cutoff_d // 2
+    sol = solve_order(k, golden_order3().at_order(k - 1),
+                      TwistAnsatz(k, cutoff_l, cutoff_d))
+    assert sol.solved
+    assert len(sol.homogeneous) == kernel_dimension(cutoff_l, cutoff_d)
+    assert all(kernel_check(t) for t in sol.homogeneous)
+
+
+def count_instantiations(monkeypatch) -> list:
+    """The values of every TwistAnsatz.instantiate call from now on."""
+    calls = []
+    real = TwistAnsatz.instantiate
+
+    def spy(self, values):
+        calls.append(values)
+        return real(self, values)
+    monkeypatch.setattr(TwistAnsatz, "instantiate", spy)
+    return calls
+
+
+def test_build_candidate_builds_no_kernel_element(monkeypatch, capsys):
+    calls = count_instantiations(monkeypatch)
+    _, sols = build_candidate(3)
+    assert [len(s.homogeneous) for s in sols] == [7, 22, 50]
+    assert len(calls) == 3             # the three particulars
+    assert main(["solve-twist", "--order", "3"]) == 0
+    assert "kernel dim=50" in capsys.readouterr().out
+    assert len(calls) == 6
+    # reading the basis builds it, once
+    assert all(kernel_check(t) for t in sols[1].homogeneous)
+    assert sols[1].homogeneous[0] == sols[1].homogeneous[0]
+    assert len(calls) == 6 + 22
 
 
 # ---------------------------------------------------------------------------

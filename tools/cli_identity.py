@@ -39,6 +39,8 @@ JOBS = [
                           "--out-dir", "out"]),
     ("solve-o4-json", ["solve-twist", "--order", "4", "--format", "json",
                        "--out-dir", "out"]),
+    # text output prints the kernel dimension without building the basis
+    ("solve-o4-text", ["solve-twist", "--order", "4"]),
     ("solve-infeasible", ["solve-twist", "--order", "3", "--cutoff-l", "1",
                           "--max-escalations", "0", "--out-dir", "out",
                           "--candidate-out", "cand.json"]),

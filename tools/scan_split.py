@@ -15,9 +15,13 @@ a wrapper around the function that does it:
     J+rows      _j_plus_rows
     rhs         _casimir_coords (the Casimir right-hand side)
     solve       solve_sparse
-    instantiate TwistAnsatz.instantiate
-    certificate _certified
-    rest        the pass's wall time minus the stages above
+    instantiate TwistAnsatz.instantiate (the homogeneous elements are
+                built when the digest reads them)
+    particular  _particular_certified (the particular's half of the
+                certificate)
+    kernel      _kernel_certified (the homogeneous half)
+    rest        the pass's wall time minus the stages above, with the
+                solution digests, which the benchmark's pass also takes
 
 and the tool prints the minimum and the median over the passes of each
 stage's milliseconds per pass.  Last comes one sha256 over the solution
@@ -39,11 +43,12 @@ import sys
 import time
 
 STAGES = ("ansatz", "residual", "J+rows", "rhs", "solve", "instantiate",
-          "certificate")
+          "particular", "kernel")
 # stage -> the twistkit.twist attribute it wraps (ansatz is timed in place)
 WRAPPED = {"residual": "twist_residual_series", "J+rows": "_j_plus_rows",
            "rhs": "_casimir_coords", "solve": "solve_sparse",
-           "certificate": "_certified"}
+           "particular": "_particular_certified",
+           "kernel": "_kernel_certified"}
 
 
 def scan_grid(run_py: str) -> list:
@@ -104,16 +109,16 @@ def main(argv=None) -> int:
     def one_pass() -> tuple:
         for stage in spent:
             spent[stage] = 0.0
-        sols = {}
+        digests = {}
         t_pass = time.perf_counter()
         for k, L, D in grid:
             t0 = time.perf_counter()
             ansatz = TwistAnsatz(k, L, D)
             spent["ansatz"] += time.perf_counter() - t0
-            sols[f"{k},{L},{D}"] = solve_order(k, lower[k], ansatz)
+            sol = solve_order(k, lower[k], ansatz)
+            digests[f"{k},{L},{D}"] = child.solution_digest(sol)
         wall = time.perf_counter() - t_pass
-        split = dict(spent, rest=wall - sum(spent.values()), total=wall)
-        return split, {p: child.solution_digest(s) for p, s in sols.items()}
+        return dict(spent, rest=wall - sum(spent.values()), total=wall), digests
 
     _, first = one_pass()                 # fills the caches, not counted
     splits = []
