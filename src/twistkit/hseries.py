@@ -22,7 +22,11 @@ divided back into Fractions.  The pairs multiply in the ring's kernel
 and a product of two scalar series runs through the same sum.
 Coefficients from two different rings raise TypeError, tensor elements
 with different leg counts ValueError.  ``inverse`` and ``sqrt`` keep
-their coefficient recurrences.
+their coefficient recurrences.  The twist residuals F*C - D*F
+(``twist.twist_residual_series``) take the same integer sum pair by
+pair, but their order-0 pair F_n C_0 - D_0 F_n, with C_0 = D_0 the
+primitive Delta(g), is one commutator added in that sum, not two
+products.
 
 The q-calculus with q = e^h lives on top: ``series_exp_h``, the
 q-analogue via the sinh-ratio series (which keeps coefficients

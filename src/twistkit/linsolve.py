@@ -1,8 +1,10 @@
 """Sparse exact linear solving over the rationals.
 
 Each equation, its entries and right-hand side ints or Fractions, is
-scaled once to integers by the lcm of its denominators, and rows stay
-dicts of ints from then on.  Rows are reduced incrementally against the
+scaled once to integers by the lcm of its denominators into a new row,
+and rows stay dicts of ints from then on; an equation that is already in
+integers (the twist solver scales its rows before the call) is only
+copied.  Rows are reduced incrementally against the
 pivot rows found so far, combining two rows with multipliers divided by
 their gcd.  They are visited fewest non-zero entries first, ties broken
 by the caller's row index (for the twist solver, the order in which
@@ -47,14 +49,20 @@ _INT = {int}
 
 
 def _integer_row(row: dict, b) -> dict:
-    """The equation row . x = b as an integer row: every nonzero entry
+    """The equation row . x = b as a new integer row: every nonzero entry
     times the lcm of the denominators."""
     if _INT.issuperset(map(type, row.values())):
-        # the lcm is b's denominator alone
-        den = b.denominator
-        out = {k: v * den for k, v in row.items() if v}
+        if type(b) is int:
+            # nothing to scale
+            out = (row.copy() if 0 not in row.values()
+                   else {k: v for k, v in row.items() if v})
+        else:
+            # the lcm is b's denominator alone
+            den = b.denominator
+            out = {k: v * den for k, v in row.items() if v}
+            b = b.numerator
         if b:
-            out[RHS] = b.numerator
+            out[RHS] = b
         return out
     return _integral({k: v for k, v in (*row.items(), (RHS, b)) if v})[0]
 

@@ -18,8 +18,11 @@ with polynomial coefficients of bounded degree.  F_k enters only through
 commutators with the primitive Delta(g) = g (x) 1 + 1 (x) g, whose
 brackets with a leg have half-integral coefficients in those
 coordinates, so twice the system matrix is integral and only the
-right-hand side is rational; it is built straight into integer rows and
-solved by fraction-free elimination.
+right-hand side is rational.  It is built straight into integer rows:
+a row whose right-hand side -2c/den is not integral is scaled once by
+the denominator of that fraction in lowest terms, so every equation
+reaches the solver in integers and is solved by fraction-free
+elimination.
 
 Only the J+ rows, [F_k, Delta(E)], are assembled and solved: once the
 lower orders are valid, their solutions are exactly those of the whole
@@ -64,8 +67,11 @@ Delta(H) at every order, so rho_n(J0) = [F_n, Delta(H)] =
 -sum wt(key) c key over the terms c key of F_n, where wt is the weight
 e - f summed over both legs.  For J+ and J- it is one signed Cauchy sum,
 sum_i F_i Delta(m(g))_(n-i) - Delta_q~(g)_(n-i) F_i, summed in integers
-(hseries._cauchy) against the two operands, which depend on the order
-alone and are built once per order; the operands hold only J+ and J-.
+(lincomb._sum_products) against the two operands, which depend on the
+order alone and are built once per order; the operands hold only J+ and
+J-.  Both order-0 operands are Delta(g), so the pair i = n is the
+commutator [F_n, Delta(g)]: it is added in the same integer sum as the
+bracket below, not as two tensor products (_residual_pairs).
 The check is then one commutator with a primitive Delta(g), taken leg
 by leg: [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket
 [m, g] of a PBW monomial m is read from a cache (pbw.mono_commutator)
@@ -111,7 +117,8 @@ and each leg H^a I^b G^l of an ansatz payload is a single basis element
 (in the PBW basis every I^b would expand into many terms).  The
 coordinates are pbw's: the key (a, b, n) names H^a I^b E^n, or
 H^a I^b F^-n for n < 0, and keys the legs, the rows and the right-hand
-side alike.  The change
+side alike; the ansatz's columns are the pairs of leg keys of its
+unknowns (TwistAnsatz.columns).  The change
 from PBW to Casimir coordinates is invertible on each leg, hence on
 U (x) U, so the rows it gives span the same row space as the PBW rows of
 [A|b]: the solution set is the same, and so is the back-reduced echelon
@@ -128,13 +135,13 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, count, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import is_not
 
 from .deform import IMAGES, delta_q_image
-from .hseries import HSeries, _cauchy, _ints, _ring_into, mul_sub
+from .hseries import HSeries, _ints, _ring_into, mul_sub
 from .linsolve import solve_sparse
 from .lincomb import (_add_scaled, _iadd, _integral, _outer_into, _rational,
                       _sum_products)
@@ -247,12 +254,46 @@ def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
         raise ValueError("twist candidate has a non-invertible leading term")
     coeffs = cand.at_order(order).series.coeffs
     fs = _ints(coeffs)
-    into = _ring_into(cand.series.coeffs[0])
+    ring_into = _ring_into(cand.series.coeffs[0])
     series = {"J0": HSeries(tuple(map(_j0_residual, coeffs)), order)}
     for g, (cs, ds) in _residual_operands(order).items():
-        series[g] = HSeries(_cauchy(((fs, cs, 1), (ds, fs, -1)),
-                                    into, TensorElement._raw), order)
+        into = _bracket_or_product(ring_into, _GENERATOR_MONOS[g])
+        series[g] = HSeries(tuple(
+            TensorElement._raw(_rational(*_sum_products(
+                _residual_pairs(fs, cs, ds, n), into)))
+            for n in range(order + 1)), order)
     return series
+
+
+# the operand that stands for Delta(g) in the order-0 pair of _residual_pairs
+_DELTA = (None, 1)
+
+
+def _residual_pairs(fs, cs, ds, n: int) -> list:
+    """The signed pairs of the h^n coefficient of F*C - D*F for operands in
+    the form of hseries._ints: F_i C_(n-i) and -D_(n-i) F_i for i < n, and
+    F_n against _DELTA, which stands for the order-0 pair F_n C_0 - D_0 F_n
+    = [F_n, Delta(g)].  A scalar F_n commutes with Delta(g) and gives no
+    pair."""
+    pairs = [(x, y, 1) for x, y in zip(fs[:n], cs[n:0:-1]) if x and y]
+    f = fs[n]
+    if f is not None and not isinstance(f[0], int):
+        pairs.append((f, _DELTA, 1))
+    pairs += [(x, y, -1) for x, y in zip(ds[1:n + 1], reversed(fs[:n]))
+              if x and y]
+    return pairs
+
+
+def _bracket_or_product(ring_into, g):
+    """The kernel of a lincomb._sum_products over _residual_pairs: the
+    bracket with the primitive Delta(g) for the pair against _DELTA, the
+    ring's product (hseries._ring_into) for every other pair."""
+    def into(acc, x, y, scale):
+        if y is None:
+            _delta_bracket_into(acc, x, g, scale)
+        else:
+            ring_into(acc, x, y, scale)
+    return into
 
 
 def _j0_residual(f: TensorElement) -> TensorElement:
@@ -268,7 +309,9 @@ def _j0_residual(f: TensorElement) -> TensorElement:
 def _residual_operands(order: int) -> dict:
     """Delta(m(g)) and Delta_q~(g) for g = J+ and J-, their coefficients in
     the integer form of hseries._ints; they depend on the order alone and
-    are cached by it.  The J0 residual needs none (_j0_residual)."""
+    are cached by it.  Both order-0 coefficients are Delta(g), which
+    _residual_pairs reads as a bracket and not from here.  The J0 residual
+    needs none (_j0_residual)."""
     return {g: (_ints(IMAGES[g](order).map(coproduct).coeffs),
                 _ints(delta_q_image(g, order).coeffs))
             for g in ("J+", "J-")}
@@ -362,7 +405,7 @@ class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
     __slots__ = ()
 
     def label(self) -> str:
-        return f"{self.side}{self.l}[{_mono_label(self.mono)}]"
+        return _column_label(self.legs())
 
     def legs(self) -> tuple:
         """The Casimir keys (a, b, n) of the two legs of the payload
@@ -380,6 +423,13 @@ def _mono_label(mono) -> str:
     ms = "*".join(n if e == 1 else f"{n}^{e}"
                   for n, e in zip(("H1", "H2", "I1", "I2"), mono) if e)
     return ms or "1"
+
+
+def _column_label(column) -> str:
+    """The label of the unknown whose leg keys are column, as
+    "a2[H1*I2^2]": side, power l, then its monomial in H1, H2, I1, I2."""
+    (a1, b1, n), (a2, b2, _) = column
+    return f"{'a' if n >= 0 else 'b'}{abs(n)}[{_mono_label((a1, a2, b1, b2))}]"
 
 
 def _monomials(d: int) -> list:
@@ -414,12 +464,16 @@ class TwistAnsatz:
     Unknowns are ordered with higher powers l first (within a power: side
     'a' before 'b', then ascending degree, then lexicographic monomial);
     zeroing the free variables of the eliminated system under this order
-    is the solver's "minimal choice"."""
+    is the solver's "minimal choice".  `columns` holds the unknowns in
+    that order as the Casimir keys of their payload's legs (see
+    AnsatzUnknown.legs), which is all the solver reads; the
+    AnsatzUnknowns themselves are built on the first read of
+    `unknowns`."""
 
     def __init__(self, order: int, cutoff_l: int | None = None,
                  cutoff_d: int | None = None):
         if order < 1:
-            raise ValueError("ansatz order must be >= 1")
+            raise ValueError(f"ansatz order must be >= 1, got {order}")
         self.order = order
         default_l, default_d = default_cutoffs(order)
         self.cutoff_l = cutoff_l if cutoff_l is not None else default_l
@@ -428,16 +482,24 @@ class TwistAnsatz:
             raise ValueError(f"cutoffs must satisfy L >= 1 and D >= 0, got "
                              f"L={self.cutoff_l}, D={self.cutoff_d}")
         monos = _monomials(self.cutoff_d)
-        unknowns = []
+        columns = []
         for l in range(self.cutoff_l - 1, -1, -1):
-            # at l = 0 both sides multiply 1 (x) 1; keep a single slot
-            for side in ("a",) if l == 0 else ("a", "b"):
-                for m in monos:
-                    unknowns.append(AnsatzUnknown(l, side, m))
-        self.unknowns = tuple(unknowns)
+            # side 'a' has n = l, side 'b' n = -l; at l = 0 both sides
+            # multiply 1 (x) 1, so keep a single slot
+            for n in (l,) if l == 0 else (l, -l):
+                columns += [((a1, b1, n), (a2, b2, -n))
+                            for a1, a2, b1, b2 in monos]
+        self.columns = tuple(columns)
+
+    @cached_property
+    def unknowns(self) -> tuple:
+        """The AnsatzUnknown of each column, in the same order."""
+        return tuple(AnsatzUnknown(abs(n), "a" if n >= 0 else "b",
+                                   (a1, a2, b1, b2))
+                     for (a1, b1, n), (a2, b2, _) in self.columns)
 
     def __len__(self):
-        return len(self.unknowns)
+        return len(self.columns)
 
     def payload(self, u: AnsatzUnknown) -> TensorElement:
         """The tensor element multiplied by the unknown u."""
@@ -453,7 +515,7 @@ class TwistAnsatz:
                               else _nonzeros(values))
         acc: dict = {}
         for i, v in ints.items():
-            leg1, leg2 = self.unknowns[i].legs()
+            leg1, leg2 = self.columns[i]
             _outer_into(acc, casimir_to_pbw(leg1), casimir_to_pbw(leg2), v)
         return TensorElement._raw(_rational(acc, den))
 
@@ -510,8 +572,7 @@ def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
     weight n of x by one, so the two outer products differ in the first
     leg's n, no key is written twice and every entry is a non-zero int."""
     row_of: dict = defaultdict(dict)
-    for ci, u in enumerate(ansatz.unknowns):
-        x, y = u.legs()
+    for ci, (x, y) in enumerate(ansatz.columns):
         for k1, c in _casimir_bracket(*x):
             row_of[(k1, y)][ci] = c
         for k2, c in _casimir_bracket(*y):
@@ -591,14 +652,26 @@ def _row_order(row_of: dict, b: dict) -> list:
 
 def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
-    both sides doubled and in Casimir coordinates."""
+    both sides doubled and in Casimir coordinates.  The system goes to the
+    solver in integers: the right-hand side -2c/den of a row is
+    -2c/g with g = gcd(2c, den), and the row is scaled by den/g, so that
+    solve_sparse takes every row as it is."""
     row_of = _j_plus_rows(ansatz)
     ints, den = _casimir_coords(const)
-    b = _rational({key: -2 * c for key, c in ints.items()}, den)
+    b = {}
+    for key, c in ints.items():
+        if c:
+            g = gcd(2 * c, den)
+            b[key] = -2 * c // g
+            row = row_of.get(key)
+            if row and g != den:
+                d = den // g
+                for col in row:
+                    row[col] *= d
 
     keys = _row_order(row_of, b)
-    rows = [row_of.get(key, {}) for key in keys]
-    rhs = [b.get(key, 0) for key in keys]
+    rows = list(map(row_of.get, keys, repeat({})))
+    rhs = list(map(b.get, keys, repeat(0)))
 
     lin = solve_sparse(rows, rhs, len(ansatz))
     solved = lin.status == "solved"
@@ -609,7 +682,7 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
         particular=ansatz.instantiate(lin.particular) if solved else None,
         homogeneous=_KernelBasis(ansatz, lin.free_cols,
                                  [_nonzeros(vec) for vec in lin.nullspace]),
-        pivot_log=[ansatz.unknowns[c].label() for c in lin.pivot_cols],
+        pivot_log=[_column_label(ansatz.columns[c]) for c in lin.pivot_cols],
         unknown_count=len(ansatz), rank=len(lin.pivot_cols))
 
 
@@ -642,8 +715,7 @@ def _invariant_rows(cutoff_l: int, cutoff_d: int):
     cutoffs, or None if a term lies outside it; cached, the rows must not
     be modified.  I is central, so I1^a I2^b only shifts each leg's b.  The
     unknowns depend on the cutoffs alone."""
-    column = {u.legs(): i for i, u in
-              enumerate(TwistAnsatz(1, cutoff_l, cutoff_d).unknowns)}
+    column = dict(zip(TwistAnsatz(1, cutoff_l, cutoff_d).columns, count()))
     rows = []
     for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1):
         terms = _cartan_power(c)
@@ -693,9 +765,19 @@ def solve_order(k: int, lower: TwistCandidate,
     if it is not; there is no fallback solve.  An infeasible ansatz is
     enlarged by (L+1, D+2) and solved again, at most `max_escalations`
     times; the lower orders' residual series is built and checked once for
-    all attempts.  Returns the last SolutionSet."""
+    all attempts.  Returns the last SolutionSet.  ValueError, before any
+    residual is built, for k < 1, an ansatz of another order than k or a
+    negative max_escalations."""
+    if k < 1:
+        raise ValueError(f"the order k must be >= 1, got {k}")
     if ansatz is None:
         ansatz = TwistAnsatz(k)
+    elif ansatz.order != k:
+        raise ValueError(f"the ansatz is for order {ansatz.order}, not "
+                         f"order {k}")
+    if max_escalations < 0:
+        raise ValueError(f"max_escalations must be >= 0, got "
+                         f"{max_escalations}")
     if lower.order < k - 1:
         raise ValueError(f"lower candidate must reach order {k - 1}")
     low = lower.at_order(k - 1).at_order(k)  # truncate then pad F_k = 0

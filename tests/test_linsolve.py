@@ -418,11 +418,17 @@ def test_primitive_keeps_a_primitive_row():
     ({0: Fraction(1, 2), 2: 3}, 1, {0: 1, 2: 6, RHS: 2}),
     ({0: True, 1: 2}, Fraction(1, 3), {0: 3, 1: 6, RHS: 1}),
     ({}, Fraction(-2, 3), {RHS: -2}),
+    ({0: 2, 1: -1}, 0, {0: 2, 1: -1}),
+    ({0: 2, 1: 0, 3: -4}, -3, {0: 2, 3: -4, RHS: -3}),
+    ({}, 4, {RHS: 4}),
 ])
 def test_integer_row(row, b, want):
+    before = dict(row)
     got = _integer_row(row, b)
     assert got == want
     assert all(type(v) is int for v in got.values())
+    # a new row: the caller's row is left as it was
+    assert got is not row and row == before
 
 
 def _captured_systems(monkeypatch, run):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistkit.twist as twist
-from twistkit.cli import main
-from twistkit.deform import delta_q_image, generator_images, m_J0
+from twistkit.cli import _json_dumps, main
+from twistkit.deform import IMAGES, delta_q_image, generator_images, m_J0
 from twistkit.hseries import HSeries, _cauchy, _ints, _ring_into
 from twistkit.lincomb import _integral, _rational
 from twistkit.linsolve import solve_sparse
@@ -23,7 +24,8 @@ from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, flip, is_weight_zero, outer, weight)
-from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
+from twistkit.twist import (AnsatzUnknown, TwistAnsatz, TwistCandidate,
+                            build_candidate,
                             cocycle_defect, kernel_check, normalization_check,
                             reference_candidate, second_order_term,
                             solve_order, solve_with_escalation,
@@ -494,7 +496,7 @@ GOLDEN_SOLUTION_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("order", [4, 5, 6])
 def test_golden_candidate_passes_verify(capsys, order):
     path = GOLDEN_DIR / f"candidate-order{order}.json"
     code = main(["verify", str(path), "--order", str(order), "--checks", "all",
@@ -502,6 +504,17 @@ def test_golden_candidate_passes_verify(capsys, order):
     out = capsys.readouterr().out
     assert code == 0
     assert "rmatrix[quasitriangular]: pass" in out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_committed_candidates_first_fail_unitarity_and_cocycle_at_order_2(
+        order):
+    # the paper's two negative results, as the README states them for
+    # every committed candidate
+    cand = TwistCandidate.from_json(json.loads(
+        (GOLDEN_DIR / f"candidate-order{order}.json").read_text()))
+    assert unitarity_defect(cand).first_nonzero() == 2
+    assert cocycle_defect(cand).first_nonzero() == 2
 
 
 def golden_order3() -> TwistCandidate:
@@ -545,6 +558,35 @@ def test_orders_4_and_5_resolve_to_golden_bytes(capsys, tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+# candidate-order6.json is solve_order(6) at the default cutoffs from
+# candidate-order5.json, then symmetrize_order (its correction is zero),
+# written with cli._json_dumps; the order-6 solution file it gives
+# (sol.to_json() through cli._json_dumps, 39,792,504 bytes) has this sha256
+GOLDEN_ORDER6_SOLUTION_SHA256 = (
+    "38b959227b744d145cbd35765f0631013722bdf2c66c892b59dcc4ffd5d9879a")
+
+
+@pytest.mark.skipif(os.environ.get("TWISTKIT_SLOW_TESTS") != "1",
+                    reason="re-solves order 6 (about 5 s); "
+                           "set TWISTKIT_SLOW_TESTS=1")
+def test_order_6_resolves_to_golden_bytes():
+    low = TwistCandidate.from_json(
+        json.loads((GOLDEN_DIR / "candidate-order5.json").read_text()))
+    sol = solve_order(6, low)
+    digest = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            digest.update(text.encode())
+    _json_dumps(sol.to_json(), Sink())
+    assert digest.hexdigest() == GOLDEN_ORDER6_SOLUTION_SHA256
+    cand, correction = symmetrize_order(TwistCandidate.from_coefficients(
+        list(low.series.coeffs) + [sol.particular]), 6)
+    assert correction.is_zero()
+    golden = (GOLDEN_DIR / "candidate-order6.json").read_bytes()
+    assert json_text(cand.to_json()).encode() == golden
+
+
 def spy_on_solver(monkeypatch):
     statuses = []
 
@@ -578,6 +620,34 @@ def test_invalid_lower_orders_raise_before_any_solve(monkeypatch, solve):
     assert statuses == []
     if solve is solve_with_escalation:
         assert calls == [2]  # one attempt, no escalation
+
+
+@pytest.mark.parametrize("solve, args, message", [
+    (solve_order, (0, TwistAnsatz(1, 2, 2)), "order k must be >= 1, got 0"),
+    (solve_order, (-1,), "order k must be >= 1, got -1"),
+    (solve_order, (2, TwistAnsatz(5, 3, 4)),
+     "ansatz is for order 5, not order 2"),
+    (solve_order, (2, None, -1), "max_escalations must be >= 0, got -1"),
+    (solve_with_escalation, (0,), "must be >= 1, got 0"),
+    (solve_with_escalation, (2, None, None, -1),
+     "max_escalations must be >= 0, got -1"),
+], ids=["k=0", "k<0", "ansatz order", "escalations", "escalation k=0",
+        "escalation escalations"])
+def test_bad_arguments_raise_before_any_residual(monkeypatch, solve, args,
+                                                 message):
+    statuses = spy_on_solver(monkeypatch)
+    calls = []
+    real_series = twist.twist_residual_series
+
+    def counting_series(*a):
+        calls.append(a)
+        return real_series(*a)
+    monkeypatch.setattr(twist, "twist_residual_series", counting_series)
+    lower = TwistCandidate.from_coefficients([TensorElement.one(), classical_r()])
+    k, *rest = args
+    with pytest.raises(ValueError, match=message):
+        solve(k, lower, *rest)
+    assert statuses == [] and calls == []
 
 
 def test_inconsistent_J_plus_rows_need_no_fallback(monkeypatch, one_candidate):
@@ -1025,3 +1095,94 @@ def test_labels_match_the_monomial_formula():
                       for n, e in zip(names, u.mono) if e)
         assert u.label() == f"{u.side}{u.l}[{ms or '1'}]"
     assert len({u.mono for u in ansatz.unknowns}) == comb(10 + 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# the set-up of the order-k solve: leg-key columns, the order-0 pair as a
+# commutator, the integer right-hand side
+
+
+def test_ansatz_columns_are_the_legs_of_the_unknowns_in_order():
+    # the reference builds the unknowns as the class docstring orders them
+    for cutoff_l in range(1, 7):
+        for cutoff_d in range(11):
+            ans = TwistAnsatz(1, cutoff_l, cutoff_d)
+            want = [AnsatzUnknown(l, side, m)
+                    for l in range(cutoff_l - 1, -1, -1)
+                    for side in (("a",) if l == 0 else ("a", "b"))
+                    for m in twist._monomials(cutoff_d)]
+            assert list(ans.unknowns) == want
+            assert ans.columns == tuple(u.legs() for u in want)
+            assert len(ans) == len(want)
+            # the labels the pivot log reads, against the formula of
+            # test_labels_match_the_monomial_formula
+            assert ([twist._column_label(c) for c in ans.columns]
+                    == [f"{u.side}{u.l}[{twist._mono_label(u.mono)}]"
+                        for u in want])
+
+
+nonintegral_fractions = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from((2, 3, 5, 7))).filter(
+        lambda q: q.denominator > 1)
+weight_zero_keys = st.tuples(small_monomials, small_monomials).filter(
+    lambda key: not weight(key))
+
+
+@st.composite
+def weight_zero_candidates(draw):
+    """A candidate of order 1..5: an invertible scalar F0 and, at every
+    n >= 1, a weight-zero F_n that is not a scalar, with non-integral
+    coefficients."""
+    coeffs = [TensorElement.one() * draw(coprime_fractions.filter(bool))]
+    unit = (Element.UNIT, Element.UNIT)
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs.append(TensorElement(draw(st.dictionaries(
+            weight_zero_keys, nonintegral_fractions, min_size=1,
+            max_size=4).filter(lambda t: set(t) != {unit}))))
+    return TwistCandidate.from_coefficients(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cand=weight_zero_candidates())
+def test_residual_series_takes_the_order_zero_pair_as_a_commutator(cand):
+    order = cand.order
+    Fs = cand.series
+    got = twist_residual_series(cand, order)
+    for g in ("J+", "J-"):
+        C = IMAGES[g](order).map(coproduct)
+        D = delta_q_image(g, order)
+        assert got[g] == Fs * C - D * Fs
+
+
+@pytest.mark.parametrize("k, cutoff_l, cutoff_d",
+                         [(2, 3, 4), (3, 4, 6), (3, 2, 2), (4, 5, 8)])
+def test_integer_rows_give_the_fraction_solution(monkeypatch, k, cutoff_l,
+                                                 cutoff_d):
+    # the Fraction form is the system before its rows were scaled: the
+    # unscaled J+ rows and the right-hand side -2c/den
+    seen = []
+
+    def spy(a, b, ncols):
+        before = copy.deepcopy((a, b))
+        result = solve_sparse(a, b, ncols)
+        seen.append((before, a, b, result))
+        return result
+    monkeypatch.setattr(twist, "solve_sparse", spy)
+    lower = golden_order3().at_order(k - 1)
+    ans = TwistAnsatz(k, cutoff_l, cutoff_d)
+    solve_order(k, lower, ans)
+    ((before, rows, rhs, got),) = seen
+    assert (rows, rhs) == before
+    assert all(type(v) is int for v in rhs)
+    assert all(type(c) is int for row in rows for c in row.values())
+
+    const = twist_residual_series(lower.at_order(k), k)["J+"].coeffs[k]
+    row_of = twist._j_plus_rows(ans)
+    ints, den = twist._casimir_coords(const)
+    b = _rational({key: -2 * c for key, c in ints.items()}, den)
+    keys = twist._row_order(row_of, b)
+    frac_rows = [row_of.get(key, {}) for key in keys]
+    frac_rhs = [b.get(key, Fraction(0)) for key in keys]
+    assert len(frac_rows) == len(rows)
+    assert any(r != s for r, s in zip(frac_rows, rows))   # some are scaled
+    assert solve_sparse(frac_rows, frac_rhs, len(ans)) == got

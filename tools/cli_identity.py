@@ -44,6 +44,14 @@ JOBS = [
     ("solve-infeasible", ["solve-twist", "--order", "3", "--cutoff-l", "1",
                           "--max-escalations", "0", "--out-dir", "out",
                           "--candidate-out", "cand.json"]),
+    # cutoffs fixed across orders 1..3, and a cutoff infeasible at order 3
+    # with no escalation (exit 3)
+    ("solve-fixed-cutoffs", ["solve-twist", "--order", "3", "--cutoff-l", "4",
+                             "--cutoff-d", "6", "--format", "json",
+                             "--out-dir", "out"]),
+    ("solve-fixed-infeasible", ["solve-twist", "--order", "3", "--cutoff-l",
+                                "3", "--cutoff-d", "4", "--max-escalations",
+                                "0", "--format", "json"]),
     ("verify-o3-text", ["verify", "cand3.json", "--order", "3",
                         "--checks", "all"]),
     ("verify-o3-json", ["verify", "cand3.json", "--order", "3",
