@@ -27,10 +27,10 @@ _EXPORTS = {
     "reps": "RepMatrix SpinRep element_matrix evaluate rep_unitarity_check "
             "semi_universal spin_rep",
     "rmatrix": "classical_R quantum_R_image quasitriangular_residual",
-    "tensor": "TensorElement TensorElement3 cartan_killing classical_r coproduct "
+    "tensor": "TensorElement cartan_killing classical_r coproduct "
               "counit_leg flip is_weight_zero outer series_outer tensor_from_json "
               "tensor_to_json tensor_to_str weight",
-    "twist": "AnsatzUnknown SolutionSet TwistAnsatz TwistCandidate build_candidate "
+    "twist": "SolutionSet TwistAnsatz TwistCandidate build_candidate "
              "cocycle_defect kernel_check normalization_check reference_candidate "
              "second_order_term solve_order solve_with_escalation symmetrize_order "
              "twist_residual_series twist_residuals unitarity_defect",

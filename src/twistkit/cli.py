@@ -17,7 +17,6 @@ import os
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from math import comb
 
 # Each command imports the twistkit modules it runs inside its function,
 # so that a process compiles only those.  A name imported inside a function
@@ -49,9 +48,11 @@ MAX_TWO_J, MAX_TWO_J_TIME = 32, "3-5 s"
 # entry count bounds the output size and time: at most the entries of the
 # spin bound at order 3
 MAX_JSON_ENTRIES, MAX_JSON_AT = 4743684, "32 x 32 at order 3: 304 MB in 12-15 s"
-# solve-twist: the unknowns (2L-1)*C(D+4, 4) of the ansatz at the top order
-# with the given cutoffs, at most those of the order-5 default (L = 6,
-# D = 10) timed above, and at most the default number of escalations
+# solve-twist: the unknowns (2L-1)*C(D+4, 4) (twist._unknown_count) of the
+# ansatz at the top order with the given cutoffs, at most those of the
+# order-5 default (L = 6, D = 10) timed above, and at most the default
+# number of escalations.  An escalated ansatz is larger and is not checked:
+# the default order-5 run may escalate to 45900 unknowns
 MAX_UNKNOWNS, MAX_ESCALATIONS = 11011, 2
 
 # negative results documented for the reference twist: these checks are
@@ -463,10 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ansatz polynomial degree cutoff D (default 2k); L and "
                         "D at the top order may give at most "
                         f"{MAX_UNKNOWNS} unknowns (2L-1)*C(D+4, 4), the order-5 "
-                        "default")
+                        "default; only these cutoffs are checked, not those "
+                        "an escalation reaches")
     p.add_argument("--max-escalations", type=int, default=MAX_ESCALATIONS,
                    help="cutoff escalations (L+1, D+2) tried on infeasibility, "
-                        f"0..{MAX_ESCALATIONS} (default {MAX_ESCALATIONS})")
+                        f"0..{MAX_ESCALATIONS} (default {MAX_ESCALATIONS}); "
+                        "each builds a larger ansatz, which may exceed "
+                        f"{MAX_UNKNOWNS} unknowns")
     p.add_argument("--out-dir", help="write one solution JSON file per order here")
     p.add_argument("--candidate-out", help="write the assembled candidate JSON here")
     p.set_defaults(func=cmd_solve_twist)
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _solve_bounds(args):
     """Why the solve-twist cutoffs are out of bounds, or None."""
-    from .twist import default_cutoffs
+    from .twist import _unknown_count, default_cutoffs
 
     if not 0 <= args.max_escalations <= MAX_ESCALATIONS:
         return (f"--max-escalations must be in 0..{MAX_ESCALATIONS}, "
@@ -517,7 +521,7 @@ def _solve_bounds(args):
     default_l, default_d = default_cutoffs(args.order)
     L = args.cutoff_l if args.cutoff_l is not None else default_l
     D = args.cutoff_d if args.cutoff_d is not None else default_d
-    if L >= 1 and D >= 0 and (n := (2 * L - 1) * comb(D + 4, 4)) > MAX_UNKNOWNS:
+    if L >= 1 and D >= 0 and (n := _unknown_count(L, D)) > MAX_UNKNOWNS:
         return (f"the order-{args.order} ansatz at L={L}, D={D} has {n} "
                 f"unknowns, more than {MAX_UNKNOWNS}")
     return None

@@ -117,8 +117,9 @@ and each leg H^a I^b G^l of an ansatz payload is a single basis element
 (in the PBW basis every I^b would expand into many terms).  The
 coordinates are pbw's: the key (a, b, n) names H^a I^b E^n, or
 H^a I^b F^-n for n < 0, and keys the legs, the rows and the right-hand
-side alike; the ansatz's columns are the pairs of leg keys of its
-unknowns (TwistAnsatz.columns).  The change
+side alike.  The ansatz holds each unknown only as the pair of leg keys
+of its payload (TwistAnsatz.columns), which is what the assembly, the
+kernel certificate, instantiate and the pivot labels read.  The change
 from PBW to Casimir coordinates is invertible on each leg, hence on
 U (x) U, so the rows it gives span the same row space as the PBW rows of
 [A|b]: the solution set is the same, and so is the back-reduced echelon
@@ -135,9 +136,9 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress, count, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import is_not
 
 from .deform import IMAGES, delta_q_image
@@ -147,8 +148,7 @@ from .lincomb import (_add_scaled, _iadd, _integral, _outer_into, _rational,
                       _sum_products)
 from .pbw import (E, E_MONO, F, F_MONO, H, H_MONO, Element, _hpoly_shift,
                   _json_field, _json_list, _only_fields, casimir,
-                  casimir_to_pbw, from_casimir_basis, mono_commutator,
-                  mono_to_casimir)
+                  casimir_to_pbw, mono_commutator, mono_to_casimir)
 from .report import VerificationReport
 from .rmatrix import quasitriangular_residual
 from .tensor import (TensorElement, _keyed, cartan_killing, classical_r,
@@ -397,25 +397,6 @@ def cocycle_defect(cand: TwistCandidate) -> HSeries:
 # the ansatz
 
 
-class AnsatzUnknown(namedtuple("AnsatzUnknown", "l side mono")):
-    """One rational unknown: the coefficient of H1^a1 H2^a2 I1^b1 I2^b2,
-    mono = (a1, a2, b1, b2), in the polynomial attached to E1^l F2^l
-    (side 'a') or F1^l E2^l ('b')."""
-
-    __slots__ = ()
-
-    def label(self) -> str:
-        return _column_label(self.legs())
-
-    def legs(self) -> tuple:
-        """The Casimir keys (a, b, n) of the two legs of the payload
-        H1^a1 I1^b1 G1^l (x) H2^a2 I2^b2 G2^l: n = l for G = E and n = -l
-        for G = F (the keys of pbw.to_casimir_basis)."""
-        a1, a2, b1, b2 = self.mono
-        n = self.l if self.side == "a" else -self.l
-        return (a1, b1, n), (a2, b2, -n)
-
-
 @cache
 def _mono_label(mono) -> str:
     """The text of H1^a1 H2^a2 I1^b1 I2^b2 for mono = (a1, a2, b1, b2),
@@ -457,18 +438,41 @@ def default_cutoffs(order: int) -> tuple:
     return order + 1, 2 * order
 
 
+def _ansatz_columns(cutoff_l: int, cutoff_d: int) -> tuple:
+    """The unknowns of the ansatz with cutoffs (L, D), in the order of
+    TwistAnsatz.  The unknown of H1^a1 H2^a2 I1^b1 I2^b2 attached to
+    E1^l F2^l (side 'a') multiplies the payload
+    H^a1 I^b1 E^l (x) H^a2 I^b2 F^l, and on side 'b' (F1^l E2^l) the
+    same with E and F swapped.  It is written as the Casimir keys of the
+    payload's two legs (those of pbw.to_casimir_basis),
+    ((a1, b1, n), (a2, b2, -n)), with n = l on side 'a' and n = -l on
+    side 'b'."""
+    monos = _monomials(cutoff_d)
+    columns = []
+    for l in range(cutoff_l - 1, -1, -1):
+        # at l = 0 both sides multiply 1 (x) 1, so keep a single slot
+        for n in (l,) if l == 0 else (l, -l):
+            columns += [((a1, b1, n), (a2, b2, -n)) for a1, a2, b1, b2 in monos]
+    return tuple(columns)
+
+
+def _unknown_count(cutoff_l: int, cutoff_d: int) -> int:
+    """len(_ansatz_columns(L, D)) = (2L-1) C(D+4, 4), without building
+    them: 2L-1 slots (l, side), each with the C(D+4, 4) monomials of
+    degree <= D in four variables."""
+    return (2 * cutoff_l - 1) * comb(cutoff_d + 4, 4)
+
+
 class TwistAnsatz:
     """The weight-zero template at one order: powers l < L, polynomial
     coefficients in H1, H2, I1, I2 of total degree <= D.
 
-    Unknowns are ordered with higher powers l first (within a power: side
-    'a' before 'b', then ascending degree, then lexicographic monomial);
-    zeroing the free variables of the eliminated system under this order
-    is the solver's "minimal choice".  `columns` holds the unknowns in
-    that order as the Casimir keys of their payload's legs (see
-    AnsatzUnknown.legs), which is all the solver reads; the
-    AnsatzUnknowns themselves are built on the first read of
-    `unknowns`."""
+    `columns` holds the unknowns as the Casimir leg-key pairs of
+    _ansatz_columns, ordered with higher powers l first (within a power:
+    side 'a' before 'b', then ascending degree, then lexicographic
+    monomial); zeroing the free variables of the eliminated system under
+    this order is the solver's "minimal choice".  The pivot log labels
+    each column with _column_label."""
 
     def __init__(self, order: int, cutoff_l: int | None = None,
                  cutoff_d: int | None = None):
@@ -481,38 +485,16 @@ class TwistAnsatz:
         if self.cutoff_l < 1 or self.cutoff_d < 0:
             raise ValueError(f"cutoffs must satisfy L >= 1 and D >= 0, got "
                              f"L={self.cutoff_l}, D={self.cutoff_d}")
-        monos = _monomials(self.cutoff_d)
-        columns = []
-        for l in range(self.cutoff_l - 1, -1, -1):
-            # side 'a' has n = l, side 'b' n = -l; at l = 0 both sides
-            # multiply 1 (x) 1, so keep a single slot
-            for n in (l,) if l == 0 else (l, -l):
-                columns += [((a1, b1, n), (a2, b2, -n))
-                            for a1, a2, b1, b2 in monos]
-        self.columns = tuple(columns)
-
-    @cached_property
-    def unknowns(self) -> tuple:
-        """The AnsatzUnknown of each column, in the same order."""
-        return tuple(AnsatzUnknown(abs(n), "a" if n >= 0 else "b",
-                                   (a1, a2, b1, b2))
-                     for (a1, b1, n), (a2, b2, _) in self.columns)
+        self.columns = _ansatz_columns(self.cutoff_l, self.cutoff_d)
 
     def __len__(self):
         return len(self.columns)
 
-    def payload(self, u: AnsatzUnknown) -> TensorElement:
-        """The tensor element multiplied by the unknown u."""
-        leg1, leg2 = u.legs()
-        return outer(from_casimir_basis({leg1: 1}),
-                     from_casimir_basis({leg2: 1}))
-
-    def instantiate(self, values) -> TensorElement:
-        """Assemble sum_u values[u_index] * payload(u), in integers, for a
-        dense sequence of values or a sparse {index: value} dict: the
-        values are scaled once by the lcm of their denominators."""
-        ints, den = _integral(values if isinstance(values, dict)
-                              else _nonzeros(values))
+    def instantiate(self, values: dict) -> TensorElement:
+        """Assemble the sum of values[i] times the payload of columns[i]
+        for the sparse {index: value} dict, in integers: the values are
+        scaled once by the lcm of their denominators."""
+        ints, den = _integral(values)
         acc: dict = {}
         for i, v in ints.items():
             leg1, leg2 = self.columns[i]
@@ -566,11 +548,12 @@ def _casimir_coords(t: TensorElement) -> tuple:
 
 def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
     """Twice the J+ system matrix in Casimir coordinates, as {row key:
-    {column: int}}, column u holding 2 [payload(u), Delta(E)].  Delta(E)
-    is primitive, so for payload(u) = x (x) y that is [x, E] (x) y +
-    x (x) [y, E], and x, y are single basis elements.  [x, E] raises the
-    weight n of x by one, so the two outer products differ in the first
-    leg's n, no key is written twice and every entry is a non-zero int."""
+    {column: int}}, column i holding 2 [x (x) y, Delta(E)] for the
+    payload x (x) y of columns[i].  Delta(E) is primitive, so that is
+    [x, E] (x) y + x (x) [y, E], and x, y are single basis elements.
+    [x, E] raises the weight n of x by one, so the two outer products
+    differ in the first leg's n, no key is written twice and every entry
+    is a non-zero int."""
     row_of: dict = defaultdict(dict)
     for ci, (x, y) in enumerate(ansatz.columns):
         for k1, c in _casimir_bracket(*x):
@@ -679,7 +662,8 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
     return SolutionSet(
         k, ansatz.cutoff_l, ansatz.cutoff_d,
         "solved" if solved else "infeasible-at-cutoff",
-        particular=ansatz.instantiate(lin.particular) if solved else None,
+        particular=(ansatz.instantiate(_nonzeros(lin.particular))
+                    if solved else None),
         homogeneous=_KernelBasis(ansatz, lin.free_cols,
                                  [_nonzeros(vec) for vec in lin.nullspace]),
         pivot_log=[_column_label(ansatz.columns[c]) for c in lin.pivot_cols],
@@ -713,9 +697,8 @@ def _invariant_rows(cutoff_l: int, cutoff_d: int):
     """The invariants I1^a I2^b P^c with c <= L-1 and a + b + 2c <= D as
     integer rows {column: int} over the unknowns of the ansatz with these
     cutoffs, or None if a term lies outside it; cached, the rows must not
-    be modified.  I is central, so I1^a I2^b only shifts each leg's b.  The
-    unknowns depend on the cutoffs alone."""
-    column = dict(zip(TwistAnsatz(1, cutoff_l, cutoff_d).columns, count()))
+    be modified.  I is central, so I1^a I2^b only shifts each leg's b."""
+    column = dict(zip(_ansatz_columns(cutoff_l, cutoff_d), count()))
     rows = []
     for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1):
         terms = _cartan_power(c)

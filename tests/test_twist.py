@@ -24,8 +24,7 @@ from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, flip, is_weight_zero, outer, weight)
-from twistkit.twist import (AnsatzUnknown, TwistAnsatz, TwistCandidate,
-                            build_candidate,
+from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
                             cocycle_defect, kernel_check, normalization_check,
                             reference_candidate, second_order_term,
                             solve_order, solve_with_escalation,
@@ -339,7 +338,7 @@ def test_ansatz_validation():
         TwistAnsatz(1, cutoff_l=0)
     ans = TwistAnsatz(1)
     assert ans.cutoff_l == 2 and ans.cutoff_d == 2
-    inst = ans.instantiate([Fraction(1)] * len(ans))
+    inst = ans.instantiate(dict.fromkeys(range(len(ans)), Fraction(1)))
     assert is_weight_zero(inst)
 
 
@@ -357,10 +356,17 @@ def test_ansatz_cutoff_defaults_and_bounds():
 # the order-k system
 
 
+def payload(column) -> TensorElement:
+    """The tensor element that the unknown with leg keys column
+    multiplies, built from the two keys in pbw's Casimir coordinates."""
+    leg1, leg2 = column
+    return outer(from_casimir_basis({leg1: 1}), from_casimir_basis({leg2: 1}))
+
+
 def test_casimir_bracket_is_commutator_with_E():
     # the closed form against the PBW bracket x*E - E*x, doubled; the leg
     # keys are those of pbw's Casimir coordinates
-    legs = {leg for u in TwistAnsatz(4).unknowns for leg in u.legs()}
+    legs = {leg for column in TwistAnsatz(4).columns for leg in column}
     for leg in legs:
         a, b, n = leg
         x = H ** a * casimir() ** b * (E ** n if n >= 0 else F ** -n)
@@ -375,19 +381,17 @@ def test_casimir_bracket_is_commutator_with_E():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ansatz_payloads_are_integral(k):
-    ans = TwistAnsatz(k)
-    for u in ans.unknowns:
-        assert all(c.denominator == 1 for c in ans.payload(u).terms.values())
+    for column in TwistAnsatz(k).columns:
+        assert all(c.denominator == 1 for c in payload(column).terms.values())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ansatz_commutes_with_coproduct_of_H(k):
     # why solve_order assembles no J0 rows: every payload has weight zero,
     # so it commutes with Delta(H)
-    ans = TwistAnsatz(k)
     delta = coproduct(H)
-    for u in ans.unknowns:
-        p = ans.payload(u)
+    for column in TwistAnsatz(k).columns:
+        p = payload(column)
         assert (p * delta - delta * p).is_zero()
 
 
@@ -407,7 +411,7 @@ def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
         indices = rng.sample(indices, sample)
     delta = coproduct(E)
     for ci in indices:
-        p = ans.payload(ans.unknowns[ci])
+        p = payload(ans.columns[ci])
         want = _rational(*twist._casimir_coords(p * delta - delta * p))
         assert columns.get(ci, {}) == {key: 2 * c for key, c in want.items()}
 
@@ -415,15 +419,14 @@ def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
 def test_instantiate_is_the_sum_of_payloads(rng):
     ans = TwistAnsatz(2)
     values = [rng.choice((0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 6)))
-              for _ in ans.unknowns]
+              for _ in ans.columns]
     want = TensorElement.zero()
-    for u, v in zip(ans.unknowns, values):
-        want = want + ans.payload(u) * v
-    got = ans.instantiate(values)
+    for column, v in zip(ans.columns, values):
+        want = want + payload(column) * v
+    got = ans.instantiate({i: v for i, v in enumerate(values) if v})
     assert got == want
     assert all(type(c) is Fraction for c in got.terms.values())
-    assert ans.instantiate([0] * len(ans)).is_zero()
-    assert ans.instantiate({i: v for i, v in enumerate(values) if v}) == want
+    assert ans.instantiate({}).is_zero()
 
 
 def test_nonzeros_tests_every_entry_but_the_first_zero_by_value():
@@ -1089,12 +1092,16 @@ def test_ansatz_monomials_are_the_sorted_product(d):
 
 def test_labels_match_the_monomial_formula():
     names = ("H1", "H2", "I1", "I2")
-    ansatz = TwistAnsatz(5)
-    for u in ansatz.unknowns:
-        ms = "*".join(n if e == 1 else f"{n}^{e}"
-                      for n, e in zip(names, u.mono) if e)
-        assert u.label() == f"{u.side}{u.l}[{ms or '1'}]"
-    assert len({u.mono for u in ansatz.unknowns}) == comb(10 + 4, 4)
+    monos = set()
+    for column in TwistAnsatz(5).columns:
+        (a1, b1, n), (a2, b2, _) = column
+        mono = (a1, a2, b1, b2)
+        monos.add(mono)
+        ms = "*".join(name if e == 1 else f"{name}^{e}"
+                      for name, e in zip(names, mono) if e)
+        side = "a" if n >= 0 else "b"
+        assert twist._column_label(column) == f"{side}{abs(n)}[{ms or '1'}]"
+    assert len(monos) == comb(10 + 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,22 +1110,27 @@ def test_labels_match_the_monomial_formula():
 
 
 def test_ansatz_columns_are_the_legs_of_the_unknowns_in_order():
-    # the reference builds the unknowns as the class docstring orders them
+    # the reference builds the unknowns (l, side, mono) as the class
+    # docstring orders them, and their legs as _ansatz_columns documents
     for cutoff_l in range(1, 7):
         for cutoff_d in range(11):
             ans = TwistAnsatz(1, cutoff_l, cutoff_d)
-            want = [AnsatzUnknown(l, side, m)
+            want = [(l, side, m)
                     for l in range(cutoff_l - 1, -1, -1)
                     for side in (("a",) if l == 0 else ("a", "b"))
                     for m in twist._monomials(cutoff_d)]
-            assert list(ans.unknowns) == want
-            assert ans.columns == tuple(u.legs() for u in want)
+            legs = []
+            for l, side, (a1, a2, b1, b2) in want:
+                n = l if side == "a" else -l
+                legs.append(((a1, b1, n), (a2, b2, -n)))
+            assert ans.columns == tuple(legs)
             assert len(ans) == len(want)
+            assert len(ans) == twist._unknown_count(cutoff_l, cutoff_d)
             # the labels the pivot log reads, against the formula of
             # test_labels_match_the_monomial_formula
             assert ([twist._column_label(c) for c in ans.columns]
-                    == [f"{u.side}{u.l}[{twist._mono_label(u.mono)}]"
-                        for u in want])
+                    == [f"{side}{l}[{twist._mono_label(mono)}]"
+                        for l, side, mono in want])
 
 
 nonintegral_fractions = st.builds(

@@ -12,8 +12,8 @@ from twistkit.pbw import Element
 from twistkit.report import VerificationReport
 from twistkit.reps import spin_rep
 from twistkit.tensor import TensorElement
-from twistkit.twist import (AnsatzUnknown, TwistAnsatz, TwistCandidate,
-                            reference_candidate, solve_order)
+from twistkit.twist import (TwistAnsatz, TwistCandidate, reference_candidate,
+                            solve_order)
 
 
 def _values():
@@ -22,8 +22,6 @@ def _values():
         return solve_order(1, reference_candidate(0))
 
     return {
-        "AnsatzUnknown": (AnsatzUnknown(2, "a", (1, 0, 0, 1)),
-                          AnsatzUnknown(2, "a", (1, 0, 0, 1))),
         "SpinRep": (spin_rep(2), spin_rep.__wrapped__(2)),
         "PhiSeries": (phi("+", 4), PhiSeries("+", phi("+", 4).series)),
         "TwistCandidate": (reference_candidate(2), reference_candidate(2)),
@@ -35,7 +33,7 @@ def _values():
     }
 
 
-HASHABLE = ("AnsatzUnknown", "SpinRep")
+HASHABLE = ("SpinRep",)
 
 
 @pytest.mark.parametrize("name", list(_values()))
@@ -54,7 +52,6 @@ def test_equal_values_are_equal_and_immutable(name):
 
 
 def test_unequal_values_differ():
-    assert AnsatzUnknown(2, "a", (1, 0, 0, 1)) != AnsatzUnknown(2, "b", (1, 0, 0, 1))
     assert spin_rep(1) != spin_rep(2)
     assert phi("+", 4) != phi("-", 4)
     assert reference_candidate(1) != reference_candidate(2)

@@ -19,7 +19,8 @@ import sys
 import tempfile
 
 INPUTS = {"cand3.json": "candidate-order3.json",
-          "cand5.json": "candidate-order5.json"}
+          "cand5.json": "candidate-order5.json",
+          "cand6.json": "candidate-order6.json"}
 
 # (name, arguments of twistkit)
 JOBS = [
@@ -62,6 +63,11 @@ JOBS = [
                         "--checks", "all", "--format", "json"]),
     ("verify-cand5-o6", ["verify", "cand5.json", "--order", "6",
                          "--checks", "all", "--output", "v.txt"]),
+    ("verify-cand6-o6-text", ["verify", "cand6.json", "--order", "6",
+                              "--checks", "all", "--expect-paper-behavior"]),
+    ("verify-cand6-o6-json", ["verify", "cand6.json", "--order", "6",
+                              "--checks", "all", "--expect-paper-behavior",
+                              "--format", "json"]),
     ("verify-rmatrix-cocycle", ["verify", "cand3.json", "--order", "4",
                                 "--checks", "rmatrix", "cocycle"]),
     ("verify-missing-file", ["verify", "missing.json"]),
@@ -71,6 +77,8 @@ JOBS = [
                            "--two-j2", "1"]),
     ("eval-rep-1x1-json", ["eval-rep", "cand3.json", "--two-j1", "1",
                            "--two-j2", "1", "--format", "json"]),
+    ("eval-rep-cand6-1x1", ["eval-rep", "cand6.json", "--two-j1", "1",
+                            "--two-j2", "1", "--order", "6"]),
     ("eval-rep-2x3-text", ["eval-rep", "cand3.json", "--two-j1", "2",
                            "--two-j2", "3", "--order", "3"]),
     ("eval-rep-2x3-json", ["eval-rep", "cand3.json", "--two-j1", "2",
