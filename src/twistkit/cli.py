@@ -241,28 +241,18 @@ def cmd_solve_twist(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     solved = all(s.solved for s in sols) and len(sols) == args.order
-    # each document is built once, for its file and for stdout, and kept
-    # only for stdout
-    json_out = args.format == "json"
-    sol_docs = []
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for s in sols:
-            doc = s.to_json()
             path = os.path.join(args.out_dir, f"twist-order-{s.order}.json")
             with open(path, "w") as fh:
-                _json_dumps(doc, fh)
-            if json_out:
-                sol_docs.append(doc)
-    elif json_out:
-        sol_docs = [s.to_json() for s in sols]
-    cand_doc = (cand.to_json() if solved and (json_out or args.candidate_out)
-                else None)
+                _json_dumps(s.to_json(), fh)
     if solved and args.candidate_out:
         with open(args.candidate_out, "w") as fh:
-            _json_dumps(cand_doc, fh)
-    if json_out:
-        _emit(args, {"solutions": sol_docs, "candidate": cand_doc})
+            _json_dumps(cand.to_json(), fh)
+    if args.format == "json":
+        _emit(args, {"solutions": (s.to_json() for s in sols),
+                     "candidate": cand.to_json() if solved else None})
     else:
         lines = []
         for s in sols:

@@ -51,16 +51,10 @@ _INT = {int}
 def _integer_row(row: dict, b) -> dict:
     """The equation row . x = b as a new integer row: every nonzero entry
     times the lcm of the denominators."""
-    if _INT.issuperset(map(type, row.values())):
-        if type(b) is int:
-            # nothing to scale
-            out = (row.copy() if 0 not in row.values()
-                   else {k: v for k, v in row.items() if v})
-        else:
-            # the lcm is b's denominator alone
-            den = b.denominator
-            out = {k: v * den for k, v in row.items() if v}
-            b = b.numerator
+    if _INT.issuperset(map(type, row.values())) and type(b) is int:
+        # nothing to scale
+        out = (row.copy() if 0 not in row.values()
+               else {k: v for k, v in row.items() if v})
         if b:
             out[RHS] = b
         return out

@@ -43,6 +43,8 @@ class TensorElement(LinearCombination):
         if len(lengths) != 1:
             raise ValueError("tensor terms have different numbers of legs")
         (self.legs,) = lengths
+        if not self.legs:
+            raise ValueError("a tensor term has no legs")
 
     @classmethod
     def _raw(cls, terms: dict, legs: int = 2) -> "TensorElement":

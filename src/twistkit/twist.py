@@ -612,13 +612,16 @@ class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
         return self.status == "solved"
 
     def to_json(self) -> dict:
+        """The solution document.  homogeneous_basis is an iterator, read
+        once, so that a writer such as cli._json_dumps holds one kernel
+        element's JSON at a time, not the whole basis."""
         return {
             "order": self.order,
             "cutoffL": self.cutoff_l,
             "cutoffD": self.cutoff_d,
             "status": self.status,
             "particular": tensor_to_json(self.particular) if self.particular else None,
-            "homogeneous_basis": [tensor_to_json(t) for t in self.homogeneous],
+            "homogeneous_basis": map(tensor_to_json, self.homogeneous),
             "pivot_log": self.pivot_log,
             "unknowns": self.unknown_count,
             "rank": self.rank,

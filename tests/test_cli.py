@@ -77,24 +77,36 @@ def test_expand_phi_json(capsys):
     assert data["coefficients"][1] == []   # odd order vanishes
 
 
-def test_solve_twist_order1(capsys, tmp_path):
+@pytest.mark.parametrize("order", [1, 2])
+def test_solve_twist_writes_each_document(capsys, tmp_path, order):
     out_dir = tmp_path / "solutions"
     cand_file = tmp_path / "candidate.json"
-    code, out = run_cli(capsys, "solve-twist", "--order", "1",
+    code, out = run_cli(capsys, "solve-twist", "--order", str(order),
                         "--out-dir", str(out_dir),
                         "--candidate-out", str(cand_file),
                         "--format", "json")
     assert code == 0
     data = json.loads(out)
+    assert [s["order"] for s in data["solutions"]] == list(range(1, order + 1))
     sol = data["solutions"][0]
     assert sol["order"] == 1 and sol["status"] == "solved"
     assert tensor_from_json(sol["particular"]) == classical_r()
     assert set(sol) >= {"order", "cutoffL", "cutoffD", "particular",
                         "homogeneous_basis", "pivot_log"}
-    per_order = json.loads((out_dir / "twist-order-1.json").read_text())
-    assert per_order == sol
+    for doc in data["solutions"]:
+        per_order = out_dir / f"twist-order-{doc['order']}.json"
+        assert json.loads(per_order.read_text()) == doc
     cand = TwistCandidate.from_json(json.loads(cand_file.read_text()))
     assert cand.coefficient(1) == classical_r()
+    assert cand.to_json() == data["candidate"]
+    # a text run writes the same files
+    text_dir = tmp_path / "text"
+    code, _ = run_cli(capsys, "solve-twist", "--order", str(order),
+                      "--out-dir", str(text_dir))
+    assert code == 0
+    for k in range(1, order + 1):
+        name = f"twist-order-{k}.json"
+        assert (text_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 def test_solve_twist_deterministic(capsys, tmp_path):

@@ -209,6 +209,15 @@ def test_mixed_leg_counts_raise():
         TensorElement({(E_MONO, F_MONO): 1, (E_MONO, F_MONO, H_MONO): 1})
 
 
+def test_term_without_legs_is_refused():
+    # a 0-leg element would reach _by_first_leg and fail there, at the
+    # first product, with an IndexError
+    for make in (lambda: TensorElement({(): 1}),
+                 lambda: tensor_from_json([{"num": 1, "den": 1}])):
+        with pytest.raises(ValueError, match="no legs"):
+            make()
+
+
 def test_three_leg_unit_zero_and_json():
     x = coproduct(classical_r(), 1)
     assert x.legs == 3

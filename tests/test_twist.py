@@ -228,6 +228,25 @@ def test_escalation_recovers_from_bad_cutoff(one_candidate):
     assert stuck.status == "infeasible-at-cutoff"
 
 
+def test_solution_document_converts_each_kernel_element_once(monkeypatch):
+    # the basis is converted as it is written, one element at a time
+    sol = solve_order(2, reference_candidate(1))
+    convert = twist.tensor_to_json
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return convert(t)
+    monkeypatch.setattr(twist, "tensor_to_json", counted)
+    data = sol.to_json()
+    assert calls == [sol.particular]
+    text = json_text(data)
+    assert len(sol.homogeneous) > 0
+    assert calls[1:] == list(sol.homogeneous)
+    assert json.loads(text)["homogeneous_basis"] == [
+        convert(t) for t in sol.homogeneous]
+
+
 def test_solution_json_schema(order1_solution):
     data = order1_solution.to_json()
     assert set(data) >= {"order", "cutoffL", "cutoffD", "particular",
@@ -467,7 +486,7 @@ def test_order3_solutions_match_golden_files(order3_build):
     _, sols = order3_build
     assert [s.order for s in sols] == [1, 2, 3]
     for s in sols:
-        text = json.dumps(s.to_json(), indent=2, sort_keys=True) + "\n"
+        text = json_text(s.to_json())
         golden = (GOLDEN_DIR / f"twist-order-{s.order}.json").read_bytes()
         assert text.encode() == golden
 

@@ -42,6 +42,11 @@ JOBS = [
                        "--out-dir", "out"]),
     # text output prints the kernel dimension without building the basis
     ("solve-o4-text", ["solve-twist", "--order", "4"]),
+    # the largest documents solve-twist writes: each solution file, the
+    # candidate and all of them again on --output
+    ("solve-o5-json", ["solve-twist", "--order", "5", "--format", "json",
+                       "--out-dir", "out", "--candidate-out", "cand.json",
+                       "--output", "o.json"]),
     ("solve-infeasible", ["solve-twist", "--order", "3", "--cutoff-l", "1",
                           "--max-escalations", "0", "--out-dir", "out",
                           "--candidate-out", "cand.json"]),
