@@ -29,6 +29,12 @@ only when the solution is read off.  Pivot columns are the leading
 sets every free column to zero.  The back-reduced echelon form of the
 row space is unique under the fixed column order, so the visiting order
 moves the time but not the answer.
+
+An equation with no non-zero entry and a non-zero right-hand side is
+answered before any of this: it would be visited first and prove the
+system inconsistent before any pivot is found, so the solver returns
+that verdict, with an empty pivot log, without counting, sorting or
+scaling a row.
 """
 
 from __future__ import annotations
@@ -113,7 +119,14 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
     """Solve A x = b for sparse rows (dicts col->int or Fraction), visited
     fewest non-zero entries first, then by row index; returns a particular
     solution with free columns zeroed plus a nullspace basis (one vector
-    per free column)."""
+    per free column).  ValueError if rhs and rows differ in length."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand "
+                         f"sides")
+    # an empty equation 0 = b != 0: the verdict the elimination would reach
+    # on its first row (module docstring)
+    if any(b and not any(row.values()) for row, b in zip(rows, rhs)):
+        return LinearSolution("inconsistent", ncols, [], [], None, [], [])
     pivots: dict = {}
     pivot_order: list = []
     inconsistent = False

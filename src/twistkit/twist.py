@@ -43,10 +43,10 @@ Delta(E) spans a trivial module, so it also commutes with Delta(F): the
 J+ kernel is the full one, and an inconsistent J+ system proves the
 full system inconsistent.
 
-The proof needs valid lower orders.  The residual series whose h^k
-coefficient is the right-hand side also holds orders 0..k-1 of all three
-residuals, which depend only on F_0..F_{k-1}, so solve_order checks them
-first and raises ValueError if one is non-zero.  A solution is still
+The proof needs valid lower orders.  Orders 0..k-1 of all three
+residuals depend only on F_0..F_{k-1}, so solve_order checks the
+residual series of the lower candidate through order k-1 first and
+raises ValueError if a coefficient is non-zero.  A solution is still
 certified exactly before it is returned: the order-k residuals of all
 three generators must vanish on the particular solution, and the
 homogeneous solutions must span exactly the known kernel elements below.
@@ -60,18 +60,22 @@ the lower orders padded with F_k = 0 (low) and F_k = X,
 
     rho_k(low + h^k X)(g) = rho_k(low)(g) + [X, Delta(g)],
 
-and rho_k(low) is the h^k coefficient of the residual series already
-computed for the lower-order check and the right-hand side.  For J0
-that series is written in closed form: m(J0) = H and Delta_q~(J0) =
-Delta(H) at every order, so rho_n(J0) = [F_n, Delta(H)] =
+and rho_k(low) is built coefficient by coefficient, each only when it
+is read.  For J0 the series is written in closed form: m(J0) = H and
+Delta_q~(J0) = Delta(H) at every order, so rho_n(J0) = [F_n, Delta(H)] =
 -sum wt(key) c key over the terms c key of F_n, where wt is the weight
-e - f summed over both legs.  For J+ and J- it is one signed Cauchy sum,
+e - f summed over both legs; rho_k(low)(J0) = [0, Delta(H)] = 0.  For J+
+and J- each coefficient is one signed Cauchy sum,
 sum_i F_i Delta(m(g))_(n-i) - Delta_q~(g)_(n-i) F_i, summed in integers
-(lincomb._sum_products) against the two operands, which depend on the
-order alone and are built once per order; the operands hold only J+ and
-J-.  Both order-0 operands are Delta(g), so the pair i = n is the
-commutator [F_n, Delta(g)]: it is added in the same integer sum as the
-bracket below, not as two tensor products (_residual_pairs).
+(lincomb._sum_products, _residual_coefficient) against the two operands,
+which depend on the order alone and are built once per order; the
+operands hold only J+ and J-.  Both order-0 operands are Delta(g), so
+the pair i = n is the commutator [F_n, Delta(g)]: it is added in the
+same integer sum as the bracket below, not as two tensor products
+(_residual_pairs).  solve_order builds rho_k(low)(J+) once, as integers
+that go straight to Casimir coordinates for the right-hand side of
+every attempt, and rho_k(low)(J-) only for a solved attempt, when the
+certificate reads it.
 The check is then one commutator with a primitive Delta(g), taken leg
 by leg: [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each bracket
 [m, g] of a PBW monomial m is read from a cache (pbw.mono_commutator)
@@ -249,20 +253,32 @@ def reference_candidate(order: int = 2) -> TwistCandidate:
 
 def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     """The three residual series F*Delta(m(g)) - Delta_q~(g)*F, keyed by
-    generator name."""
+    generator name; ValueError for a negative order."""
+    if order < 0:
+        raise ValueError(f"the residual order must be >= 0, got {order}")
     if not cand.leading_invertible():
         raise ValueError("twist candidate has a non-invertible leading term")
     coeffs = cand.at_order(order).series.coeffs
     fs = _ints(coeffs)
     ring_into = _ring_into(cand.series.coeffs[0])
     series = {"J0": HSeries(tuple(map(_j0_residual, coeffs)), order)}
-    for g, (cs, ds) in _residual_operands(order).items():
-        into = _bracket_or_product(ring_into, _GENERATOR_MONOS[g])
+    for g in ("J+", "J-"):
         series[g] = HSeries(tuple(
-            TensorElement._raw(_rational(*_sum_products(
-                _residual_pairs(fs, cs, ds, n), into)))
+            TensorElement._raw(_rational(*_residual_coefficient(
+                fs, ring_into, g, n)))
             for n in range(order + 1)), order)
     return series
+
+
+def _residual_coefficient(fs, ring_into, g: str, n: int) -> tuple:
+    """(ints, den): the h^n coefficient of the residual of g = J+ or J-,
+    zeros kept, for the coefficients fs of F through order N >= n in the
+    form of hseries._ints and F's ring kernel ring_into
+    (hseries._ring_into).  One integer sum over _residual_pairs against
+    the order-N operands."""
+    cs, ds = _residual_operands(len(fs) - 1)[g]
+    return _sum_products(_residual_pairs(fs, cs, ds, n),
+                         _bracket_or_product(ring_into, _GENERATOR_MONOS[g]))
 
 
 # the operand that stands for Delta(g) in the order-0 pair of _residual_pairs
@@ -532,13 +548,13 @@ def _casimir_bracket(a: int, b: int, n: int) -> tuple:
     return tuple((key, c) for key, c in acc.items() if c)
 
 
-def _casimir_coords(t: TensorElement) -> tuple:
-    """The 2-leg tensor t in Casimir coordinates, converted leg by leg with
-    pbw.mono_to_casimir, as (ints, den): {((a1, b1, n1), (a2, b2, n2)):
-    int}, zeros kept, over den."""
-    xs, dx = _integral(t.terms)
+def _casimir_coords(xs: dict, dx: int) -> tuple:
+    """The 2-leg tensor xs/dx, xs a term dict with int values, in Casimir
+    coordinates, converted leg by leg with pbw.mono_to_casimir, as (ints,
+    den): {((a1, b1, n1), (a2, b2, n2)): int}, zeros kept, over den."""
     ints, den = _sum_products([(mono_to_casimir(m1), mono_to_casimir(m2), c)
-                               for (m1, m2), c in xs.items()], _outer_into)
+                               for (m1, m2), c in xs.items() if c],
+                              _outer_into)
     return ints, den * dx
 
 
@@ -636,14 +652,14 @@ def _row_order(row_of: dict, b: dict) -> list:
     return [*row_of, *(key for key in b if key not in row_of)]
 
 
-def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
+def _solve(k: int, ansatz: TwistAnsatz, const: tuple) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
-    both sides doubled and in Casimir coordinates.  The system goes to the
-    solver in integers: the right-hand side -2c/den of a row is
-    -2c/g with g = gcd(2c, den), and the row is scaled by den/g, so that
-    solve_sparse takes every row as it is."""
+    both sides doubled, const given in Casimir coordinates as (ints, den).
+    The system goes to the solver in integers: the right-hand side
+    -2c/den of a row is -2c/g with g = gcd(2c, den), and the row is scaled
+    by den/g, so that solve_sparse takes every row as it is."""
     row_of = _j_plus_rows(ansatz)
-    ints, den = _casimir_coords(const)
+    ints, den = const
     b = {}
     for key, c in ints.items():
         if c:
@@ -673,15 +689,21 @@ def _solve(k: int, ansatz: TwistAnsatz, const: TensorElement) -> SolutionSet:
         unknown_count=len(ansatz), rank=len(lin.pivot_cols))
 
 
-def _particular_certified(k: int, residuals: dict, x: TensorElement) -> bool:
+def _particular_certified(fs, ring_into, plus: tuple,
+                          x: TensorElement) -> bool:
     """True iff low + h^k x has no order-k residual for any generator.
-    residuals are the residual series of the lower orders padded with
-    F_k = 0; adding h^k x adds [x, Delta(g)] at order k (module
-    docstring)."""
+    low is the lower orders padded with F_k = 0, its coefficients fs in
+    the form of hseries._ints and its ring kernel ring_into, and plus is
+    its order-k J+ residual as (ints, den); adding h^k x adds
+    [x, Delta(g)] at order k (module docstring).  low's order-k J0
+    residual is [F_k, Delta(H)] = 0, and its J- residual is built only
+    if the J0 and J+ checks pass."""
     xs, dx = _integral(x.terms)
+    k = len(fs) - 1
+    built = {"J0": ({}, 1), "J+": plus}
 
     def seed(g):
-        rs, dr = _integral(residuals[g].coeffs[k].terms)
+        rs, dr = built.get(g) or _residual_coefficient(fs, ring_into, g, k)
         return {key: dx * c for key, c in rs.items()}, dr
     return _brackets_vanish(xs, seed)
 
@@ -691,7 +713,7 @@ def _cartan_power(c: int) -> tuple:
     """P^c in Casimir coordinates, P = cartan_killing(), as ((key, int),
     ...) without zeros, cached.  The common denominator is dropped: scaling
     an invariant does not change the kernel test."""
-    ints, _ = _casimir_coords(cartan_killing() ** c)
+    ints, _ = _casimir_coords(*_integral((cartan_killing() ** c).terms))
     return tuple((key, v) for key, v in ints.items() if v)
 
 
@@ -750,10 +772,12 @@ def solve_order(k: int, lower: TwistCandidate,
     only once it is certified against all three generators; RuntimeError
     if it is not; there is no fallback solve.  An infeasible ansatz is
     enlarged by (L+1, D+2) and solved again, at most `max_escalations`
-    times; the lower orders' residual series is built and checked once for
-    all attempts.  Returns the last SolutionSet.  ValueError, before any
-    residual is built, for k < 1, an ansatz of another order than k or a
-    negative max_escalations."""
+    times.  The lower orders' residual series (through order k-1) is built
+    and checked once, and so is the order-k J+ residual, the right-hand
+    side shared by all attempts; the order-k J- residual is built only
+    for the certificate of a solved attempt.  Returns the last
+    SolutionSet.  ValueError, before any residual is built, for k < 1, an
+    ansatz of another order than k or a negative max_escalations."""
     if k < 1:
         raise ValueError(f"the order k must be >= 1, got {k}")
     if ansatz is None:
@@ -766,25 +790,27 @@ def solve_order(k: int, lower: TwistCandidate,
                          f"{max_escalations}")
     if lower.order < k - 1:
         raise ValueError(f"lower candidate must reach order {k - 1}")
-    low = lower.at_order(k - 1).at_order(k)  # truncate then pad F_k = 0
-
-    # orders below k hold the lower orders' own residuals; order k of the
-    # zero-extended candidate is the inhomogeneous part
-    residuals = twist_residual_series(low, k)
-    for g, s in residuals.items():
+    low = lower.at_order(k - 1)
+    for g, s in twist_residual_series(low, k - 1).items():
         bad = s.first_nonzero()
-        if bad is not None and bad < k:
+        if bad is not None:
             raise ValueError(f"the lower candidate fails twist[{g}] at order {bad}")
 
-    const = residuals["J+"].coeffs[k]
+    # the order-k J+ residual of low padded with F_k = 0 is the right-hand
+    # side of every attempt; J- is built only to certify a solved one
+    fs = _ints(low.at_order(k).series.coeffs)
+    ring_into = _ring_into(low.coefficient(0))
+    plus = _residual_coefficient(fs, ring_into, "J+", k)
+    const = _casimir_coords(*plus)
     sol = _solve(k, ansatz, const)
     for _ in range(max_escalations):
         if sol.solved:
             break
         ansatz = TwistAnsatz(k, ansatz.cutoff_l + 1, ansatz.cutoff_d + 2)
         sol = _solve(k, ansatz, const)
-    if sol.solved and not (_particular_certified(k, residuals, sol.particular)
-                           and _kernel_certified(sol.homogeneous)):
+    if sol.solved and not (
+            _particular_certified(fs, ring_into, plus, sol.particular)
+            and _kernel_certified(sol.homogeneous)):
         raise RuntimeError(f"the order-{k} solution fails its exact certificate")
     return sol
 

@@ -352,6 +352,35 @@ def test_inconsistent_system_keeps_pivots_up_to_the_contradiction():
     assert sol.pivot_log == [(0, 0), (1, 1), (2, 2)]
 
 
+@pytest.mark.parametrize("rows, rhs", [
+    # rows that make pivots around one empty equation 0 = 3
+    ([{0: 2, 1: 1}, {1: 3, 2: -1}, {}, {0: 1, 2: 4}],
+     [1, 0, 3, Fraction(1, 2)]),
+    # an equation whose entries are all zero, against a Fraction
+    ([{0: 1}, {1: 5}, {0: 0, 2: Fraction(0)}], [0, 1, Fraction(2, 3)]),
+], ids=["empty row", "zero-valued row"])
+def test_empty_inconsistent_equation_is_answered_without_elimination(
+        monkeypatch, rows, rhs):
+    calls = []
+    for name in ("_integer_row", "_reduce", "_primitive"):
+        def spy(*args, real=getattr(linsolve, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(linsolve, name, spy)
+    sol = solve_sparse(rows, rhs, 3)
+    assert calls == []
+    _same_solution(sol, reference_solve(rows, rhs, 3))
+    assert sol.status == "inconsistent" and sol.pivot_log == []
+
+
+@pytest.mark.parametrize("rows, rhs", [([{0: 1}], [1, 2]),
+                                       ([{0: 1}, {1: 1}], [1])])
+def test_right_hand_side_of_another_length_is_refused(rows, rhs):
+    with pytest.raises(ValueError, match=f"^{len(rows)} equations but "
+                                         f"{len(rhs)} right-hand sides$"):
+        solve_sparse(rows, rhs, 3)
+
+
 def colliding_system(rng):
     """Rows that mostly lead in one of the first two columns, so their
     leading columns collide; every row is a multiple of a row with

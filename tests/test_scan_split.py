@@ -16,9 +16,9 @@ def test_scan_split_prints_every_stage_and_the_golden_digest():
     assert ": 1 warm passes of 16 points on CPU " in lines[0]
     rows = {line.split()[0]: [float(v) for v in line.split()[1:]]
             for line in lines[2:-1]}
-    assert list(rows) == ["ansatz", "residual", "J+rows", "rhs", "solve",
-                          "instantiate", "particular", "kernel", "rest",
-                          "total"]
+    assert list(rows) == ["ansatz", "residual", "order-k", "J+rows", "rhs",
+                          "solve", "instantiate", "particular", "kernel",
+                          "rest", "total"]
     # one pass: its minimum is its median, and the stages sum to the total
     assert all(low == median for low, median in rows.values())
     assert abs(sum(v[0] for name, v in rows.items() if name != "total")

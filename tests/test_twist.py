@@ -89,6 +89,12 @@ def test_residuals_require_invertible_leading_term():
         twist_residuals(bad, 0)
 
 
+@pytest.mark.parametrize("check", [twist_residual_series, twist_residuals])
+def test_negative_residual_order_is_refused(check):
+    with pytest.raises(ValueError, match="residual order must be >= 0, got -1$"):
+        check(reference_candidate(2), -1)
+
+
 # ---------------------------------------------------------------------------
 # kernel and the side conditions
 
@@ -431,7 +437,8 @@ def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
     delta = coproduct(E)
     for ci in indices:
         p = payload(ans.columns[ci])
-        want = _rational(*twist._casimir_coords(p * delta - delta * p))
+        want = _rational(*twist._casimir_coords(
+            *_integral((p * delta - delta * p).terms)))
         assert columns.get(ci, {}) == {key: 2 * c for key, c in want.items()}
 
 
@@ -787,7 +794,8 @@ def test_corrupted_solution_fails_the_certificate(monkeypatch, one_candidate,
         def corrupted_power(c):
             terms = dict(real_power(c))
             if c == 1:
-                for key, v in _rational(*twist._casimir_coords(corruption)).items():
+                for key, v in _rational(*twist._casimir_coords(
+                        *_integral(corruption.terms))).items():
                     terms[key] = terms.get(key, 0) + int(v)
             return tuple(terms.items())
         monkeypatch.setattr(twist, "_cartan_power", corrupted_power)
@@ -1006,10 +1014,12 @@ def test_integer_casimir_coords_match_fraction_reference(rng):
     for m in monos:
         t = TensorElement({(m, rng.choice(monos)): random_fraction(rng, dens=dens),
                            (rng.choice(monos), m): random_fraction(rng, dens=dens)})
-        assert _rational(*twist._casimir_coords(t)) == casimir_reference(t)
+        assert (_rational(*twist._casimir_coords(*_integral(t.terms)))
+                == casimir_reference(t))
         total = total + t
-    assert _rational(*twist._casimir_coords(total)) == casimir_reference(total)
-    assert twist._casimir_coords(TensorElement.zero()) == ({}, 1)
+    assert (_rational(*twist._casimir_coords(*_integral(total.terms)))
+            == casimir_reference(total))
+    assert twist._casimir_coords(*_integral(TensorElement.zero().terms)) == ({}, 1)
 
 
 # the grid of the benchmark's scan-o3 workload
@@ -1026,8 +1036,9 @@ def test_residual_operands_are_cached_by_order_alone():
     # other candidates at the same orders add no entry
     for k in (1, 2, 3):
         twist_residual_series(reference_candidate(2), k)
+    # the lower-order checks read orders 0..2 and the right-hand sides 1..3
     info = twist._residual_operands.cache_info()
-    assert (info.currsize, info.misses) == (3, 3)
+    assert (info.currsize, info.misses) == (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1063,20 @@ def test_first_write_row_order_gives_the_sorted_solution(monkeypatch, k,
     assert sorted(unsorted) == keys and unsorted != keys
 
 
+def spy_on_order_k_sums(monkeypatch, k):
+    """The generators whose residual coefficient at order k is built, in
+    call order; the lower-order check builds only orders below k."""
+    built = []
+    real = twist._residual_coefficient
+
+    def spy(fs, ring_into, g, n):
+        if n == k:
+            built.append(g)
+        return real(fs, ring_into, g, n)
+    monkeypatch.setattr(twist, "_residual_coefficient", spy)
+    return built
+
+
 def test_escalation_builds_the_residual_series_once(monkeypatch):
     calls = []
     real_series = twist.twist_residual_series
@@ -1060,13 +1085,61 @@ def test_escalation_builds_the_residual_series_once(monkeypatch):
         calls.append(args[1])
         return real_series(*args)
     monkeypatch.setattr(twist, "twist_residual_series", counting_series)
+    built = spy_on_order_k_sums(monkeypatch, 3)
     statuses = spy_on_solver(monkeypatch)
     lower = golden_order3().at_order(2)
     sol = solve_with_escalation(3, lower, cutoff_l=2, cutoff_d=2)
     assert statuses == ["inconsistent", "inconsistent", "solved"]
-    assert calls == [3]
+    assert calls == [2]  # the lower-order check, at order k - 1
+    # one J+ right-hand side for the three attempts, J- for the solved one
+    assert built == ["J+", "J-"]
     assert (sol.cutoff_l, sol.cutoff_d) == (4, 6)
     assert sol == solve_order(3, lower, TwistAnsatz(3, 4, 6))
+
+
+def test_infeasible_attempt_builds_only_j_plus_at_order_k(monkeypatch):
+    built = spy_on_order_k_sums(monkeypatch, 3)
+    statuses = spy_on_solver(monkeypatch)
+    sol = solve_order(3, golden_order3().at_order(2), TwistAnsatz(3, 2, 2))
+    assert statuses == ["inconsistent"] and not sol.solved
+    assert built == ["J+"]
+
+
+def test_solved_attempt_builds_j_plus_and_j_minus_at_order_k_once(monkeypatch):
+    built = spy_on_order_k_sums(monkeypatch, 3)
+    sol = solve_order(3, golden_order3().at_order(2), TwistAnsatz(3, 4, 6))
+    assert sol.solved
+    assert built == ["J+", "J-"]
+
+
+def test_lazily_built_j_minus_is_still_certified(monkeypatch):
+    # the J- residual at order k is built only for a solved attempt, and
+    # the certificate still reads it: a non-zero one fails the solve
+    real = twist._residual_coefficient
+
+    def patched(fs, ring_into, g, n):
+        ints, den = real(fs, ring_into, g, n)
+        if g == "J-" and n == 3:
+            key = (F_MONO, H_MONO)
+            ints = {**ints, key: ints.get(key, 0) + 1}
+        return ints, den
+    monkeypatch.setattr(twist, "_residual_coefficient", patched)
+    statuses = spy_on_solver(monkeypatch)
+    with pytest.raises(RuntimeError, match="order-3 solution fails its exact "
+                                           "certificate"):
+        solve_order(3, golden_order3().at_order(2), TwistAnsatz(3, 4, 6))
+    assert statuses == ["solved"]
+
+
+def test_weight_nonzero_lower_term_fails_j0_before_any_solve(monkeypatch):
+    # E (x) H has weight 1, so [F1, Delta(H)] != 0
+    statuses = spy_on_solver(monkeypatch)
+    lower = TwistCandidate.from_coefficients(
+        [TensorElement.one(), classical_r() + outer(E, H)])
+    with pytest.raises(ValueError,
+                       match=r"fails twist\[J0\] at order 1$"):
+        solve_order(2, lower)
+    assert statuses == []
 
 
 @pytest.mark.parametrize("f, legs", [
@@ -1209,7 +1282,7 @@ def test_integer_rows_give_the_fraction_solution(monkeypatch, k, cutoff_l,
 
     const = twist_residual_series(lower.at_order(k), k)["J+"].coeffs[k]
     row_of = twist._j_plus_rows(ans)
-    ints, den = twist._casimir_coords(const)
+    ints, den = twist._casimir_coords(*_integral(const.terms))
     b = _rational({key: -2 * c for key, c in ints.items()}, den)
     keys = twist._row_order(row_of, b)
     frac_rows = [row_of.get(key, {}) for key in keys]

@@ -8,10 +8,15 @@ benchmark in this one process, pinned to the last CPU it may use:
 TREE/perfbench/run.py's SCAN_GRID (read from the file, which is not
 imported or changed), on the committed order-3 fixture.  One untimed
 pass fills the caches, then N passes are timed.  Each stage is timed by
-a wrapper around the function that does it:
+a wrapper around the function that does it, less the time of the
+stages timed inside it:
 
     ansatz      TwistAnsatz(k, L, D)
-    residual    twist_residual_series
+    residual    twist_residual_series (the lower-order check), with the
+                integer sums it makes
+    order-k     _residual_coefficient outside twist_residual_series: the
+                order-k J+ sum of each solve_order call and the J- sum of
+                each certified particular
     J+rows      _j_plus_rows
     rhs         _casimir_coords (the Casimir right-hand side)
     solve       solve_sparse
@@ -24,7 +29,9 @@ a wrapper around the function that does it:
                 solution digests, which the benchmark's pass also takes
 
 and the tool prints the minimum and the median over the passes of each
-stage's milliseconds per pass.  Last comes one sha256 over the solution
+stage's milliseconds per pass.  A stage whose function TREE does not
+have reads 0: a tree older than _residual_coefficient times its order-k
+sums inside residual.  Last comes one sha256 over the solution
 digests of every grid point (perfbench/child.py's solution_digest, sorted
 by point), with how many points match perfbench/golden.json.  Exits 1 if a
 pass gives a different digest from the first.
@@ -42,10 +49,11 @@ import statistics
 import sys
 import time
 
-STAGES = ("ansatz", "residual", "J+rows", "rhs", "solve", "instantiate",
-          "particular", "kernel")
+STAGES = ("ansatz", "residual", "order-k", "J+rows", "rhs", "solve",
+          "instantiate", "particular", "kernel")
 # stage -> the twistkit.twist attribute it wraps (ansatz is timed in place)
-WRAPPED = {"residual": "twist_residual_series", "J+rows": "_j_plus_rows",
+WRAPPED = {"residual": "twist_residual_series",
+           "order-k": "_residual_coefficient", "J+rows": "_j_plus_rows",
            "rhs": "_casimir_coords", "solve": "solve_sparse",
            "particular": "_particular_certified",
            "kernel": "_kernel_certified"}
@@ -63,13 +71,25 @@ def scan_grid(run_py: str) -> list:
     raise SystemExit(f"no SCAN_GRID in {run_py}")
 
 
-def _timed(fn, spent: dict, stage: str):
+def _timed(fn, spent: dict, stage: str, running: list):
+    """fn, its time charged to stage less the time of the timed calls made
+    inside it.  running holds [stage, seconds spent in nested timed
+    calls] for each timed call in progress; a call inside the residual
+    stage is left to it."""
     def wrapper(*args, **kwargs):
+        if running and running[-1][0] == "residual":
+            return fn(*args, **kwargs)
+        frame = [stage, 0.0]
+        running.append(frame)
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            spent[stage] += time.perf_counter() - t0
+            dt = time.perf_counter() - t0
+            running.pop()
+            spent[stage] += dt - frame[1]
+            if running:
+                running[-1][1] += dt
     return wrapper
 
 
@@ -101,10 +121,13 @@ def main(argv=None) -> int:
     lower = {k: cand.at_order(k - 1) for k in {p[0] for p in grid}}
 
     spent = dict.fromkeys(STAGES, 0.0)
+    running: list = []
     for stage, name in WRAPPED.items():
-        setattr(twist, name, _timed(getattr(twist, name), spent, stage))
+        if hasattr(twist, name):  # an older tree may lack a stage's function
+            setattr(twist, name, _timed(getattr(twist, name), spent, stage,
+                                        running))
     TwistAnsatz.instantiate = _timed(TwistAnsatz.instantiate, spent,
-                                     "instantiate")
+                                     "instantiate", running)
 
     def one_pass() -> tuple:
         for stage in spent:
