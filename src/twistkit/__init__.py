@@ -15,6 +15,9 @@ from importlib import import_module
 
 # module -> the names it exports
 _EXPORTS = {
+    "candidate": "TwistCandidate cocycle_defect kernel_check normalization_check "
+                 "reference_candidate second_order_term twist_residual_series "
+                 "twist_residuals unitarity_defect",
     "cpoly": "Poly",
     "deform": "PhiSeries delta_q_image generator_images m_J0 m_Jminus m_Jplus "
               "phi q_analog_2h quantum_commutator_check",
@@ -30,10 +33,8 @@ _EXPORTS = {
     "tensor": "TensorElement cartan_killing classical_r coproduct "
               "counit_leg flip is_weight_zero outer series_outer tensor_from_json "
               "tensor_to_json tensor_to_str weight",
-    "twist": "SolutionSet TwistAnsatz TwistCandidate build_candidate "
-             "cocycle_defect kernel_check normalization_check reference_candidate "
-             "second_order_term solve_order solve_with_escalation symmetrize_order "
-             "twist_residual_series twist_residuals unitarity_defect",
+    "twist": "SolutionSet TwistAnsatz build_candidate solve_order "
+             "solve_with_escalation symmetrize_order",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

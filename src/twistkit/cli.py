@@ -36,7 +36,7 @@ EXIT_INFEASIBLE = 3
 # solve-twist).  Larger values are bad input, rejected before any series
 # or matrix is built.
 MAX_ORDER = {"expand-phi": (50, "19-21 s"), "solve-twist": (5, "1.1-1.4 s"),
-             "verify": (14, "8-11 s with --checks all"),
+             "verify": (14, "5.2-6.2 s with --checks all"),
              "eval-rep": (20, "17-22 s at two_j 32 x 32"),
              "show-rmatrix": (18, "8-10 s")}
 # the largest --two-j1 / --two-j2 of eval-rep, and the time of 32 x 32 at
@@ -274,7 +274,7 @@ def _load_candidate(path: str):
     """The candidate in a JSON file, a candidate file or the document of
     `solve-twist --format json` (exactly `solutions` and `candidate`), or
     None after reporting on stderr why the file cannot be used."""
-    from .twist import TwistCandidate
+    from .candidate import TwistCandidate
 
     try:
         with open(path) as fh:
@@ -306,9 +306,20 @@ def _at_order(check, cand, order: int) -> VerificationReport:
 
 
 def _twist(cand, order):
-    from .twist import twist_residuals
+    """The twist residuals through `order`, probed first at the first
+    padded order m = min(order, cand.order + 1).  Each residual's
+    coefficients through m depend only on F_0..F_m, so a failure at or
+    below m is already that generator's first one.  The J0 coefficient n
+    is [F_n, Delta(H)], zero beyond cand.order, so a J0 pass at m is final
+    too; only a pass of J+ or J- at m is checked again at `order`."""
+    from .candidate import twist_residuals
 
-    return _prefixed("twist ", twist_residuals(cand, order))
+    m = min(order, cand.order + 1)
+    report = twist_residuals(cand, m)
+    bad = report.first_failures
+    if order > m and None in (bad["twist[J+]"], bad["twist[J-]"]):
+        report = twist_residuals(cand, order)
+    return _prefixed("twist ", report)
 
 
 def _rmatrix(cand, order):
@@ -320,22 +331,22 @@ def _rmatrix(cand, order):
 
 
 def _normalization(cand, order):
-    from .twist import normalization_check
+    from .candidate import normalization_check
 
     return _prefixed("normalization ", _at_order(normalization_check, cand, order))
 
 
 def _unitarity(cand, order):
+    from .candidate import unitarity_defect
     from .report import VerificationReport
-    from .twist import unitarity_defect
 
     return _at_order(lambda c: VerificationReport.of(
         {"unitarity(universal)": unitarity_defect(c)}), cand, order)
 
 
 def _cocycle(cand, order):
+    from .candidate import cocycle_defect
     from .report import VerificationReport
-    from .twist import cocycle_defect
 
     return _at_order(lambda c: VerificationReport.of(
         {"cocycle": cocycle_defect(c)}), cand, order)

@@ -20,6 +20,11 @@ a series of commuting polynomials in H and I: the quotient
 2 T_m / (2m+2)! with T_0 = 1 and T_m = (X^2)^m + Y^2 T_{m-1}, and it is
 divided by the scalar series (sinh h / h)^2.  The square root is taken
 at the series level.
+
+phi and the images are elements of U(sl2) alone.  tensor and report are
+imported inside the two functions that use them (delta_q_image,
+quantum_commutator_check), so that a process that only expands phi
+loads neither.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from math import factorial
 
 from .hseries import HSeries, q_analog, series_exp_h, sinhc
 from .pbw import E, F, H, Element, casimir, commutator
-from .report import VerificationReport
-from .tensor import coproduct, series_outer
 
 _SIGNS = {"+": +1, "plus": +1, "-": -1, "minus": -1}
 
@@ -96,10 +99,12 @@ def q_analog_2h(order: int) -> HSeries:
 
 
 def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
-                             jminus: HSeries | None = None) -> VerificationReport:
+                             jminus: HSeries | None = None):
     """Verify the three q-deformed commutation relations on the generator
-    images up to the given order.  Alternative images may be injected to
-    exercise falsification."""
+    images up to the given order, as a VerificationReport.  Alternative
+    images may be injected to exercise falsification."""
+    from .report import VerificationReport
+
     j0 = m_J0(order)
     jp = jplus if jplus is not None else m_Jplus(order)
     jm = jminus if jminus is not None else m_Jminus(order)
@@ -113,6 +118,8 @@ def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
 def delta_q_image(gen: str, order: int) -> HSeries:
     """The twisted coproduct on a generator image: for J0 the primitive
     Delta(H); for J+- the image of J+- (x) q^{J0} + q^{-J0} (x) J+-."""
+    from .tensor import coproduct, series_outer
+
     if gen not in IMAGES:
         raise ValueError(f"unknown generator {gen!r}; "
                          f"expected one of {tuple(IMAGES)}")

@@ -23,7 +23,7 @@ and a product of two scalar series runs through the same sum.
 Coefficients from two different rings raise TypeError, tensor elements
 with different leg counts ValueError.  ``inverse`` and ``sqrt`` keep
 their coefficient recurrences.  The twist residuals F*C - D*F
-(``twist.twist_residual_series``) take the same integer sum pair by
+(``candidate.twist_residual_series``) take the same integer sum pair by
 pair, but their order-0 pair F_n C_0 - D_0 F_n, with C_0 = D_0 the
 primitive Delta(g), is one commutator added in that sum, not two
 products.
@@ -90,6 +90,8 @@ class HSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
+        if order < 0:
+            raise ValueError(f"series order must be >= 0, got {order}")
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}")

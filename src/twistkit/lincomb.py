@@ -12,7 +12,8 @@ Products run in integers: each operand is scaled once by the lcm of its
 denominators (``_integral``), and ``_sum_products``, the one lcm step,
 sums weighted products of such operands into one int dict that is
 divided back once (``_rational``).  a*b is its one-pair case; series
-products (``hseries``) and Casimir coordinates (``twist``) call it too.
+products (``hseries``), the twist residuals (``candidate``) and Casimir
+coordinates (``twist``) call it too.
 ``_outer_into`` is the one outer-product kernel.
 """
 

@@ -253,6 +253,8 @@ def shift_h(x: Element, n: int) -> Element:
 # canonical renderings
 
 
+# cached: a printed element or tensor repeats few distinct monomials
+@cache
 def _mono_str(mono) -> str:
     e, f, d = mono
     parts = []

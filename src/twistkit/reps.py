@@ -29,11 +29,11 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import perm, prod
 
+from .candidate import TwistCandidate, unitarity_defect
 from .hseries import HSeries
 from .pbw import Element
 from .report import VerificationReport
 from .tensor import TensorElement
-from .twist import TwistCandidate, unitarity_defect
 
 
 def _zeros(n):

@@ -259,10 +259,19 @@ def _outer_ints_into(acc, x, y, scale):
 
 
 def tensor_to_str(x: TensorElement) -> str:
+    """'c * (m1 ⊗ m2) - ...' over the terms in key order, a unit
+    coefficient left out.  Each coefficient is written from its
+    numerator and denominator, without a Fraction operation, and each
+    monomial's text is read from the cache of pbw._mono_str."""
     parts = []
     for key, c in sorted(x.terms.items()):
-        body = "(" + " ⊗ ".join(_mono_str(m) for m in key) + ")"
-        parts.append((c, body if abs(c) == 1 else f"{abs(c)} * {body}"))
+        n, d = c.numerator, c.denominator
+        body = "(" + " ⊗ ".join(map(_mono_str, key)) + ")"
+        if d != 1:
+            body = f"{abs(n)}/{d} * {body}"
+        elif n != 1 and n != -1:
+            body = f"{abs(n)} * {body}"
+        parts.append((n, body))
     return _signed_sum(parts)
 
 

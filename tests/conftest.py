@@ -1,12 +1,23 @@
 import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from twistkit.cli import _json_dumps
 from twistkit.pbw import Element
 from twistkit.tensor import TensorElement
+
+
+def committed_candidates() -> list:
+    """The committed candidates tests/data/candidate-order{3,4,5,6}.json."""
+    from twistkit.candidate import TwistCandidate
+
+    data = Path(__file__).resolve().parent / "data"
+    return [TwistCandidate.from_json(json.loads(
+        (data / f"candidate-order{n}.json").read_text())) for n in (3, 4, 5, 6)]
 
 
 def json_text(obj) -> str:

@@ -18,10 +18,11 @@ from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, outer)
-from twistkit.twist import (TwistCandidate, cocycle_defect, kernel_check,
-                            normalization_check, reference_candidate,
-                            second_order_term, solve_order, twist_residuals,
-                            unitarity_defect)
+from twistkit.candidate import (TwistCandidate, cocycle_defect, kernel_check,
+                                normalization_check, reference_candidate,
+                                second_order_term, twist_residuals,
+                                unitarity_defect)
+from twistkit.twist import solve_order
 
 from conftest import random_element, random_tensor
 

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistkit.candidate as candidate
 from twistkit import cli
+from twistkit.candidate import TwistCandidate, reference_candidate
 from twistkit.cli import main
 from twistkit.pbw import UNIT_MONO, Element, casimir
+from twistkit.report import VerificationReport
 from twistkit.tensor import (TensorElement, classical_r, outer, tensor_to_json,
                              tensor_from_json)
-from twistkit.twist import TwistCandidate, reference_candidate
 
-from conftest import json_text
+from conftest import committed_candidates, json_text
 
 
 @pytest.fixture
@@ -307,7 +309,7 @@ def test_solve_twist_order2_chains_into_verify(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", str(cand_file), "--order", "2",
                         "--checks", "twist", "rmatrix", "normalization")
     assert code == 0
-    from twistkit.twist import kernel_check, second_order_term
+    from twistkit.candidate import kernel_check, second_order_term
     cand = TwistCandidate.from_json(json.loads(cand_file.read_text()))
     assert kernel_check(cand.coefficient(2) - second_order_term())
 
@@ -742,6 +744,68 @@ def test_checks_agree_with_the_candidate_cut_to_order(name):
         for order in range(4):
             direct = cli.CHECKS[name](cand.at_order(order), order)
             assert cli.CHECKS[name](cand, order) == direct
+
+
+@pytest.mark.parametrize("cand", [reference_candidate(2),
+                                  *committed_candidates()],
+                         ids=["reference2", "order3", "order4", "order5",
+                              "order6"])
+def test_twist_probe_prints_the_full_residual_lines(capsys, tmp_path, cand):
+    # the twist check probes at min(order, cand.order + 1) first
+    path = write_candidate(tmp_path / "cand.json", cand)
+    for order in range(cand.order + 4):
+        full = candidate.twist_residuals(cand, order)
+        code, out = run_cli(capsys, "verify", path, "--order", str(order),
+                            "--checks", "twist")
+        assert out.splitlines() == [f"twist {line}" for line in full.lines()]
+        assert code == (0 if full.passed else 1)
+
+
+def spy_on_twist_series(monkeypatch) -> list:
+    """The orders at which the twist residual series is built."""
+    orders = []
+    real = candidate.twist_residual_series
+
+    def spy(cand, order):
+        orders.append(order)
+        return real(cand, order)
+    monkeypatch.setattr(candidate, "twist_residual_series", spy)
+    return orders
+
+
+def test_twist_check_stops_at_the_first_padded_order(capsys, monkeypatch):
+    # the order-3 fixture fails J+ and J- first at order 4, so the order-6
+    # check needs no series beyond it
+    orders = spy_on_twist_series(monkeypatch)
+    code, out = run_cli(capsys, "verify", str(DATA / "candidate-order3.json"),
+                        "--order", "6", "--checks", "twist")
+    assert orders == [4]
+    assert code == 1
+    assert out == ("twist twist[J0]: pass\n"
+                   "twist twist[J+]: fail (first failure at order 4)\n"
+                   "twist twist[J-]: fail (first failure at order 4)\n")
+
+
+@pytest.mark.parametrize("probe", [
+    {"twist[J0]": None, "twist[J+]": None, "twist[J-]": None},
+    {"twist[J0]": 2, "twist[J+]": 3, "twist[J-]": None}],
+    ids=["pass", "J- passes"])
+def test_a_pass_of_j_plus_or_j_minus_at_the_probe_runs_the_full_order(
+        capsys, monkeypatch, probe):
+    # a J+ or J- line that passes at the probe may fail above it; J0's
+    # coefficient n is [F_n, Delta(H)], zero above the candidate's order
+    orders = spy_on_twist_series(monkeypatch)
+    real = candidate.twist_residuals
+
+    def forced(cand, order):
+        if order == 4:
+            return VerificationReport(probe)
+        return real(cand, order)
+    monkeypatch.setattr(candidate, "twist_residuals", forced)
+    code, out = run_cli(capsys, "verify", str(DATA / "candidate-order3.json"),
+                        "--order", "6", "--checks", "twist")
+    assert orders == [6]
+    assert "twist twist[J+]: fail (first failure at order 4)\n" in out
 
 
 # sha256 and exit code of `twistkit verify tests/data/candidate-order{3,4}.json

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistkit.candidate import reference_candidate
 from twistkit.cpoly import Poly
 from twistkit.hseries import (HSeries, OrderMismatchError, divide, mul_sub,
                               q_analog, q_factorial, series_exp_h, sinh_ratio)
 from twistkit.lincomb import _integral, _rational, _sum_products
 from twistkit.pbw import UNIT_MONO, H, Element, mono_mul
+from twistkit.reps import semi_universal
 from twistkit.tensor import TensorElement, classical_r, series_outer
 
 from conftest import random_element, random_fraction, random_tensor
@@ -67,6 +69,18 @@ def test_inverse_requires_invertible_constant():
         scalar([0, 1]).inverse()
     with pytest.raises(ValueError):
         HSeries([H, Element.one()]).inverse()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HSeries((), -1),
+    lambda: scalar([1, 2]).truncate(-1),
+    lambda: reference_candidate(2).at_order(-1),
+    lambda: semi_universal(reference_candidate(2), -1),
+], ids=["HSeries", "truncate", "at_order", "semi_universal"])
+def test_negative_order_is_refused(build):
+    # an order -1 series has no coefficient: checks on it read as a pass
+    with pytest.raises(ValueError, match="series order must be >= 0, got -1$"):
+        build()
 
 
 def test_sqrt_binomial():

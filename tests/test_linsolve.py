@@ -11,8 +11,8 @@ import twistkit.twist as twist
 from conftest import random_fraction
 from twistkit.linsolve import (RHS, LinearSolution, _integer_row, _primitive,
                                solve_sparse)
-from twistkit.twist import (TwistAnsatz, TwistCandidate, reference_candidate,
-                            solve_order)
+from twistkit.candidate import TwistCandidate, reference_candidate
+from twistkit.twist import TwistAnsatz, solve_order
 
 
 def gauss_jordan(rows, rhs, ncols):

@@ -14,9 +14,9 @@ from twistkit.reps import (RepMatrix, element_matrix, evaluate,
                            _identity, _mat_add, _mat_mul, _mono_entries)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, outer)
-from twistkit.twist import (TwistCandidate, cocycle_defect,
-                            reference_candidate, twist_residual_series,
-                            unitarity_defect)
+from twistkit.candidate import (TwistCandidate, cocycle_defect,
+                                reference_candidate, twist_residual_series,
+                                unitarity_defect)
 
 from conftest import random_tensor
 

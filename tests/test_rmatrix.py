@@ -13,7 +13,7 @@ from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r, flip,
                              outer, series_outer)
-from twistkit.twist import TwistCandidate, reference_candidate
+from twistkit.candidate import TwistCandidate, reference_candidate
 
 
 def first_order_classical() -> TensorElement:

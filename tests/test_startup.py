@@ -35,9 +35,10 @@ def loaded(*argv) -> list:
     return json.loads(proc.stdout)
 
 
-PHI = {"deform", "hseries", "pbw", "tensor", "lincomb", "report"}
-RMATRIX = PHI | {"rmatrix"}
-VERIFY = RMATRIX | {"twist", "linsolve"}
+PHI = {"deform", "hseries", "lincomb", "pbw"}
+RMATRIX = PHI | {"rmatrix", "tensor"}
+VERIFY = RMATRIX | {"candidate", "report"}
+EVAL_REP = {"candidate", "hseries", "lincomb", "pbw", "report", "reps", "tensor"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -47,8 +48,8 @@ VERIFY = RMATRIX | {"twist", "linsolve"}
     (["show-rmatrix", "--order", "3"], RMATRIX),
     (["show-rmatrix", "--order", "3", "--format", "json"], RMATRIX),
     (["verify", FIXTURE, "--order", "3"], VERIFY),
-    (["eval-rep", FIXTURE, "--two-j1", "1", "--two-j2", "1"], VERIFY | {"reps"}),
-    (["solve-twist", "--order", "1"], VERIFY),
+    (["eval-rep", FIXTURE, "--two-j1", "1", "--two-j2", "1"], EVAL_REP),
+    (["solve-twist", "--order", "1"], VERIFY | {"twist", "linsolve"}),
 ], ids=["import", "expand-phi", "expand-phi-json", "show-rmatrix",
         "show-rmatrix-json", "verify", "eval-rep", "solve-twist"])
 def test_each_command_loads_only_its_modules(argv, modules):
@@ -56,9 +57,8 @@ def test_each_command_loads_only_its_modules(argv, modules):
     ours = {m for m in new if m.split(".")[0] == "twistkit"}
     assert ours == {"twistkit", "twistkit.cli"} | {f"twistkit.{m}" for m in modules}
     assert "dataclasses" not in new
-    if argv and argv[0] in ("expand-phi", "show-rmatrix"):
-        assert not {"twistkit.twist", "twistkit.reps", "twistkit.linsolve",
-                    "twistkit.cpoly"} & ours
+    if argv and argv[0] in ("expand-phi", "show-rmatrix", "verify", "eval-rep"):
+        assert not {"twistkit.twist", "twistkit.linsolve", "twistkit.cpoly"} & ours
 
 
 # the names the package exports, each imported on first use
@@ -82,12 +82,15 @@ PACKAGE_SCRIPT = """
 import json, sys, twistkit
 from twistkit import HSeries, TwistCandidate
 out = {"all": twistkit.__all__, "dir": dir(twistkit),
-       "unresolved": [n for n in twistkit.__all__ if getattr(twistkit, n) is None]}
+       "loaded_by_import": sorted(m for m in sys.modules
+                                  if m.startswith("twistkit."))}
+out["unresolved"] = [n for n in twistkit.__all__ if getattr(twistkit, n) is None]
 try:
     twistkit.nope
 except AttributeError as exc:
     out["nope"] = str(exc)
 out["HSeries"] = HSeries.__module__
+out["TwistCandidate"] = TwistCandidate.__module__
 print(json.dumps(out))
 """
 
@@ -104,3 +107,7 @@ def test_package_exports_every_name_lazily():
     assert out["unresolved"] == []
     assert out["nope"] == "module 'twistkit' has no attribute 'nope'"
     assert out["HSeries"] == "twistkit.hseries"
+    # the candidate type is read without the solver
+    assert out["TwistCandidate"] == "twistkit.candidate"
+    assert "twistkit.candidate" in out["loaded_by_import"]
+    assert not {"twistkit.twist", "twistkit.linsolve"} & set(out["loaded_by_import"])

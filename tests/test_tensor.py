@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistkit.lincomb import _iadd
+from twistkit.lincomb import _iadd, _signed_sum
 from twistkit.pbw import (E, F, H, E_MONO, F_MONO, H_MONO, UNIT_MONO, Element,
-                          casimir, commutator, mono_mul)
+                          _mono_str, casimir, commutator, mono_mul)
+from twistkit.rmatrix import classical_R, quantum_R_image
 from twistkit.tensor import (TensorElement, TensorElement3, cartan_killing,
                              classical_r, coproduct, counit_leg, flip,
                              is_weight_zero, outer, tensor_from_json,
-                             tensor_to_json, weight, UNIT2)
+                             tensor_to_json, tensor_to_str, weight, UNIT2)
 
-from conftest import random_element, random_tensor
+from conftest import committed_candidates, random_element, random_tensor
 
 
 def test_tensor_mul_legwise():
@@ -519,3 +520,43 @@ def test_wrong_leg_raises():
     assert is_weight_zero(three)
     assert not is_weight_zero(outer(E, Element.one(), Element.one()))
     assert weight((E_MONO, F_MONO, E_MONO)) == 1
+
+
+def reference_tensor_to_str(x: TensorElement) -> str:
+    """The text tensor_to_str must keep, made the plain way: each
+    coefficient through Fraction.__abs__, each monomial through
+    _mono_str."""
+    parts = []
+    for key, c in sorted(x.terms.items()):
+        body = "(" + " ⊗ ".join(_mono_str(m) for m in key) + ")"
+        parts.append((c, body if abs(c) == 1 else f"{abs(c)} * {body}"))
+    return _signed_sum(parts)
+
+
+def rendered_elements() -> list:
+    els = [*classical_R(6).coeffs, *quantum_R_image(6).coeffs]
+    for cand in committed_candidates():
+        els += cand.series.coeffs
+    return els
+
+
+def test_tensor_to_str_matches_the_reference_renderer():
+    els = rendered_elements()
+    coeffs = [c for x in els for c in x.terms.values()]
+    # negative, non-integer and unit coefficients of both signs all occur
+    assert any(c < 0 and c.denominator > 1 for c in coeffs)
+    assert any(c > 0 and c.denominator > 1 for c in coeffs)
+    assert {1, -1} <= set(coeffs)
+    for x in els + [TensorElement.zero(), TensorElement._raw({}, 3),
+                    TensorElement({(E_MONO, UNIT_MONO, F_MONO): Fraction(-7, 3),
+                                   (UNIT_MONO, H_MONO, E_MONO): -1})]:
+        assert tensor_to_str(x) == reference_tensor_to_str(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.tuples(*[st.integers(0, 3)] * 3)] * 2),
+                       st.fractions(min_value=-20, max_value=20,
+                                    max_denominator=12), max_size=6))
+def test_tensor_to_str_matches_the_reference_on_random_elements(terms):
+    x = TensorElement(terms)
+    assert tensor_to_str(x) == reference_tensor_to_str(x)

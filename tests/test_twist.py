@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistkit.candidate as candidate
 import twistkit.twist as twist
 from twistkit.cli import _json_dumps, main
 from twistkit.deform import IMAGES, delta_q_image, generator_images, m_J0
@@ -24,12 +25,12 @@ from twistkit.rmatrix import (classical_R, quantum_R_image,
                               quasitriangular_residual)
 from twistkit.tensor import (TensorElement, cartan_killing, classical_r,
                              coproduct, flip, is_weight_zero, outer, weight)
-from twistkit.twist import (TwistAnsatz, TwistCandidate, build_candidate,
-                            cocycle_defect, kernel_check, normalization_check,
-                            reference_candidate, second_order_term,
-                            solve_order, solve_with_escalation,
-                            symmetrize_order, twist_residual_series,
-                            twist_residuals, unitarity_defect)
+from twistkit.candidate import (TwistCandidate, cocycle_defect, kernel_check,
+                                normalization_check, reference_candidate,
+                                second_order_term, twist_residual_series,
+                                twist_residuals, unitarity_defect)
+from twistkit.twist import (TwistAnsatz, build_candidate, solve_order,
+                            solve_with_escalation, symmetrize_order)
 
 from conftest import json_text, random_fraction, random_monomial
 
@@ -717,7 +718,7 @@ def test_leg_wise_commutator_is_the_product_commutator(terms, scale):
         (mono,) = g.terms
         d = coproduct(g)
         acc: dict = {}
-        twist._delta_bracket_into(acc, xs, mono, scale)
+        candidate._delta_bracket_into(acc, xs, mono, scale)
         assert TensorElement._raw(_rational(acc, den)) == (f * d - d * f) * scale
 
 
@@ -739,7 +740,7 @@ def test_certificate_checks_each_generator(bumped):
         if g == bumped:
             acc[unit] = acc.get(unit, 0) + 1
         return acc, 2
-    assert twist._brackets_vanish(xs, seed) == (bumped is None)
+    assert candidate._brackets_vanish(xs, seed) == (bumped is None)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -1029,7 +1030,7 @@ SCAN_GRID = ([(3, L, D) for L in (2, 3, 4) for D in (2, 3, 4)]
 
 
 def test_residual_operands_are_cached_by_order_alone():
-    twist._residual_operands.cache_clear()
+    candidate._residual_operands.cache_clear()
     golden = golden_order3()
     for k, cutoff_l, cutoff_d in SCAN_GRID:
         solve_order(k, golden.at_order(k - 1), TwistAnsatz(k, cutoff_l, cutoff_d))
@@ -1037,7 +1038,7 @@ def test_residual_operands_are_cached_by_order_alone():
     for k in (1, 2, 3):
         twist_residual_series(reference_candidate(2), k)
     # the lower-order checks read orders 0..2 and the right-hand sides 1..3
-    info = twist._residual_operands.cache_info()
+    info = candidate._residual_operands.cache_info()
     assert (info.currsize, info.misses) == (4, 4)
 
 
@@ -1168,11 +1169,11 @@ def test_j0_residual_in_closed_form_is_the_cauchy_sum(cand, order, key, c):
     got = twist_residual_series(cand, order)["J0"]
     assert got.coeffs == want
     assert got.coeffs[order].terms.get(key) == -weight(key) * coeffs[order].terms[key]
-    assert not twist._j0_residual(TensorElement.one()).terms
+    assert not candidate._j0_residual(TensorElement.one()).terms
 
 
 def test_residual_operands_hold_only_j_plus_and_j_minus():
-    assert list(twist._residual_operands(3)) == ["J+", "J-"]
+    assert list(candidate._residual_operands(3)) == ["J+", "J-"]
 
 
 @pytest.mark.parametrize("d", range(13))

@@ -12,8 +12,8 @@ from twistkit.pbw import Element
 from twistkit.report import VerificationReport
 from twistkit.reps import spin_rep
 from twistkit.tensor import TensorElement
-from twistkit.twist import (TwistAnsatz, TwistCandidate, reference_candidate,
-                            solve_order)
+from twistkit.candidate import TwistCandidate, reference_candidate
+from twistkit.twist import TwistAnsatz, solve_order
 
 
 def _values():

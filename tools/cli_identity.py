@@ -75,6 +75,12 @@ JOBS = [
                               "--format", "json"]),
     ("verify-rmatrix-cocycle", ["verify", "cand3.json", "--order", "4",
                                 "--checks", "rmatrix", "cocycle"]),
+    # the twist check probes the first padded order before the full one
+    ("verify-twist-probe", ["verify", "cand3.json", "--order", "5",
+                            "--checks", "twist"]),
+    ("verify-cand5-o8-json", ["verify", "cand5.json", "--order", "8",
+                              "--checks", "twist", "rmatrix",
+                              "--format", "json"]),
     ("verify-missing-file", ["verify", "missing.json"]),
     ("eval-rep-0x0", ["eval-rep", "cand3.json", "--two-j1", "0",
                       "--two-j2", "0"]),

@@ -13,7 +13,9 @@ stages timed inside it:
 
     ansatz      TwistAnsatz(k, L, D)
     residual    twist_residual_series (the lower-order check), with the
-                integer sums it makes
+                integer sums made inside candidate.twist_residual_series:
+                it calls candidate's own _residual_coefficient, which the
+                wrapper of twist's binding does not see
     order-k     _residual_coefficient outside twist_residual_series: the
                 order-k J+ sum of each solve_order call and the J- sum of
                 each certified particular
@@ -51,7 +53,9 @@ import time
 
 STAGES = ("ansatz", "residual", "order-k", "J+rows", "rhs", "solve",
           "instantiate", "particular", "kernel")
-# stage -> the twistkit.twist attribute it wraps (ansatz is timed in place)
+# stage -> the twistkit.twist attribute it wraps (ansatz is timed in place);
+# twist imports twist_residual_series and _residual_coefficient from
+# twistkit.candidate, so only the calls the solver makes are wrapped
 WRAPPED = {"residual": "twist_residual_series",
            "order-k": "_residual_coefficient", "J+rows": "_j_plus_rows",
            "rhs": "_casimir_coords", "solve": "solve_sparse",
