@@ -30,6 +30,13 @@ sets every free column to zero.  The back-reduced echelon form of the
 row space is unique under the fixed column order, so the visiting order
 moves the time but not the answer.
 
+The elimination itself, the forward pass and then the back-reduction
+that clears every later pivot column from each pivot row, is _echelon,
+which has two callers.  solve_sparse reads the solution off its pivot
+rows.  twist._kernel runs it on the invariant rows with every column c
+keyed as -c, so that the leading column is a row's last one and each
+pivot lands there.
+
 An equation with no non-zero entry and a non-zero right-hand side is
 answered before any of this: it would be visited first and prove the
 system inconsistent before any pivot is found, so the solver returns
@@ -115,21 +122,18 @@ LinearSolution = namedtuple("LinearSolution", "status ncols pivot_cols "
                             "free_cols particular nullspace pivot_log")
 
 
-def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
-    """Solve A x = b for sparse rows (dicts col->int or Fraction), visited
-    fewest non-zero entries first, then by row index; returns a particular
-    solution with free columns zeroed plus a nullspace basis (one vector
-    per free column).  ValueError if rhs and rows differ in length."""
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand "
-                         f"sides")
+def _echelon(rows, rhs) -> tuple:
+    """The back-reduced echelon form of the equations rows[i] . x = rhs[i]:
+    (pivots, pivot_order, consistent), pivots {lead: primitive integer
+    row} and pivot_order the (lead, row index) pairs in the order the
+    forward pass found them.  That pass stops at the first row that
+    reduces to 0 = b != 0, with consistent False and no back-reduction."""
+    pivots: dict = {}
+    pivot_order: list = []
     # an empty equation 0 = b != 0: the verdict the elimination would reach
     # on its first row (module docstring)
     if any(b and not any(row.values()) for row, b in zip(rows, rhs)):
-        return LinearSolution("inconsistent", ncols, [], [], None, [], [])
-    pivots: dict = {}
-    pivot_order: list = []
-    inconsistent = False
+        return pivots, pivot_order, False
     counts = [len(row) - countOf(row.values(), 0) for row in rows]
     for idx in sorted(range(len(rows)), key=counts.__getitem__):
         work = _integer_row(rows[idx], rhs[idx])
@@ -156,31 +160,39 @@ def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
             pivots[lead] = _primitive(work, lead)
             pivot_order.append((lead, idx))
         elif work:
-            inconsistent = True
-            break
+            return pivots, pivot_order, False
 
-    if inconsistent:
+    # back-reduce: clear every later pivot column from each pivot row.  The
+    # later rows are already back-reduced, so a step brings in no pivot
+    # column and the order of the steps moves only the scale
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for later in sorted(k for k in row if k > c and k in pivots):
+            _reduce(row, pivots[later], later)
+        pivots[c] = _primitive(row, c)
+    return pivots, pivot_order, True
+
+
+def solve_sparse(rows, rhs, ncols: int) -> LinearSolution:
+    """Solve A x = b for sparse rows (dicts col->int or Fraction), visited
+    fewest non-zero entries first, then by row index; returns a particular
+    solution with free columns zeroed plus a nullspace basis (one vector
+    per free column).  ValueError if rhs and rows differ in length."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand "
+                         f"sides")
+    pivots, pivot_order, consistent = _echelon(rows, rhs)
+    if not consistent:
         return LinearSolution("inconsistent", ncols, [], [], None, [], pivot_order)
 
     pivot_cols = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
 
-    # back-reduce to simplify extraction: clear later pivot columns.  The
-    # later rows are already back-reduced, so a step brings in no pivot
-    # column and the order of the steps moves only the scale
-    for c in reversed(pivot_cols):
-        row = pivots[c]
-        for later in sorted(k for k in row if k > c and k in pivots):
-            _reduce(row, pivots[later], later)
-        pivots[c] = _primitive(row, c)
-
     # after back-reduction only the pivot column, free columns and RHS remain
     particular = [Fraction(0)] * ncols
-    nullspace = {}
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
+    nullspace = {f: [Fraction(0)] * ncols for f in free_cols}
+    for f, vec in nullspace.items():
         vec[f] = Fraction(1)
-        nullspace[f] = vec
     for c in pivot_cols:
         row = pivots[c]
         p = row[c]

@@ -48,7 +48,8 @@ residual series of the lower candidate through order k-1 first and
 raises ValueError if a coefficient is non-zero.  A solution is still
 certified exactly before it is returned: the order-k residuals of all
 three generators must vanish on the particular solution, and the
-homogeneous solutions must span exactly the known kernel elements below.
+homogeneous solutions, which are not eliminated but taken from the known
+kernel elements below, must be the whole kernel inside the ansatz.
 
 The particular's half works in PBW coordinates and reads nothing of the
 Casimir assembly below.  The h^k coefficient of F Delta(m(g)) is
@@ -68,37 +69,53 @@ rho_k(low)(J-) only for a solved attempt, when the certificate reads
 it.  The check is then one commutator with a primitive Delta(g), taken
 leg by leg in integers (candidate._brackets_vanish), so it is exact.
 
-The homogeneous half is an identity test, with no commutator.  I is
-central, so I1 = I (x) 1 and I2 = 1 (x) I commute with every Delta(g);
-Delta is an algebra map, so Delta(I) does too, and so does
+The homogeneous half is read off the invariants.  I is central, so
+I1 = I (x) 1 and I2 = 1 (x) I commute with every Delta(g); Delta is an
+algebra map, so Delta(I) does too, and so does
 P = Delta(I) - I1 - I2 (tensor.cartan_killing()).  So every
 I1^a I2^b P^c is in the kernel.  For cutoffs (L, D) the
 kappa = sum_{c <= min(L-1, D/2)} C(D-2c+2, 2) of them with
 a + b + 2c <= D are integer rows V over the unknowns: P^c's Casimir
 coordinates are cached per c, and I1^a I2^b only shifts each leg's b.
-V has rank kappa.  The only product of c factors of P whose first leg
-has weight c is (2 E (x) F)^c, so the one term of I1^a I2^b P^c with
-first-leg key n = c is 2^c I^a E^c (x) I^b F^c, and no invariant of
-smaller c has a term with n = c: V is triangular on those columns.  The
-solver's nullspace N is the identity on its free columns, and the test
-is len(N) = kappa and V = V_free N, summed in integers, with V_free the
-columns of V at the free columns.  Then every row of V lies in the row
-space of N, which has at most kappa dimensions, so the two are equal
-and every reported homogeneous element commutes with Delta(H), Delta(E)
-and Delta(F).  An invariant term outside the ansatz fails the test.
+An invariant term outside the ansatz fails the certificate.
+_kernel(L, D), once per cutoff pair, checks A V = 0 for the J+ matrix A
+in integers, one bracket with Delta(E) per entry of V, and reduces V to
+echelon form with each pivot at its row's last column.  It finds kappa
+pivots: the only product of c factors of P whose first leg has weight c
+is (2 E (x) F)^c, so the one term of I1^a I2^b P^c with first-leg key
+n = c is 2^c I^a E^c (x) I^b F^c, no invariant of smaller c has a term
+with n = c, and V is triangular on those columns.  Back-reduced and
+scaled, the row N_f with pivot f is 1 at f, 0 at every other pivot, and
+f is its last non-zero column.
 
-Completeness, a sketch (the count kappa is what the test checks).  By
-Weyl's first fundamental theorem for SO(3) on two vectors (H. Weyl, The
-Classical Groups, 1939), the invariants of sl2 in the symmetric algebra
-of sl2 + sl2 are the polynomials in the three inner products, the
-symbols of I1, I2 and P; filtering U (x) U by degree, the I1^a I2^b P^c
-form a basis of the elements commuting with Delta(sl2).  A kernel
-element inside the ansatz uses none with c >= L: among its invariants
-of largest c the terms 2^c I^a E^c (x) I^b F^c above cannot cancel.  Nor
-with a + b + 2c > D: every term of P^c has degree a + b <= c on each
-leg, and H^c (x) H^c has the coefficient C(2c, c), so among its
+The pivots f are the free columns of A, and the N_f its nullspace
+vectors, as elimination on the whole system would give them.  Under the
+fixed column order, the free columns of A are the last non-zero columns
+of its kernel vectors, and its nullspace basis is the one back-reduced
+basis of the kernel with those columns, each vector 1 at its own.  Both
+follow once span V is the kernel, and the solve proves that.  _solve
+leaves out the columns f: if x solves A x = b, so does
+x - sum_f x[f] N_f, which is 0 on every f.  So the system over the other
+n - kappa columns is consistent exactly when A x = b is, and an
+infeasible verdict needs only A V = 0.  A solved system must have no free
+column: then rank A >= n - kappa, the kernel has at most kappa
+dimensions and contains span V, so the two are equal, and every reported
+homogeneous element commutes with Delta(H), Delta(E) and Delta(F).  Its
+unique solution, 0 at every f, is the particular that elimination of the
+whole system gives, with the same pivots and rank.
+
+Completeness, a sketch (what the solve checks is that no column is
+free).  By Weyl's first fundamental theorem for SO(3) on two vectors
+(H. Weyl, The Classical Groups, 1939), the invariants of sl2 in the
+symmetric algebra of sl2 + sl2 are the polynomials in the three inner
+products, the symbols of I1, I2 and P; filtering U (x) U by degree, the
+I1^a I2^b P^c form a basis of the elements commuting with Delta(sl2).  A
+kernel element inside the ansatz uses none with c >= L: among its
+invariants of largest c the terms 2^c I^a E^c (x) I^b F^c above cannot
+cancel.  Nor with a + b + 2c > D: every term of P^c has degree a + b <= c
+on each leg, and H^c (x) H^c has the coefficient C(2c, c), so among its
 invariants of largest a + b + 2c, the one of largest c keeps the term
-H^c I^a (x) H^c I^b.  So N is the whole kernel inside the cutoffs.
+H^c I^a (x) H^c I^b.  So V spans the whole kernel inside the cutoffs.
 
 The equations are written in Casimir coordinates.  The Casimir
 I = 2EF + H(H-1) is central and U(sl2) is a free Q[H, I]-module on
@@ -109,7 +126,7 @@ coordinates are pbw's: the key (a, b, n) names H^a I^b E^n, or
 H^a I^b F^-n for n < 0, and keys the legs, the rows and the right-hand
 side alike.  The ansatz holds each unknown only as the pair of leg keys
 of its payload (TwistAnsatz.columns), which is what the assembly, the
-kernel certificate, instantiate and the pivot labels read.  The change
+kernel, instantiate and the pivot labels read.  The change
 from PBW to Casimir coordinates is invertible on each leg, hence on
 U (x) U, so the rows it gives span the same row space as the PBW rows of
 [A|b]: the solution set is the same, and so is the back-reduced echelon
@@ -127,17 +144,15 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count, repeat
-from math import comb, gcd, lcm
-from operator import is_not
+from itertools import count, repeat
+from math import comb, gcd
 
 from .candidate import (TwistCandidate, _brackets_vanish,
                         _residual_coefficient, kernel_check,
                         twist_residual_series)
 from .hseries import _ints, _ring_into
-from .linsolve import solve_sparse
-from .lincomb import (_add_scaled, _iadd, _integral, _outer_into, _rational,
-                      _sum_products)
+from .linsolve import _echelon, solve_sparse
+from .lincomb import _iadd, _integral, _outer_into, _rational, _sum_products
 from .pbw import _hpoly_shift, casimir_to_pbw, mono_to_casimir
 from .rmatrix import quasitriangular_residual
 from .tensor import TensorElement, cartan_killing, flip, tensor_to_json
@@ -169,17 +184,6 @@ def _monomials(d: int) -> list:
     return [(a, b, c, n - a - b - c) for n in range(d + 1)
             for a in range(n + 1) for b in range(n - a + 1)
             for c in range(n - a - b + 1)]
-
-
-def _nonzeros(values) -> dict:
-    """{index: value} for the non-zero entries of a dense sequence.  An
-    entry that is the very zero object met first is skipped without a
-    comparison, and every other one is tested by value: solve_sparse
-    fills each vector with one shared zero, so a long, sparse vector is
-    scanned without a Python-level call per entry."""
-    zero = next((v for v in values if not v), None)
-    return {i: values[i] for i in
-            compress(count(), map(is_not, values, repeat(zero))) if values[i]}
 
 
 def default_cutoffs(order: int) -> tuple:
@@ -296,16 +300,17 @@ def _casimir_coords(xs: dict, dx: int) -> tuple:
 # the order-k solver
 
 
-def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
-    """Twice the J+ system matrix in Casimir coordinates, as {row key:
-    {column: int}}, column i holding 2 [x (x) y, Delta(E)] for the
-    payload x (x) y of columns[i].  Delta(E) is primitive, so that is
-    [x, E] (x) y + x (x) [y, E], and x, y are single basis elements.
+def _j_plus_rows(columns) -> dict:
+    """Twice the J+ system matrix in Casimir coordinates over the unknowns
+    given as (index, leg-key pair) pairs, as {row key: {index: int}}, the
+    column of an index holding 2 [x (x) y, Delta(E)] for the payload
+    x (x) y of its pair (TwistAnsatz.columns).  Delta(E) is primitive, so
+    that is [x, E] (x) y + x (x) [y, E], and x, y are single basis elements.
     [x, E] raises the weight n of x by one, so the two outer products
     differ in the first leg's n, no key is written twice and every entry
     is a non-zero int."""
     row_of: dict = defaultdict(dict)
-    for ci, (x, y) in enumerate(ansatz.columns):
+    for ci, (x, y) in columns:
         for k1, c in _casimir_bracket(*x):
             row_of[(k1, y)][ci] = c
         for k2, c in _casimir_bracket(*y):
@@ -314,17 +319,16 @@ def _j_plus_rows(ansatz: TwistAnsatz) -> dict:
 
 
 class _KernelBasis:
-    """The homogeneous solutions of one solve: the solver's nullspace
-    vectors as sparse {unknown index: Fraction} dicts over the ansatz, one
+    """The homogeneous solutions of one solve: the nullspace vectors of
+    _kernel as sparse {unknown index: Fraction} dicts over the ansatz, one
     per free column, built into TensorElements once, on first read.  len()
     builds nothing.  Equal by value to any sequence of the same
     elements."""
 
-    __slots__ = ("ansatz", "free_cols", "vectors", "_elements")
+    __slots__ = ("ansatz", "vectors", "_elements")
 
-    def __init__(self, ansatz: TwistAnsatz, free_cols, vectors):
-        self.ansatz, self.free_cols, self.vectors = ansatz, free_cols, vectors
-        self._elements = None
+    def __init__(self, ansatz: TwistAnsatz, vectors):
+        self.ansatz, self.vectors, self._elements = ansatz, vectors, None
 
     def _built(self) -> list:
         if self._elements is None:
@@ -386,13 +390,24 @@ def _row_order(row_of: dict, b: dict) -> list:
     return [*row_of, *(key for key in b if key not in row_of)]
 
 
+# the RuntimeError of an order-k solution that fails its certificate
+_UNCERTIFIED = "the order-{} solution fails its exact certificate"
+
+
 def _solve(k: int, ansatz: TwistAnsatz, const: tuple) -> SolutionSet:
     """Assemble and solve the order-k J+ equations [F_k, Delta(E)] = -const,
-    both sides doubled, const given in Casimir coordinates as (ints, den).
-    The system goes to the solver in integers: the right-hand side
-    -2c/den of a row is -2c/g with g = gcd(2c, den), and the row is scaled
-    by den/g, so that solve_sparse takes every row as it is."""
-    row_of = _j_plus_rows(ansatz)
+    both sides doubled, const given in Casimir coordinates as (ints, den),
+    over the unknowns that are not free columns of _kernel; those are
+    zero in the particular.  The system goes to the solver in integers:
+    the right-hand side -2c/den of a row is -2c/g with g = gcd(2c, den),
+    and the row is scaled by den/g, so that solve_sparse takes every row
+    as it is.  RuntimeError if the kernel fails its certificate, or if a
+    solved system has a free column (module docstring)."""
+    kernel = _kernel(ansatz.cutoff_l, ansatz.cutoff_d)
+    if kernel is None:
+        raise RuntimeError(_UNCERTIFIED.format(k))
+    kept = [c for c in range(len(ansatz)) if c not in kernel]
+    row_of = _j_plus_rows(enumerate(ansatz.columns[c] for c in kept))
     ints, den = const
     b = {}
     for key, c in ints.items():
@@ -409,17 +424,19 @@ def _solve(k: int, ansatz: TwistAnsatz, const: tuple) -> SolutionSet:
     rows = list(map(row_of.get, keys, repeat({})))
     rhs = list(map(b.get, keys, repeat(0)))
 
-    lin = solve_sparse(rows, rhs, len(ansatz))
+    lin = solve_sparse(rows, rhs, len(kept))
+    if lin.free_cols:
+        raise RuntimeError(_UNCERTIFIED.format(k))
     solved = lin.status == "solved"
+    values = {c: v for c, v in zip(kept, lin.particular or ()) if v}
     # an inconsistent system has no pivot columns and no nullspace
     return SolutionSet(
         k, ansatz.cutoff_l, ansatz.cutoff_d,
         "solved" if solved else "infeasible-at-cutoff",
-        particular=(ansatz.instantiate(_nonzeros(lin.particular))
-                    if solved else None),
-        homogeneous=_KernelBasis(ansatz, lin.free_cols,
-                                 [_nonzeros(vec) for vec in lin.nullspace]),
-        pivot_log=[_column_label(ansatz.columns[c]) for c in lin.pivot_cols],
+        particular=ansatz.instantiate(values) if solved else None,
+        homogeneous=_KernelBasis(ansatz, kernel.values() if solved else ()),
+        pivot_log=[_column_label(ansatz.columns[kept[i]])
+                   for i in lin.pivot_cols],
         unknown_count=len(ansatz), rank=len(lin.pivot_cols))
 
 
@@ -451,12 +468,11 @@ def _cartan_power(c: int) -> tuple:
     return tuple((key, v) for key, v in ints.items() if v)
 
 
-@cache
 def _invariant_rows(cutoff_l: int, cutoff_d: int):
     """The invariants I1^a I2^b P^c with c <= L-1 and a + b + 2c <= D as
     integer rows {column: int} over the unknowns of the ansatz with these
-    cutoffs, or None if a term lies outside it; cached, the rows must not
-    be modified.  I is central, so I1^a I2^b only shifts each leg's b."""
+    cutoffs, or None if a term lies outside it.  I is central, so
+    I1^a I2^b only shifts each leg's b."""
     column = dict(zip(_ansatz_columns(cutoff_l, cutoff_d), count()))
     rows = []
     for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1):
@@ -473,25 +489,33 @@ def _invariant_rows(cutoff_l: int, cutoff_d: int):
     return tuple(rows)
 
 
-def _kernel_certified(kernel: _KernelBasis) -> bool:
-    """True iff the nullspace vectors N span exactly the invariants inside
-    the ansatz: there are as many as invariant rows v, and
-    v = sum_f v[f] N_f over the free columns f, in integers (module
-    docstring).  Nothing is eliminated."""
-    rows = _invariant_rows(kernel.ansatz.cutoff_l, kernel.ansatz.cutoff_d)
-    if rows is None or len(rows) != len(kernel):
-        return False
-    basis = dict(zip(kernel.free_cols, map(_integral, kernel.vectors)))
+@cache
+def _kernel(cutoff_l: int, cutoff_d: int):
+    """The kernel of the J+ system with cutoffs (L, D), from the
+    invariants V: {free column f: the nullspace vector N_f as
+    {column: Fraction}}, by ascending f, or None if V fails its half of
+    the certificate; cached, the vectors must not be modified.  Each row
+    of V must give 0 in integers against the J+ brackets of its columns
+    (A V = 0), and V must have rank kappa.  Reduced to echelon form with
+    each pivot at its row's last column (linsolve's elimination on
+    negated columns), the pivots are the free columns and the rows,
+    scaled to 1 there, are N (module docstring)."""
+    rows = _invariant_rows(cutoff_l, cutoff_d)
+    if rows is None:
+        return None
+    columns = _ansatz_columns(cutoff_l, cutoff_d)
     for row in rows:
-        parts = [(basis[col], v) for col, v in row.items() if col in basis]
-        den = lcm(*(d for (_, d), _ in parts))
-        acc: dict = {}
-        for (ints, d), v in parts:
-            _add_scaled(acc, ints, v * (den // d))
-        if ({col: x for col, x in acc.items() if x}
-                != {col: den * v for col, v in row.items()}):
-            return False
-    return True
+        # A v: the J+ rows over the columns of v, weighted by its entries
+        if any(sum(c * row[col] for col, c in entries.items()) for entries in
+               _j_plus_rows((col, columns[col]) for col in row).values()):
+            return None
+    pivots, _, _ = _echelon([{-col: v for col, v in row.items()}
+                             for row in rows], [0] * len(rows))
+    if len(pivots) != len(rows):
+        return None
+    return {-lead: {-col: Fraction(v, pivots[lead][lead])
+                    for col, v in pivots[lead].items()}
+            for lead in sorted(pivots, reverse=True)}
 
 
 def solve_order(k: int, lower: TwistCandidate,
@@ -542,10 +566,9 @@ def solve_order(k: int, lower: TwistCandidate,
             break
         ansatz = TwistAnsatz(k, ansatz.cutoff_l + 1, ansatz.cutoff_d + 2)
         sol = _solve(k, ansatz, const)
-    if sol.solved and not (
-            _particular_certified(fs, ring_into, plus, sol.particular)
-            and _kernel_certified(sol.homogeneous)):
-        raise RuntimeError(f"the order-{k} solution fails its exact certificate")
+    if sol.solved and not _particular_certified(fs, ring_into, plus,
+                                                sol.particular):
+        raise RuntimeError(_UNCERTIFIED.format(k))
     return sol
 
 

@@ -427,7 +427,7 @@ def test_assembled_columns_are_brackets_with_coproduct_of_E(rng, k, sample):
     # taken to Casimir coordinates leg by leg and doubled
     ans = TwistAnsatz(k)
     columns = {}
-    for key, row in twist._j_plus_rows(ans).items():
+    for key, row in twist._j_plus_rows(enumerate(ans.columns)).items():
         assert row
         for ci, c in row.items():
             assert type(c) is int and c
@@ -456,16 +456,10 @@ def test_instantiate_is_the_sum_of_payloads(rng):
     assert ans.instantiate({}).is_zero()
 
 
-def test_nonzeros_tests_every_entry_but_the_first_zero_by_value():
-    zero = Fraction(0)
-    values = [zero, Fraction(2, 3), zero, 0, Fraction(0), 5, zero, -1]
-    assert twist._nonzeros(values) == {1: Fraction(2, 3), 5: 5, 7: -1}
-    assert twist._nonzeros([1, 2]) == {0: 1, 1: 2}
-    assert twist._nonzeros([]) == {}
-
-
+# the J+ rows over the unknowns that are not free columns of the kernel:
+# 45 - 7 and 350 - 22 columns, each a pivot
 @pytest.mark.parametrize("k, rows, cols, nnz, rank",
-                         [(1, 54, 45, 78, 38), (2, 480, 350, 1134, 328)])
+                         [(1, 54, 38, 76, 38), (2, 480, 328, 1118, 328)])
 def test_system_handed_to_solver(monkeypatch, k, rows, cols, nnz, rank):
     seen = []
 
@@ -479,7 +473,8 @@ def test_system_handed_to_solver(monkeypatch, k, rows, cols, nnz, rank):
     ((a, ncols, result),) = seen
     assert (len(a), ncols) == (rows, cols)
     assert sum(len(row) for row in a) == nnz
-    assert len(result.pivot_cols) == rank
+    assert len(result.pivot_cols) == rank == cols
+    assert result.free_cols == []
     assert all(a)
     assert all(type(c) is int for row in a for c in row.values())
 
@@ -691,11 +686,20 @@ def test_failed_certificate_raises_without_a_second_solve(monkeypatch,
                                                           one_candidate):
     statuses = spy_on_solver(monkeypatch)
     real_rows = twist._invariant_rows
-    # one invariant too few: the nullspace no longer matches the count
+    # one invariant too few: the system solved for the particular keeps a
+    # free column, so its rank falls short of n - kappa
     monkeypatch.setattr(twist, "_invariant_rows", lambda l, d: real_rows(l, d)[:-1])
+    uncached_kernel(monkeypatch)
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
     assert statuses == ["solved"]
+
+
+def uncached_kernel(monkeypatch):
+    """Make twist._kernel build the kernel at every call, from the
+    functions it reads at that time, so that a cached kernel hides no
+    patch and no patched kernel stays in the cache."""
+    monkeypatch.setattr(twist, "_kernel", twist._kernel.__wrapped__)
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +776,26 @@ def test_particular_enters_the_residual_as_one_commutator(order3_build, k,
         assert full[name].coeffs[k].is_zero() != perturbed
 
 
+def corrupt_cartan_power(monkeypatch, corruption):
+    """Add corruption to P in every invariant the kernel is built from."""
+    real_power = twist._cartan_power
+
+    def corrupted_power(c):
+        terms = dict(real_power(c))
+        if c == 1:
+            for key, v in _rational(*twist._casimir_coords(
+                    *_integral(corruption.terms))).items():
+                terms[key] = terms.get(key, 0) + int(v)
+        return tuple(terms.items())
+    monkeypatch.setattr(twist, "_cartan_power", corrupted_power)
+    uncached_kernel(monkeypatch)
+
+
 # E (x) F has weight zero and breaks the J+ and J- equations; Delta(E)
 # commutes with Delta(E), so the J+ rows cannot see it, and breaks the J0
 # and J- equations.  The homogeneous half reads the invariants
 # I1^a I2^b P^c, not the elements: added to P, E (x) F lies inside the
-# ansatz but outside the nullspace's span, and Delta(E) outside the ansatz
+# ansatz but outside the kernel, and Delta(E) outside the ansatz
 @pytest.mark.parametrize("corruption", [outer(E, F), coproduct(E)],
                          ids=["E(x)F", "Delta(E)"])
 @pytest.mark.parametrize("part", ["particular", "homogeneous"])
@@ -790,44 +809,50 @@ def test_corrupted_solution_fails_the_certificate(monkeypatch, one_candidate,
             return sol._replace(particular=sol.particular + corruption)
         monkeypatch.setattr(twist, "_solve", corrupted)
     else:
-        real_power = twist._cartan_power
-
-        def corrupted_power(c):
-            terms = dict(real_power(c))
-            if c == 1:
-                for key, v in _rational(*twist._casimir_coords(
-                        *_integral(corruption.terms))).items():
-                    terms[key] = terms.get(key, 0) + int(v)
-            return tuple(terms.items())
-        monkeypatch.setattr(twist, "_cartan_power", corrupted_power)
-        monkeypatch.setattr(twist, "_invariant_rows",
-                            twist._invariant_rows.__wrapped__)
+        corrupt_cartan_power(monkeypatch, corruption)
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(1, one_candidate)
 
 
+def test_invariant_outside_the_kernel_fails_at_an_infeasible_point(
+        monkeypatch):
+    # an inconsistent reduced system proves the full one inconsistent only
+    # if the dropped columns' vectors lie in the kernel, so A V = 0 is
+    # checked before the solve, whatever its verdict
+    lower = golden_order3().at_order(2)
+    assert not solve_order(3, lower, TwistAnsatz(3, 2, 2)).solved
+    statuses = spy_on_solver(monkeypatch)
+    corrupt_cartan_power(monkeypatch, outer(E, F))
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_order(3, lower, TwistAnsatz(3, 2, 2))
+    assert statuses == []
+
+
 @pytest.mark.parametrize("defect", ["corrupt", "drop", "extra"])
 def test_wrong_nullspace_fails_the_certificate(monkeypatch, defect):
-    # the certificate reads the solver's nullspace vectors as they are:
-    # a unit more at a pivot column leaves their span, and one vector too
-    # few or too many (here a copy, still in the kernel) breaks the count
-    calls = []
+    # the kernel is read off the invariant rows V as they are: a unit more
+    # at a column that is not free leaves the kernel (A V != 0), a copy of
+    # a row makes V rank-deficient, both before any solve, and one row too
+    # few leaves the solved system a free column
+    real_rows = twist._invariant_rows
+    kept = next(c for c in range(len(TwistAnsatz(2)))
+                if c not in twist._kernel(*twist.default_cutoffs(2)))
 
-    def wrong(a, b, ncols):
-        result = solve_sparse(a, b, ncols)
-        calls.append(result.status)
-        null = [list(vec) for vec in result.nullspace]
+    def wrong(l, d):
+        rows = [dict(row) for row in real_rows(l, d)]
         if defect == "corrupt":
-            null[-1][result.pivot_cols[0]] += 1
+            rows[-1][kept] = rows[-1].get(kept, 0) + 1
         elif defect == "drop":
-            null.pop()
+            rows.pop()
         else:
-            null.append(null[0])
-        return result._replace(nullspace=null)
-    monkeypatch.setattr(twist, "solve_sparse", wrong)
+            rows.append(rows[0])
+        return tuple(rows)
+    monkeypatch.setattr(twist, "_invariant_rows", wrong)
+    uncached_kernel(monkeypatch)
+    statuses = spy_on_solver(monkeypatch)
     with pytest.raises(RuntimeError, match="certificate"):
         solve_order(2, reference_candidate(1))
-    assert calls == ["solved"]
+    assert statuses == (["solved"] if defect == "drop" else [])
 
 
 def kernel_by_invariants(k, cutoff_l, cutoff_d):
@@ -937,9 +962,30 @@ def test_kernel_dimension_at_scan_points(monkeypatch, k, cutoff_l, cutoff_d):
     monkeypatch.setattr(twist, "solve_sparse", spy)
     sol = solve_order(k, golden_order3().at_order(k - 1),
                       TwistAnsatz(k, cutoff_l, cutoff_d))
-    # every nullspace vector instantiates to a non-zero element
-    assert len(sol.homogeneous) == len(results[0].nullspace)
+    # the system solved for the particular leaves out one column per
+    # kernel vector, and has full column rank
+    (result,) = results
     assert len(sol.homogeneous) == kernel_dimension(cutoff_l, cutoff_d)
+    assert result.ncols == sol.rank == sol.unknown_count - len(sol.homogeneous)
+
+
+# every cutoff pair (L, D) of the benchmark's scan-o3 grid, (3, 2) and
+# (4, 4) with L - 1 > D/2 among them, and the default cutoffs of orders 1-4
+@pytest.mark.parametrize("cutoff_l, cutoff_d", sorted(
+    {(l, d) for l in (2, 3, 4) for d in (2, 3, 4)}
+    | {(3, 5), (2, 6), (2, 1)}
+    | {twist.default_cutoffs(k) for k in (1, 2, 3, 4)}))
+def test_kernel_is_the_nullspace_of_the_full_system(cutoff_l, cutoff_d):
+    # the reference is elimination on every J+ row over every unknown, with
+    # a zero right-hand side: its free columns and nullspace vectors
+    columns = twist._ansatz_columns(cutoff_l, cutoff_d)
+    rows = list(twist._j_plus_rows(enumerate(columns)).values())
+    lin = solve_sparse(rows, [0] * len(rows), len(columns))
+    kernel = twist._kernel(cutoff_l, cutoff_d)
+    assert list(kernel) == lin.free_cols
+    assert list(kernel.values()) == [
+        {c: v for c, v in enumerate(vec) if v} for vec in lin.nullspace]
+    assert len(kernel) == kernel_dimension(cutoff_l, cutoff_d)
 
 
 def test_kernel_dimension_at_default_cutoffs(order3_build,
@@ -1282,7 +1328,9 @@ def test_integer_rows_give_the_fraction_solution(monkeypatch, k, cutoff_l,
     assert all(type(c) is int for row in rows for c in row.values())
 
     const = twist_residual_series(lower.at_order(k), k)["J+"].coeffs[k]
-    row_of = twist._j_plus_rows(ans)
+    kernel = twist._kernel(cutoff_l, cutoff_d)
+    kept = [c for c in range(len(ans)) if c not in kernel]
+    row_of = twist._j_plus_rows(enumerate(ans.columns[c] for c in kept))
     ints, den = twist._casimir_coords(*_integral(const.terms))
     b = _rational({key: -2 * c for key, c in ints.items()}, den)
     keys = twist._row_order(row_of, b)
@@ -1290,4 +1338,4 @@ def test_integer_rows_give_the_fraction_solution(monkeypatch, k, cutoff_l,
     frac_rhs = [b.get(key, Fraction(0)) for key in keys]
     assert len(frac_rows) == len(rows)
     assert any(r != s for r, s in zip(frac_rows, rows))   # some are scaled
-    assert solve_sparse(frac_rows, frac_rhs, len(ans)) == got
+    assert solve_sparse(frac_rows, frac_rhs, len(kept)) == got

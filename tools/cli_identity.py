@@ -58,6 +58,15 @@ JOBS = [
     ("solve-fixed-infeasible", ["solve-twist", "--order", "3", "--cutoff-l",
                                 "3", "--cutoff-d", "4", "--max-escalations",
                                 "0", "--format", "json"]),
+    # at (1, 0) the one unknown is the invariant 1 (x) 1, so the system
+    # solved for the particular has no column; it escalates to (2, 2)
+    ("solve-no-reduced-column", ["solve-twist", "--order", "1", "--cutoff-l",
+                                 "1", "--cutoff-d", "0",
+                                 "--max-escalations", "2"]),
+    # L - 1 > D/2: the invariants' powers of P stop at D/2, not at L - 1
+    ("solve-more-powers-than-degree", ["solve-twist", "--order", "2",
+                                       "--cutoff-l", "4", "--cutoff-d", "4",
+                                       "--format", "json"]),
     ("verify-o3-text", ["verify", "cand3.json", "--order", "3",
                         "--checks", "all"]),
     ("verify-o3-json", ["verify", "cand3.json", "--order", "3",

@@ -26,7 +26,9 @@ stages timed inside it:
                 built when the digest reads them)
     particular  _particular_certified (the particular's half of the
                 certificate)
-    kernel      _kernel_certified (the homogeneous half)
+    kernel      _kernel (the homogeneous half, cached per cutoffs, so a
+                warm pass reads only its cache), or _kernel_certified on a
+                tree older than _kernel
     rest        the pass's wall time minus the stages above, with the
                 solution digests, which the benchmark's pass also takes
 
@@ -53,14 +55,15 @@ import time
 
 STAGES = ("ansatz", "residual", "order-k", "J+rows", "rhs", "solve",
           "instantiate", "particular", "kernel")
-# stage -> the twistkit.twist attribute it wraps (ansatz is timed in place);
+# stage -> the names of the twistkit.twist attribute it wraps, newest first:
+# an older tree may have an older name or none (ansatz is timed in place);
 # twist imports twist_residual_series and _residual_coefficient from
 # twistkit.candidate, so only the calls the solver makes are wrapped
-WRAPPED = {"residual": "twist_residual_series",
-           "order-k": "_residual_coefficient", "J+rows": "_j_plus_rows",
-           "rhs": "_casimir_coords", "solve": "solve_sparse",
-           "particular": "_particular_certified",
-           "kernel": "_kernel_certified"}
+WRAPPED = {"residual": ("twist_residual_series",),
+           "order-k": ("_residual_coefficient",), "J+rows": ("_j_plus_rows",),
+           "rhs": ("_casimir_coords",), "solve": ("solve_sparse",),
+           "particular": ("_particular_certified",),
+           "kernel": ("_kernel", "_kernel_certified")}
 
 
 def scan_grid(run_py: str) -> list:
@@ -126,10 +129,12 @@ def main(argv=None) -> int:
 
     spent = dict.fromkeys(STAGES, 0.0)
     running: list = []
-    for stage, name in WRAPPED.items():
-        if hasattr(twist, name):  # an older tree may lack a stage's function
-            setattr(twist, name, _timed(getattr(twist, name), spent, stage,
-                                        running))
+    for stage, names in WRAPPED.items():
+        for name in names:
+            if hasattr(twist, name):
+                setattr(twist, name, _timed(getattr(twist, name), spent,
+                                            stage, running))
+                break
     TwistAnsatz.instantiate = _timed(TwistAnsatz.instantiate, spent,
                                      "instantiate", running)
 
