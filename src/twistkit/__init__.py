@@ -34,7 +34,7 @@ _EXPORTS = {
               "counit_leg flip is_weight_zero outer series_outer tensor_from_json "
               "tensor_to_json tensor_to_str weight",
     "twist": "SolutionSet TwistAnsatz build_candidate solve_order "
-             "solve_with_escalation symmetrize_order",
+             "symmetrize_order",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -84,9 +84,11 @@ echelon form with each pivot at its row's last column.  It finds kappa
 pivots: the only product of c factors of P whose first leg has weight c
 is (2 E (x) F)^c, so the one term of I1^a I2^b P^c with first-leg key
 n = c is 2^c I^a E^c (x) I^b F^c, no invariant of smaller c has a term
-with n = c, and V is triangular on those columns.  Back-reduced and
-scaled, the row N_f with pivot f is 1 at f, 0 at every other pivot, and
-f is its last non-zero column.
+with n = c, and V is triangular on those columns.  Back-reduced, the
+row with pivot f is primitive and positive at f; over that entry it is
+N_f, 1 at f and 0 at every other pivot, and f is its last non-zero
+column.  Each N_f stays in that form, integers over a denominator, until
+instantiate builds its element.
 
 The pivots f are the free columns of A, and the N_f its nullspace
 vectors, as elimination on the whole system would give them.  Under the
@@ -244,11 +246,10 @@ class TwistAnsatz:
     def __len__(self):
         return len(self.columns)
 
-    def instantiate(self, values: dict) -> TensorElement:
-        """Assemble the sum of values[i] times the payload of columns[i]
-        for the sparse {index: value} dict, in integers: the values are
-        scaled once by the lcm of their denominators."""
-        ints, den = _integral(values)
+    def instantiate(self, ints: dict, den: int) -> TensorElement:
+        """Assemble the sum of ints[i]/den times the payload of columns[i]
+        for the sparse {index: int} dict, in integers, dividing by den
+        once at the end."""
         acc: dict = {}
         for i, v in ints.items():
             leg1, leg2 = self.columns[i]
@@ -320,34 +321,33 @@ def _j_plus_rows(columns) -> dict:
 
 class _KernelBasis:
     """The homogeneous solutions of one solve: the nullspace vectors of
-    _kernel as sparse {unknown index: Fraction} dicts over the ansatz, one
-    per free column, built into TensorElements once, on first read.  len()
-    builds nothing.  Equal by value to any sequence of the same
-    elements."""
+    _kernel, each as (ints, den) over the ansatz, one per free column.  A
+    sequence of TensorElements that builds an element each time one is
+    read and keeps none: len() builds nothing, basis[i] builds one element
+    and iterating builds them one at a time.  Equal by value to any
+    sequence of the same elements."""
 
-    __slots__ = ("ansatz", "vectors", "_elements")
+    __slots__ = ("ansatz", "vectors")
 
     def __init__(self, ansatz: TwistAnsatz, vectors):
-        self.ansatz, self.vectors, self._elements = ansatz, vectors, None
-
-    def _built(self) -> list:
-        if self._elements is None:
-            self._elements = [self.ansatz.instantiate(v) for v in self.vectors]
-        return self._elements
+        self.ansatz, self.vectors = ansatz, tuple(vectors)
 
     def __len__(self):
         return len(self.vectors)
 
     def __getitem__(self, i):
-        return self._built()[i]
+        return self.ansatz.instantiate(*self.vectors[i])
+
+    def __iter__(self):
+        return (self.ansatz.instantiate(*v) for v in self.vectors)
 
     def __eq__(self, other):
         if not isinstance(other, (_KernelBasis, list, tuple)):
             return NotImplemented
-        return self._built() == list(other)
+        return list(self) == list(other)
 
     def __repr__(self):
-        return repr(self._built())
+        return repr(list(self))
 
 
 class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
@@ -355,9 +355,10 @@ class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
     """Outcome of one order-k solve: a particular solution (free unknowns
     zeroed under the deterministic pivot order) and a basis of the
     homogeneous solution space inside the ansatz, both certified against
-    all three generators; the basis is a sequence of TensorElements built
-    on first read.  status is "solved" or "infeasible-at-cutoff" (the J+
-    rows are inconsistent, and particular is None)."""
+    all three generators; the basis is a sequence of TensorElements, each
+    built whenever it is read (_KernelBasis).  status is "solved" or
+    "infeasible-at-cutoff" (the J+ rows are inconsistent, and particular
+    is None)."""
 
     __slots__ = ()
 
@@ -367,8 +368,9 @@ class SolutionSet(namedtuple("SolutionSet", "order cutoff_l cutoff_d status "
 
     def to_json(self) -> dict:
         """The solution document.  homogeneous_basis is an iterator, read
-        once, so that a writer such as cli._json_dumps holds one kernel
-        element's JSON at a time, not the whole basis."""
+        once, so that a writer such as cli._json_dumps builds and holds one
+        kernel element and its JSON at a time, not the whole basis; each
+        document written builds each element once."""
         return {
             "order": self.order,
             "cutoffL": self.cutoff_l,
@@ -433,7 +435,7 @@ def _solve(k: int, ansatz: TwistAnsatz, const: tuple) -> SolutionSet:
     return SolutionSet(
         k, ansatz.cutoff_l, ansatz.cutoff_d,
         "solved" if solved else "infeasible-at-cutoff",
-        particular=ansatz.instantiate(values) if solved else None,
+        particular=ansatz.instantiate(*_integral(values)) if solved else None,
         homogeneous=_KernelBasis(ansatz, kernel.values() if solved else ()),
         pivot_log=[_column_label(ansatz.columns[kept[i]])
                    for i in lin.pivot_cols],
@@ -492,14 +494,16 @@ def _invariant_rows(cutoff_l: int, cutoff_d: int):
 @cache
 def _kernel(cutoff_l: int, cutoff_d: int):
     """The kernel of the J+ system with cutoffs (L, D), from the
-    invariants V: {free column f: the nullspace vector N_f as
-    {column: Fraction}}, by ascending f, or None if V fails its half of
-    the certificate; cached, the vectors must not be modified.  Each row
-    of V must give 0 in integers against the J+ brackets of its columns
-    (A V = 0), and V must have rank kappa.  Reduced to echelon form with
-    each pivot at its row's last column (linsolve's elimination on
-    negated columns), the pivots are the free columns and the rows,
-    scaled to 1 there, are N (module docstring)."""
+    invariants V: {free column f: the nullspace vector N_f as (ints, den),
+    ints {column: int} over den}, by ascending f, or None if V fails its
+    half of the certificate; cached, the vectors must not be modified.
+    Each row of V must give 0 in integers against the J+ brackets of its
+    columns (A V = 0), and V must have rank kappa.  Reduced to echelon
+    form with each pivot at its row's last column (linsolve's elimination
+    on negated columns), the pivots are the free columns, and each row,
+    with its columns un-negated, over its pivot entry is N_f (module
+    docstring).  The row is primitive and its pivot entry positive, so den
+    is the lcm of the denominators of N_f in lowest terms."""
     rows = _invariant_rows(cutoff_l, cutoff_d)
     if rows is None:
         return None
@@ -513,9 +517,8 @@ def _kernel(cutoff_l: int, cutoff_d: int):
                              for row in rows], [0] * len(rows))
     if len(pivots) != len(rows):
         return None
-    return {-lead: {-col: Fraction(v, pivots[lead][lead])
-                    for col, v in pivots[lead].items()}
-            for lead in sorted(pivots, reverse=True)}
+    return {-lead: ({-col: v for col, v in row.items()}, row[lead])
+            for lead, row in sorted(pivots.items(), reverse=True)}
 
 
 def solve_order(k: int, lower: TwistCandidate,
@@ -572,23 +575,16 @@ def solve_order(k: int, lower: TwistCandidate,
     return sol
 
 
-def solve_with_escalation(k: int, lower: TwistCandidate,
-                          cutoff_l: int | None = None,
-                          cutoff_d: int | None = None,
-                          max_escalations: int = 2):
-    """Solve order k from the ansatz with the given cutoffs, enlarging them
-    by (L+1, D+2) on infeasibility, at most `max_escalations` times (see
-    solve_order).  Returns the last SolutionSet."""
-    return solve_order(k, lower, TwistAnsatz(k, cutoff_l, cutoff_d),
-                       max_escalations)
-
-
 def symmetrize_order(cand: TwistCandidate, k: int) -> tuple:
     """Adjust F_k by a kernel element so that the quasitriangular relation
     holds at order k, exploiting that the correction -rho/2 (rho the
     order-k quasitriangular residual) commutes with the classical
     coproducts whenever the lower orders already satisfy the relation.
-    Returns (candidate, correction)."""
+    Returns (candidate, correction).  ValueError, before any residual is
+    built, if k is above the candidate's order."""
+    if k > cand.order:
+        raise ValueError(f"cannot symmetrize order {k} of an order-"
+                         f"{cand.order} candidate")
     rho = quasitriangular_residual(cand, k).coeffs[k]
     if rho.is_zero():
         return cand, TensorElement.zero()
@@ -610,11 +606,17 @@ def build_candidate(order: int, cutoff_l: int | None = None,
 
     Each new coefficient is shifted by the kernel correction of
     `symmetrize_order` that also enforces the quasitriangular relation at
-    that order.  Returns (candidate, [SolutionSet per order])."""
+    that order.  Each order is solved from the ansatz with the given
+    cutoffs, enlarged at most `max_escalations` times (solve_order).
+    Returns (candidate, [SolutionSet per order]).  ValueError for a
+    negative order."""
+    if order < 0:
+        raise ValueError(f"the order must be >= 0, got {order}")
     cand = TwistCandidate.from_coefficients([TensorElement.one()])
     sols = []
     for k in range(1, order + 1):
-        sol = solve_with_escalation(k, cand, cutoff_l, cutoff_d, max_escalations)
+        sol = solve_order(k, cand, TwistAnsatz(k, cutoff_l, cutoff_d),
+                          max_escalations)
         sols.append(sol)
         if not sol.solved:
             return cand, sols

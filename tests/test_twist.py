@@ -30,7 +30,7 @@ from twistkit.candidate import (TwistCandidate, cocycle_defect, kernel_check,
                                 second_order_term, twist_residual_series,
                                 twist_residuals, unitarity_defect)
 from twistkit.twist import (TwistAnsatz, build_candidate, solve_order,
-                            solve_with_escalation, symmetrize_order)
+                            symmetrize_order)
 
 from conftest import json_text, random_fraction, random_monomial
 
@@ -227,16 +227,17 @@ def test_infeasible_at_cutoff_reported(one_candidate):
 
 
 def test_escalation_recovers_from_bad_cutoff(one_candidate):
-    sol = solve_with_escalation(1, one_candidate, cutoff_l=1, cutoff_d=0)
+    bad = TwistAnsatz(1, cutoff_l=1, cutoff_d=0)
+    sol = solve_order(1, one_candidate, bad, max_escalations=2)
     assert sol.solved
     assert sol.particular == classical_r()
-    stuck = solve_with_escalation(1, one_candidate, cutoff_l=1, cutoff_d=0,
-                                  max_escalations=0)
+    stuck = solve_order(1, one_candidate, bad, max_escalations=0)
     assert stuck.status == "infeasible-at-cutoff"
 
 
 def test_solution_document_converts_each_kernel_element_once(monkeypatch):
-    # the basis is converted as it is written, one element at a time
+    # the basis is built and converted as it is written, one element at a
+    # time, each element once
     sol = solve_order(2, reference_candidate(1))
     convert = twist.tensor_to_json
     calls = []
@@ -245,10 +246,12 @@ def test_solution_document_converts_each_kernel_element_once(monkeypatch):
         calls.append(t)
         return convert(t)
     monkeypatch.setattr(twist, "tensor_to_json", counted)
+    built = count_instantiations(monkeypatch)
     data = sol.to_json()
-    assert calls == [sol.particular]
+    assert calls == [sol.particular] and built == []
     text = json_text(data)
     assert len(sol.homogeneous) > 0
+    assert built == list(sol.homogeneous.vectors)
     assert calls[1:] == list(sol.homogeneous)
     assert json.loads(text)["homogeneous_basis"] == [
         convert(t) for t in sol.homogeneous]
@@ -277,6 +280,28 @@ def test_build_candidate_order2_matches_chain():
     assert [s.order for s in sols] == [1, 2]
     assert cand.coefficient(1) == classical_r()
     assert twist_residuals(cand, 2).passed
+
+
+def test_build_candidate_rejects_a_negative_order(monkeypatch):
+    statuses = spy_on_solver(monkeypatch)
+    with pytest.raises(ValueError, match="order must be >= 0, got -3"):
+        build_candidate(-3)
+    assert statuses == []
+    cand, sols = build_candidate(0)     # order 0 stays valid
+    assert cand.order == 0 and sols == []
+
+
+@pytest.mark.parametrize("order, k", [(1, 2), (0, 1), (1, 3)])
+def test_symmetrize_order_above_the_candidate_raises(monkeypatch, order, k):
+    # the residual past the candidate's order reads zero padding, so no
+    # residual is built at all
+    calls = []
+    monkeypatch.setattr(twist, "quasitriangular_residual",
+                        lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"cannot symmetrize order {k} of an "
+                                         f"order-{order} candidate"):
+        symmetrize_order(reference_candidate(order), k)
+    assert calls == []
 
 
 def test_symmetrize_keeps_twist_residuals():
@@ -364,7 +389,7 @@ def test_ansatz_validation():
         TwistAnsatz(1, cutoff_l=0)
     ans = TwistAnsatz(1)
     assert ans.cutoff_l == 2 and ans.cutoff_d == 2
-    inst = ans.instantiate(dict.fromkeys(range(len(ans)), Fraction(1)))
+    inst = ans.instantiate(dict.fromkeys(range(len(ans)), 1), 1)
     assert is_weight_zero(inst)
 
 
@@ -450,10 +475,11 @@ def test_instantiate_is_the_sum_of_payloads(rng):
     want = TensorElement.zero()
     for column, v in zip(ans.columns, values):
         want = want + payload(column) * v
-    got = ans.instantiate({i: v for i, v in enumerate(values) if v})
+    got = ans.instantiate(*_integral(
+        {i: v for i, v in enumerate(values) if v}))
     assert got == want
     assert all(type(c) is Fraction for c in got.terms.values())
-    assert ans.instantiate({}).is_zero()
+    assert ans.instantiate({}, 1).is_zero()
 
 
 # the J+ rows over the unknowns that are not free columns of the kernel:
@@ -624,9 +650,10 @@ def spy_on_solver(monkeypatch):
     return statuses
 
 
-@pytest.mark.parametrize("solve", [solve_order, solve_with_escalation],
-                         ids=["solve_order", "solve_with_escalation"])
-def test_invalid_lower_orders_raise_before_any_solve(monkeypatch, solve):
+@pytest.mark.parametrize("max_escalations", [0, 2],
+                         ids=["solve_order", "escalating"])
+def test_invalid_lower_orders_raise_before_any_solve(monkeypatch,
+                                                     max_escalations):
     # F1 = r + H (x) 1 breaks the order-1 J+ equation, so the proof that
     # the J+ rows suffice does not apply at order 2: the check raises
     # before any system is assembled, and escalation does not retry
@@ -641,10 +668,15 @@ def test_invalid_lower_orders_raise_before_any_solve(monkeypatch, solve):
     lower = TwistCandidate.from_coefficients(
         [TensorElement.one(), classical_r() + outer(H, Element.one())])
     with pytest.raises(ValueError, match=r"twist\[J\+\] at order 1"):
-        solve(2, lower)
+        twist.solve_order(2, lower, TwistAnsatz(2), max_escalations)
     assert statuses == []
-    if solve is solve_with_escalation:
-        assert calls == [2]  # one attempt, no escalation
+    assert calls == [2]  # one attempt, no escalation
+
+
+def solve_from_default_ansatz(k, lower, *rest):
+    """solve_order on the ansatz of order k with default cutoffs, built
+    at the call, as build_candidate builds it."""
+    return solve_order(k, lower, TwistAnsatz(k), *rest)
 
 
 @pytest.mark.parametrize("solve, args, message", [
@@ -653,8 +685,8 @@ def test_invalid_lower_orders_raise_before_any_solve(monkeypatch, solve):
     (solve_order, (2, TwistAnsatz(5, 3, 4)),
      "ansatz is for order 5, not order 2"),
     (solve_order, (2, None, -1), "max_escalations must be >= 0, got -1"),
-    (solve_with_escalation, (0,), "must be >= 1, got 0"),
-    (solve_with_escalation, (2, None, None, -1),
+    (solve_from_default_ansatz, (0,), "ansatz order must be >= 1, got 0"),
+    (solve_from_default_ansatz, (2, -1),
      "max_escalations must be >= 0, got -1"),
 ], ids=["k=0", "k<0", "ansatz order", "escalations", "escalation k=0",
         "escalation escalations"])
@@ -873,7 +905,7 @@ def test_each_invariant_passes_the_kernel_check(k, cutoff_l, cutoff_d):
     # the certificate's premise, checked by PBW commutators
     ans, rows = kernel_by_invariants(k, cutoff_l, cutoff_d)
     for _, row in rows:
-        assert kernel_check(ans.instantiate(row))
+        assert kernel_check(ans.instantiate(row, 1))
 
 
 @pytest.mark.parametrize("k, cutoff_l, cutoff_d", [(2, 2, 4), (2, 3, 3)])
@@ -882,7 +914,7 @@ def test_invariant_rows_are_the_products(k, cutoff_l, cutoff_d):
     one, I, P = Element.one(), casimir(), cartan_killing()
     ans, rows = kernel_by_invariants(k, cutoff_l, cutoff_d)
     for (a, b, c), row in rows:
-        got = ans.instantiate(row)
+        got = ans.instantiate(row, 1)
         want = outer(I ** a, one) * outer(one, I ** b) * P ** c
         key = next(iter(got.terms))
         assert got * (want.terms[key] / got.terms[key]) == want
@@ -913,13 +945,13 @@ def test_kernel_at_cutoffs_with_more_powers_than_degree(k, cutoff_l, cutoff_d):
 
 
 def count_instantiations(monkeypatch) -> list:
-    """The values of every TwistAnsatz.instantiate call from now on."""
+    """The (ints, den) of every TwistAnsatz.instantiate call from now on."""
     calls = []
     real = TwistAnsatz.instantiate
 
-    def spy(self, values):
-        calls.append(values)
-        return real(self, values)
+    def spy(self, ints, den):
+        calls.append((ints, den))
+        return real(self, ints, den)
     monkeypatch.setattr(TwistAnsatz, "instantiate", spy)
     return calls
 
@@ -932,10 +964,15 @@ def test_build_candidate_builds_no_kernel_element(monkeypatch, capsys):
     assert main(["solve-twist", "--order", "3"]) == 0
     assert "kernel dim=50" in capsys.readouterr().out
     assert len(calls) == 6
-    # reading the basis builds it, once
-    assert all(kernel_check(t) for t in sols[1].homogeneous)
-    assert sols[1].homogeneous[0] == sols[1].homogeneous[0]
-    assert len(calls) == 6 + 22
+    # the basis keeps no element: each read builds the elements it reads
+    basis = sols[1].homogeneous
+    first = basis[0]
+    assert calls[6:] == [basis.vectors[0]]
+    assert basis[0] == first
+    assert calls[6:] == [basis.vectors[0]] * 2
+    assert all(kernel_check(t) for t in basis)
+    assert calls[8:] == list(basis.vectors)
+    assert len(calls) == 8 + 22
 
 
 # ---------------------------------------------------------------------------
@@ -983,8 +1020,13 @@ def test_kernel_is_the_nullspace_of_the_full_system(cutoff_l, cutoff_d):
     lin = solve_sparse(rows, [0] * len(rows), len(columns))
     kernel = twist._kernel(cutoff_l, cutoff_d)
     assert list(kernel) == lin.free_cols
-    assert list(kernel.values()) == [
+    assert [{c: Fraction(v, den) for c, v in ints.items()}
+            for ints, den in kernel.values()] == [
         {c: v for c, v in enumerate(vec) if v} for vec in lin.nullspace]
+    for f, (ints, den) in kernel.items():
+        # 1 at its free column, and den the least common denominator
+        assert ints[f] == den
+        assert _integral(_rational(ints, den)) == (ints, den)
     assert len(kernel) == kernel_dimension(cutoff_l, cutoff_d)
 
 
@@ -1135,7 +1177,7 @@ def test_escalation_builds_the_residual_series_once(monkeypatch):
     built = spy_on_order_k_sums(monkeypatch, 3)
     statuses = spy_on_solver(monkeypatch)
     lower = golden_order3().at_order(2)
-    sol = solve_with_escalation(3, lower, cutoff_l=2, cutoff_d=2)
+    sol = solve_order(3, lower, TwistAnsatz(3, 2, 2), max_escalations=2)
     assert statuses == ["inconsistent", "inconsistent", "solved"]
     assert calls == [2]  # the lower-order check, at order k - 1
     # one J+ right-hand side for the three attempts, J- for the solved one

@@ -27,8 +27,7 @@ stages timed inside it:
     particular  _particular_certified (the particular's half of the
                 certificate)
     kernel      _kernel (the homogeneous half, cached per cutoffs, so a
-                warm pass reads only its cache), or _kernel_certified on a
-                tree older than _kernel
+                warm pass reads only its cache)
     rest        the pass's wall time minus the stages above, with the
                 solution digests, which the benchmark's pass also takes
 
@@ -63,7 +62,7 @@ WRAPPED = {"residual": ("twist_residual_series",),
            "order-k": ("_residual_coefficient",), "J+rows": ("_j_plus_rows",),
            "rhs": ("_casimir_coords",), "solve": ("solve_sparse",),
            "particular": ("_particular_certified",),
-           "kernel": ("_kernel", "_kernel_certified")}
+           "kernel": ("_kernel",)}
 
 
 def scan_grid(run_py: str) -> list:
