@@ -15,20 +15,18 @@ against these residuals and certifies its solution with the same
 brackets (_residual_coefficient, _brackets_vanish, kernel_check), so
 verifying or evaluating a candidate loads neither twist nor linsolve.
 
-The residuals are built coefficient by coefficient.  For J0 the series
-is written in closed form: m(J0) = H and Delta_q~(J0) = Delta(H) at
-every order, so rho_n(J0) = [F_n, Delta(H)] = -sum wt(key) c key over the
-terms c key of F_n, where wt is the weight e - f summed over both legs.
-For J+ and J- each coefficient is one signed Cauchy sum,
+The residuals are built coefficient by coefficient.  Each coefficient
+is one signed Cauchy sum,
 sum_i F_i Delta(m(g))_(n-i) - Delta_q~(g)_(n-i) F_i, summed in integers
 (lincomb._sum_products, _residual_coefficient) against the two operands,
-which depend on the order alone and are built once per order; the
-operands hold only J+ and J-.  Both order-0 operands are Delta(g), so
-the pair i = n is the commutator [F_n, Delta(g)]: it is added in the
-same integer sum as the other pairs, not as two tensor products
-(_residual_pairs).  That commutator with a primitive Delta(g) is taken
-leg by leg: [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].  Each
-bracket [m, g] of a PBW monomial m is read from a cache
+which depend on the order alone and are built once per order.  Both
+order-0 operands are Delta(g), so the pair i = n is the commutator
+[F_n, Delta(g)]: it is added in the same integer sum as the other pairs,
+not as two tensor products (_residual_pairs).  For J0 both operands
+vanish above order 0 (m(J0) = H and Delta_q~(J0) = Delta(H)), so its sum
+is that commutator alone.  The commutator with a primitive Delta(g) is
+taken leg by leg: [x (x) y, Delta(g)] = [x, g] (x) y + x (x) [y, g].
+Each bracket [m, g] of a PBW monomial m is read from a cache
 (pbw.mono_commutator) with its cancelling terms already gone, and the
 sum is taken in integers, so every check is exact.
 """
@@ -142,29 +140,27 @@ def reference_candidate(order: int = 2) -> TwistCandidate:
 
 def twist_residual_series(cand: TwistCandidate, order: int) -> dict:
     """The three residual series F*Delta(m(g)) - Delta_q~(g)*F, keyed by
-    generator name; ValueError for a negative order."""
+    generator name in the order J0, J+, J-, each coefficient a
+    _residual_coefficient; ValueError for a negative order."""
     if order < 0:
         raise ValueError(f"the residual order must be >= 0, got {order}")
     if not cand.leading_invertible():
         raise ValueError("twist candidate has a non-invertible leading term")
-    coeffs = cand.at_order(order).series.coeffs
-    fs = _ints(coeffs)
+    fs = _ints(cand.at_order(order).series.coeffs)
     ring_into = _ring_into(cand.series.coeffs[0])
-    series = {"J0": HSeries(tuple(map(_j0_residual, coeffs)), order)}
-    for g in ("J+", "J-"):
-        series[g] = HSeries(tuple(
-            TensorElement._raw(_rational(*_residual_coefficient(
-                fs, ring_into, g, n)))
-            for n in range(order + 1)), order)
-    return series
+    return {g: HSeries(tuple(
+                TensorElement._raw(_rational(*_residual_coefficient(
+                    fs, ring_into, g, n)))
+                for n in range(order + 1)), order)
+            for g in _GENERATOR_MONOS}
 
 
 def _residual_coefficient(fs, ring_into, g: str, n: int) -> tuple:
-    """(ints, den): the h^n coefficient of the residual of g = J+ or J-,
-    zeros kept, for the coefficients fs of F through order N >= n in the
-    form of hseries._ints and F's ring kernel ring_into
-    (hseries._ring_into).  One integer sum over _residual_pairs against
-    the order-N operands."""
+    """(ints, den): the h^n coefficient of the residual of the generator
+    g (J0, J+ or J-), zeros kept, for the coefficients fs of F through
+    order N >= n in the form of hseries._ints and F's ring kernel
+    ring_into (hseries._ring_into).  One integer sum over _residual_pairs
+    against the order-N operands."""
     cs, ds = _residual_operands(len(fs) - 1)[g]
     return _sum_products(_residual_pairs(fs, cs, ds, n),
                          _bracket_or_product(ring_into, _GENERATOR_MONOS[g]))
@@ -201,28 +197,19 @@ def _bracket_or_product(ring_into, g):
     return into
 
 
-def _j0_residual(f: TensorElement) -> TensorElement:
-    """[f, Delta(H)] for the 2-leg f, in closed form: [m, H] = -wt(m) m
-    for a PBW monomial m = E^e F^f H^d of weight wt(m) = e - f, so each
-    term c m1 (x) m2 of f gives -(wt(m1) + wt(m2)) c m1 (x) m2."""
-    return TensorElement._raw({(m1, m2): -w * c
-                               for (m1, m2), c in f.terms.items()
-                               if (w := m1[0] - m1[1] + m2[0] - m2[1])})
-
-
 @cache
 def _residual_operands(order: int) -> dict:
-    """Delta(m(g)) and Delta_q~(g) for g = J+ and J-, their coefficients in
-    the integer form of hseries._ints; they depend on the order alone and
-    are cached by it.  Both order-0 coefficients are Delta(g), which
-    _residual_pairs reads as a bracket and not from here.  The J0 residual
-    needs none (_j0_residual).  deform is imported here, so that a process
-    that only reads candidates does not load it."""
+    """Delta(m(g)) and Delta_q~(g) for each generator g, their
+    coefficients in the integer form of hseries._ints; they depend on the
+    order alone and are cached by it.  Both order-0 coefficients are
+    Delta(g), which _residual_pairs reads as a bracket and not from here;
+    those of J0 are zero above order 0.  deform is imported here, so that
+    a process that only reads candidates does not load it."""
     from .deform import IMAGES, delta_q_image
 
-    return {g: (_ints(IMAGES[g](order).map(coproduct).coeffs),
+    return {g: (_ints(image(order).map(coproduct).coeffs),
                 _ints(delta_q_image(g, order).coeffs))
-            for g in ("J+", "J-")}
+            for g, image in IMAGES.items()}
 
 
 def twist_residuals(cand: TwistCandidate, order: int) -> VerificationReport:

@@ -98,16 +98,14 @@ def q_analog_2h(order: int) -> HSeries:
     return q_analog(H * 2, order)
 
 
-def quantum_commutator_check(order: int, *, jplus: HSeries | None = None,
-                             jminus: HSeries | None = None):
+def quantum_commutator_check(order: int):
     """Verify the three q-deformed commutation relations on the generator
-    images up to the given order, as a VerificationReport.  Alternative
-    images may be injected to exercise falsification."""
+    images up to the given order, as a VerificationReport."""
     from .report import VerificationReport
 
     j0 = m_J0(order)
-    jp = jplus if jplus is not None else m_Jplus(order)
-    jm = jminus if jminus is not None else m_Jminus(order)
+    jp = m_Jplus(order)
+    jm = m_Jminus(order)
     return VerificationReport.of({
         "[J0,J+] = J+": commutator(j0, jp) - jp,
         "[J0,J-] = -J-": commutator(j0, jm) + jm,

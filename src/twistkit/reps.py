@@ -117,6 +117,13 @@ def element_matrix(x: Element, rep: SpinRep):
     return _matrix(rep.two_j, x.terms.items())
 
 
+def _order_at_least_0(order: int) -> int:
+    """order, or ValueError naming it if it is negative."""
+    if order < 0:
+        raise ValueError(f"matrix order must be >= 0, got {order}")
+    return order
+
+
 class RepMatrix:
     """A square matrix whose entries are truncated scalar series, stored
     as one exact rational matrix per h-order."""
@@ -124,12 +131,15 @@ class RepMatrix:
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, coeffs):
+        """ValueError for no coefficient, an order below 0."""
         self.dim = dim
-        self.order = len(coeffs) - 1
+        self.order = _order_at_least_0(len(coeffs) - 1)
         self.coeffs = tuple(coeffs)
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "RepMatrix":
+        """ValueError for a negative order."""
+        _order_at_least_0(order)
         zero = _freeze(_zeros(dim))
         return cls(dim, (_identity(dim),) + (zero,) * order)
 

@@ -62,12 +62,13 @@ the lower orders padded with F_k = 0 (low) and F_k = X,
 
 and rho_k(low) is built coefficient by coefficient, each only when it
 is read (candidate._residual_coefficient, one integer sum per
-coefficient).  rho_k(low)(J0) = [0, Delta(H)] = 0.  solve_order builds
-rho_k(low)(J+) once, as integers that go straight to Casimir
-coordinates for the right-hand side of every attempt, and
-rho_k(low)(J-) only for a solved attempt, when the certificate reads
-it.  The check is then one commutator with a primitive Delta(g), taken
-leg by leg in integers (candidate._brackets_vanish), so it is exact.
+coefficient).  solve_order builds rho_k(low)(J+) once, as integers
+that go straight to Casimir coordinates for the right-hand side of every
+attempt, and rho_k(low)(J0) and rho_k(low)(J-) only for a solved
+attempt, when the certificate reads them; rho_k(low)(J0) =
+[0, Delta(H)] is a sum without a pair, 0.  The check is then one
+commutator with a primitive Delta(g), taken leg by leg in integers
+(candidate._brackets_vanish), so it is exact.
 
 The homogeneous half is read off the invariants.  I is central, so
 I1 = I (x) 1 and I2 = 1 (x) I commute with every Delta(g); Delta is an
@@ -75,16 +76,17 @@ algebra map, so Delta(I) does too, and so does
 P = Delta(I) - I1 - I2 (tensor.cartan_killing()).  So every
 I1^a I2^b P^c is in the kernel.  For cutoffs (L, D) the
 kappa = sum_{c <= min(L-1, D/2)} C(D-2c+2, 2) of them with
-a + b + 2c <= D are integer rows V over the unknowns: P^c's Casimir
-coordinates are cached per c, and I1^a I2^b only shifts each leg's b.
-An invariant term outside the ansatz fails the certificate.
-_kernel(L, D), once per cutoff pair, checks A V = 0 for the J+ matrix A
-in integers, one bracket with Delta(E) per entry of V, and reduces V to
-echelon form with each pivot at its row's last column.  It finds kappa
-pivots: the only product of c factors of P whose first leg has weight c
-is (2 E (x) F)^c, so the one term of I1^a I2^b P^c with first-leg key
-n = c is 2^c I^a E^c (x) I^b F^c, no invariant of smaller c has a term
-with n = c, and V is triangular on those columns.  Back-reduced, the
+a + b + 2c <= D are integer rows V keyed by the leg-key pairs of the
+unknowns: P^c's Casimir coordinates are cached per c, and I1^a I2^b only
+shifts each leg's b.  An invariant term outside the ansatz fails the
+certificate.  _kernel(L, D), once per cutoff pair, indexes the columns
+once, checks A V = 0 for the J+ matrix A in integers, one bracket with
+Delta(E) per entry of V, and reduces V to echelon form with each pivot
+at its row's last column.  It finds kappa pivots: the only product of c
+factors of P whose first leg has weight c is (2 E (x) F)^c, so the one
+term of I1^a I2^b P^c with first-leg key n = c is 2^c I^a E^c (x)
+I^b F^c, no invariant of smaller c has a term with n = c, and V is
+triangular on those columns.  Back-reduced, the
 row with pivot f is primitive and positive at f; over that entry it is
 N_f, 1 at f and 0 at every other pivot, and f is its last non-zero
 column.  Each N_f stays in that form, integers over a denominator, until
@@ -303,8 +305,8 @@ def _casimir_coords(xs: dict, dx: int) -> tuple:
 
 def _j_plus_rows(columns) -> dict:
     """Twice the J+ system matrix in Casimir coordinates over the unknowns
-    given as (index, leg-key pair) pairs, as {row key: {index: int}}, the
-    column of an index holding 2 [x (x) y, Delta(E)] for the payload
+    given as (label, leg-key pair) pairs, as {row key: {label: int}}, the
+    column of a label holding 2 [x (x) y, Delta(E)] for the payload
     x (x) y of its pair (TwistAnsatz.columns).  Delta(E) is primitive, so
     that is [x, E] (x) y + x (x) [y, E], and x, y are single basis elements.
     [x, E] raises the weight n of x by one, so the two outer products
@@ -448,15 +450,15 @@ def _particular_certified(fs, ring_into, plus: tuple,
     low is the lower orders padded with F_k = 0, its coefficients fs in
     the form of hseries._ints and its ring kernel ring_into, and plus is
     its order-k J+ residual as (ints, den); adding h^k x adds
-    [x, Delta(g)] at order k (module docstring).  low's order-k J0
-    residual is [F_k, Delta(H)] = 0, and its J- residual is built only
-    if the J0 and J+ checks pass."""
+    [x, Delta(g)] at order k (module docstring).  low's order-k J0 and J-
+    residuals are built by _residual_coefficient when their check is
+    reached; J0's has no pair and is ({}, 1)."""
     xs, dx = _integral(x.terms)
     k = len(fs) - 1
-    built = {"J0": ({}, 1), "J+": plus}
 
     def seed(g):
-        rs, dr = built.get(g) or _residual_coefficient(fs, ring_into, g, k)
+        rs, dr = (plus if g == "J+"
+                  else _residual_coefficient(fs, ring_into, g, k))
         return {key: dx * c for key, c in rs.items()}, dr
     return _brackets_vanish(xs, seed)
 
@@ -470,24 +472,17 @@ def _cartan_power(c: int) -> tuple:
     return tuple((key, v) for key, v in ints.items() if v)
 
 
-def _invariant_rows(cutoff_l: int, cutoff_d: int):
+def _invariant_rows(cutoff_l: int, cutoff_d: int) -> tuple:
     """The invariants I1^a I2^b P^c with c <= L-1 and a + b + 2c <= D as
-    integer rows {column: int} over the unknowns of the ansatz with these
-    cutoffs, or None if a term lies outside it.  I is central, so
-    I1^a I2^b only shifts each leg's b."""
-    column = dict(zip(_ansatz_columns(cutoff_l, cutoff_d), count()))
+    integer rows {leg-key pair: int}, keyed like TwistAnsatz.columns.  I
+    is central, so I1^a I2^b only shifts each leg's b."""
     rows = []
     for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1):
         terms = _cartan_power(c)
         for a in range(cutoff_d - 2 * c + 1):
             for b in range(cutoff_d - 2 * c - a + 1):
-                row = {}
-                for ((a1, b1, n1), (a2, b2, n2)), v in terms:
-                    col = column.get(((a1, b1 + a, n1), (a2, b2 + b, n2)))
-                    if col is None:
-                        return None
-                    row[col] = v
-                rows.append(row)
+                rows.append({((a1, b1 + a, n1), (a2, b2 + b, n2)): v
+                             for ((a1, b1, n1), (a2, b2, n2)), v in terms})
     return tuple(rows)
 
 
@@ -497,25 +492,27 @@ def _kernel(cutoff_l: int, cutoff_d: int):
     invariants V: {free column f: the nullspace vector N_f as (ints, den),
     ints {column: int} over den}, by ascending f, or None if V fails its
     half of the certificate; cached, the vectors must not be modified.
-    Each row of V must give 0 in integers against the J+ brackets of its
-    columns (A V = 0), and V must have rank kappa.  Reduced to echelon
-    form with each pivot at its row's last column (linsolve's elimination
-    on negated columns), the pivots are the free columns, and each row,
-    with its columns un-negated, over its pivot entry is N_f (module
-    docstring).  The row is primitive and its pivot entry positive, so den
-    is the lcm of the denominators of N_f in lowest terms."""
-    rows = _invariant_rows(cutoff_l, cutoff_d)
-    if rows is None:
-        return None
-    columns = _ansatz_columns(cutoff_l, cutoff_d)
-    for row in rows:
-        # A v: the J+ rows over the columns of v, weighted by its entries
-        if any(sum(c * row[col] for col, c in entries.items()) for entries in
-               _j_plus_rows((col, columns[col]) for col in row).values()):
+    Every key of V must be a column of the ansatz, each row of V must give
+    0 in integers against the J+ brackets of its keys (A V = 0), and V
+    must have rank kappa.  Reduced to echelon form with each pivot at its
+    row's last column (linsolve's elimination on negated columns), the
+    pivots are the free columns, and each row, with its columns
+    un-negated, over its pivot entry is N_f (module docstring).  The row
+    is primitive and its pivot entry positive, so den is the lcm of the
+    denominators of N_f in lowest terms."""
+    column = dict(zip(_ansatz_columns(cutoff_l, cutoff_d), count()))
+    negated = []
+    for row in _invariant_rows(cutoff_l, cutoff_d):
+        if not row.keys() <= column.keys():
             return None
-    pivots, _, _ = _echelon([{-col: v for col, v in row.items()}
-                             for row in rows], [0] * len(rows))
-    if len(pivots) != len(rows):
+        # A v: the J+ rows over the keys of v, weighted by its entries
+        if any(sum(c * row[pair] for pair, c in entries.items())
+               for entries in _j_plus_rows((pair, pair) for pair in row)
+               .values()):
+            return None
+        negated.append({-column[pair]: v for pair, v in row.items()})
+    pivots, _, _ = _echelon(negated, [0] * len(negated))
+    if len(pivots) != len(negated):
         return None
     return {-lead: ({-col: v for col, v in row.items()}, row[lead])
             for lead, row in sorted(pivots.items(), reverse=True)}
@@ -535,8 +532,8 @@ def solve_order(k: int, lower: TwistCandidate,
     enlarged by (L+1, D+2) and solved again, at most `max_escalations`
     times.  The lower orders' residual series (through order k-1) is built
     and checked once, and so is the order-k J+ residual, the right-hand
-    side shared by all attempts; the order-k J- residual is built only
-    for the certificate of a solved attempt.  Returns the last
+    side shared by all attempts; the order-k J0 and J- residuals are
+    built only for the certificate of a solved attempt.  Returns the last
     SolutionSet.  ValueError, before any residual is built, for k < 1, an
     ansatz of another order than k or a negative max_escalations."""
     if k < 1:
@@ -558,7 +555,8 @@ def solve_order(k: int, lower: TwistCandidate,
             raise ValueError(f"the lower candidate fails twist[{g}] at order {bad}")
 
     # the order-k J+ residual of low padded with F_k = 0 is the right-hand
-    # side of every attempt; J- is built only to certify a solved one
+    # side of every attempt; J0 and J- are built only to certify a solved
+    # one
     fs = _ints(low.at_order(k).series.coeffs)
     ring_into = _ring_into(low.coefficient(0))
     plus = _residual_coefficient(fs, ring_into, "J+", k)

@@ -14,7 +14,7 @@ import twistkit.candidate as candidate
 from twistkit import cli
 from twistkit.candidate import TwistCandidate, reference_candidate
 from twistkit.cli import main
-from twistkit.pbw import UNIT_MONO, Element, casimir
+from twistkit.pbw import UNIT_MONO, E, Element, casimir
 from twistkit.report import VerificationReport
 from twistkit.tensor import (TensorElement, classical_r, outer, tensor_to_json,
                              tensor_from_json)
@@ -847,6 +847,49 @@ def test_verify_output_pinned(capsys, cand_order, order, fmt, paper):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         VERIFY_DIGESTS[cand_order, order, fmt, paper]
+
+
+# tests/data/candidate-j0-fails.json is reference_candidate(2) with E (x) 1
+# added to F2, written by
+#   PYTHONPATH=src python3 -c "import sys
+#   from twistkit.candidate import TwistCandidate, reference_candidate
+#   from twistkit.cli import _json_dumps
+#   from twistkit.pbw import E, Element
+#   from twistkit.tensor import outer
+#   cs = list(reference_candidate(2).series.coeffs)
+#   cs[2] = cs[2] + outer(E, Element.one())
+#   _json_dumps(TwistCandidate.from_coefficients(cs).to_json(), sys.stdout)"
+# E (x) 1 has weight 1, so [F2, Delta(H)] != 0 and J0 fails at order 2
+J0_FAILS_LINES = [
+    "twist twist[J0]: fail (first failure at order 2)",
+    "twist twist[J+]: fail (first failure at order 3)",
+    "twist twist[J-]: fail (first failure at order 2)",
+    "rmatrix[quasitriangular]: fail (first failure at order 2)",
+    "normalization counit(leg1): pass",
+    "normalization counit(leg2): fail (first failure at order 2)",
+    "unitarity(universal): fail (first nonzero at order 2)",
+    "cocycle: fail (first nonzero at order 2)",
+]
+
+
+def test_j0_failing_candidate_file_is_the_reference_plus_e():
+    coeffs = list(reference_candidate(2).series.coeffs)
+    coeffs[2] = coeffs[2] + outer(E, Element.one())
+    data = json.loads((DATA / "candidate-j0-fails.json").read_text())
+    assert TwistCandidate.from_json(data) == \
+        TwistCandidate.from_coefficients(coeffs)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_prints_a_failing_j0_line(capsys, fmt):
+    code, out = run_cli(capsys, "verify", str(DATA / "candidate-j0-fails.json"),
+                        "--order", "4", "--checks", "all", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out == "".join(f"{line}\n" for line in J0_FAILS_LINES)
+    else:
+        assert json.loads(out) == {"falsified": True, "order": 4,
+                                   "report": J0_FAILS_LINES}
 
 
 # ---------------------------------------------------------------------------

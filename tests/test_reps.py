@@ -337,6 +337,17 @@ def test_repmatrix_with_non_matrix_is_type_error():
             op()
 
 
+@pytest.mark.parametrize("build", [lambda: RepMatrix.identity(2, -1),
+                                   lambda: RepMatrix.identity(2, -3),
+                                   lambda: RepMatrix(2, ())],
+                         ids=["identity -1", "identity -3", "no coefficient"])
+def test_negative_matrix_order_is_refused(build):
+    # like HSeries: an order below 0 is an error, not an order-0 identity
+    # or an empty matrix that reads as zero
+    with pytest.raises(ValueError, match=r"matrix order must be >= 0, got -"):
+        build()
+
+
 def test_render_text_writes_the_whole_matrix_text_row_by_row():
     # the order-3 fixture at 8 (x) 8: each row is one write, and the rows
     # are the text of rendering every cell first and padding each column

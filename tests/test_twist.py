@@ -867,8 +867,10 @@ def test_wrong_nullspace_fails_the_certificate(monkeypatch, defect):
     # a row makes V rank-deficient, both before any solve, and one row too
     # few leaves the solved system a free column
     real_rows = twist._invariant_rows
-    kept = next(c for c in range(len(TwistAnsatz(2)))
-                if c not in twist._kernel(*twist.default_cutoffs(2)))
+    ansatz = TwistAnsatz(2)
+    kept = ansatz.columns[next(
+        c for c in range(len(ansatz))
+        if c not in twist._kernel(*twist.default_cutoffs(2)))]
 
     def wrong(l, d):
         rows = [dict(row) for row in real_rows(l, d)]
@@ -889,13 +891,16 @@ def test_wrong_nullspace_fails_the_certificate(monkeypatch, defect):
 
 def kernel_by_invariants(k, cutoff_l, cutoff_d):
     """(ansatz, [(a, b, c, the invariant's row)]) in the certificate's
-    order."""
-    rows = twist._invariant_rows(cutoff_l, cutoff_d)
+    order, each row {column index: int} over the ansatz."""
+    ans = TwistAnsatz(k, cutoff_l, cutoff_d)
+    column = {pair: i for i, pair in enumerate(ans.columns)}
+    rows = [{column[pair]: v for pair, v in row.items()}
+            for row in twist._invariant_rows(cutoff_l, cutoff_d)]
     exps = [(a, b, c) for c in range(min(cutoff_l - 1, cutoff_d // 2) + 1)
             for a in range(cutoff_d - 2 * c + 1)
             for b in range(cutoff_d - 2 * c - a + 1)]
     assert len(rows) == len(exps) == kernel_dimension(cutoff_l, cutoff_d)
-    return TwistAnsatz(k, cutoff_l, cutoff_d), list(zip(exps, rows))
+    return ans, list(zip(exps, rows))
 
 
 # the feasible scan-o3 points and the order-3 default
@@ -1180,8 +1185,9 @@ def test_escalation_builds_the_residual_series_once(monkeypatch):
     sol = solve_order(3, lower, TwistAnsatz(3, 2, 2), max_escalations=2)
     assert statuses == ["inconsistent", "inconsistent", "solved"]
     assert calls == [2]  # the lower-order check, at order k - 1
-    # one J+ right-hand side for the three attempts, J- for the solved one
-    assert built == ["J+", "J-"]
+    # one J+ right-hand side for the three attempts, J0 and J- for the
+    # solved one
+    assert built == ["J+", "J0", "J-"]
     assert (sol.cutoff_l, sol.cutoff_d) == (4, 6)
     assert sol == solve_order(3, lower, TwistAnsatz(3, 4, 6))
 
@@ -1198,7 +1204,8 @@ def test_solved_attempt_builds_j_plus_and_j_minus_at_order_k_once(monkeypatch):
     built = spy_on_order_k_sums(monkeypatch, 3)
     sol = solve_order(3, golden_order3().at_order(2), TwistAnsatz(3, 4, 6))
     assert sol.solved
-    assert built == ["J+", "J-"]
+    # the certificate reads J0 and J- in generator order, J+ precomputed
+    assert built == ["J+", "J0", "J-"]
 
 
 def test_lazily_built_j_minus_is_still_certified(monkeypatch):
@@ -1245,7 +1252,8 @@ def test_kernel_check_rejects_other_leg_counts(f, legs):
        key=st.tuples(small_monomials, small_monomials).filter(weight),
        c=coprime_fractions.filter(bool))
 def test_j0_residual_in_closed_form_is_the_cauchy_sum(cand, order, key, c):
-    # F_order gains a term of non-zero weight, so [F_order, Delta(H)] != 0
+    # F_order gains a term of non-zero weight (which may cancel one of the
+    # candidate's), so [F_order, Delta(H)] is seldom 0
     coeffs = list(cand.at_order(order).series.coeffs)
     coeffs[order] = coeffs[order] + TensorElement({key: c})
     cand = TwistCandidate.from_coefficients(coeffs)
@@ -1256,12 +1264,19 @@ def test_j0_residual_in_closed_form_is_the_cauchy_sum(cand, order, key, c):
                    _ring_into(coeffs[0]), TensorElement._raw)
     got = twist_residual_series(cand, order)["J0"]
     assert got.coeffs == want
-    assert got.coeffs[order].terms.get(key) == -weight(key) * coeffs[order].terms[key]
-    assert not candidate._j0_residual(TensorElement.one()).terms
+    # the closed form: [m, H] = -wt(m) m for each leg's PBW monomial m
+    assert got.coeffs == tuple(
+        TensorElement({k: -weight(k) * v for k, v in f.terms.items()})
+        for f in coeffs)
 
 
-def test_residual_operands_hold_only_j_plus_and_j_minus():
-    assert list(candidate._residual_operands(3)) == ["J+", "J-"]
+def test_residual_operands_hold_every_generator():
+    # J0's operands H and Delta(H) vanish above order 0, so its Cauchy sum
+    # at order n is the one pair [F_n, Delta(H)]
+    operands = candidate._residual_operands(3)
+    assert list(operands) == ["J0", "J+", "J-"]
+    cs, ds = operands["J0"]
+    assert cs[1:] == ds[1:] == (None,) * 3
 
 
 @pytest.mark.parametrize("d", range(13))

@@ -20,7 +20,8 @@ import tempfile
 
 INPUTS = {"cand3.json": "candidate-order3.json",
           "cand5.json": "candidate-order5.json",
-          "cand6.json": "candidate-order6.json"}
+          "cand6.json": "candidate-order6.json",
+          "candj0.json": "candidate-j0-fails.json"}
 
 # (name, arguments of twistkit)
 JOBS = [
@@ -90,6 +91,12 @@ JOBS = [
     ("verify-cand5-o8-json", ["verify", "cand5.json", "--order", "8",
                               "--checks", "twist", "rmatrix",
                               "--format", "json"]),
+    # a candidate whose J0 residual fails (reference_candidate(2) with
+    # E (x) 1 added to F2), so every line but counit(leg1) fails
+    ("verify-j0-fails-text", ["verify", "candj0.json", "--order", "4",
+                              "--checks", "all"]),
+    ("verify-j0-fails-json", ["verify", "candj0.json", "--order", "4",
+                              "--checks", "all", "--format", "json"]),
     ("verify-missing-file", ["verify", "missing.json"]),
     ("eval-rep-0x0", ["eval-rep", "cand3.json", "--two-j1", "0",
                       "--two-j2", "0"]),
